@@ -32,6 +32,7 @@ from .gammakit import (
     expansion_value,
     log_gamma,
     log_gamma_ratio,
+    log_gamma_second_difference,
     log_multibeta,
     verify_expansion,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "ExpansionKind",
     "log_gamma",
     "log_gamma_ratio",
+    "log_gamma_second_difference",
     "log_multibeta",
     "exact_ratio",
     "expansion_value",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gammakit
-from .errors import ValidationError
+from .errors import ValidationError, finite_real, integer, is_sequence, sequence
 
 __all__ = [
     "BlockSpec",
@@ -52,8 +52,9 @@ class BlockSpec:
     a: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        object.__setattr__(self, "a", float(self.a))
+        p = sequence(self.p, "inner exponents p")
+        object.__setattr__(self, "p", tuple(finite_real(v, "inner exponent") for v in p))
+        object.__setattr__(self, "a", finite_real(self.a, "outer power a"))
         if len(self.p) == 0:
             raise ValidationError("block needs at least one inner exponent")
         if not all(v > 0.0 for v in self.p):
@@ -105,10 +106,10 @@ class DomainSpec:
         if not isinstance(obj, dict) or "blocks" not in obj:
             raise ValidationError('domain JSON must be {"blocks": [{"p": [...], "a": ...}, ...]}')
         blocks = []
-        for entry in obj["blocks"]:
+        for entry in sequence(obj["blocks"], "domain blocks"):
             if not isinstance(entry, dict) or "p" not in entry or "a" not in entry:
                 raise ValidationError('each block must be {"p": [...], "a": ...}')
-            blocks.append(BlockSpec(p=tuple(entry["p"]), a=entry["a"]))
+            blocks.append(BlockSpec(p=entry["p"], a=entry["a"]))
         return cls(blocks=tuple(blocks))
 
     def to_json(self) -> dict:
@@ -126,9 +127,9 @@ def as_multi_index(dom: DomainSpec, entries) -> tuple[tuple[int, ...], ...]:
     Accepts either nested per-block sequences or one flat sequence of
     length ``dimension(dom)``.
     """
-    entries = list(entries)
+    entries = sequence(entries, "index")
     sizes = dom.block_sizes
-    if entries and not any(hasattr(e, "__len__") or hasattr(e, "__iter__") for e in entries):
+    if entries and not any(is_sequence(e) for e in entries):
         flat = entries
         if len(flat) != sum(sizes):
             raise ValidationError(
@@ -144,7 +145,7 @@ def as_multi_index(dom: DomainSpec, entries) -> tuple[tuple[int, ...], ...]:
         raise ValidationError(f"index has {len(entries)} blocks, domain has {len(sizes)}")
     out = []
     for k, part in enumerate(entries):
-        part = tuple(int(v) for v in part)
+        part = tuple(integer(v, "index entry") for v in sequence(part, f"block {k} of the index"))
         if len(part) != sizes[k]:
             raise ValidationError(
                 f"block {k} of the index has length {len(part)}, expected {sizes[k]}"
@@ -184,10 +185,9 @@ def log_norm_omega1(p, i) -> float:
 def log_norm_bulk(dom: DomainSpec, idx_rows: np.ndarray) -> np.ndarray:
     """ln of the squared monomial norm for each row of ``idx_rows``.
 
-    Rows are flat indices in domain coordinate order; entries may already
-    carry the +-1 shifts used by the commutator eigenvalues, so only the
-    shape is validated here (entries must keep every Gamma argument
-    positive, i.e. be >= 0).
+    Rows are flat indices in domain coordinate order.  Only the shape is
+    validated here; entries must keep every Gamma argument positive, i.e.
+    be >= 0.
     """
     rows = np.asarray(idx_rows, dtype=np.float64)
     if rows.ndim == 1:

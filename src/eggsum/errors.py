@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of single
+input values that raise them."""
+
+import math
+import numbers
 
 
 class ValidationError(ValueError):
@@ -15,3 +19,37 @@ class ResourceCapError(RuntimeError):
     Raised instead of silently truncating; the caller must either raise the
     cap explicitly or shrink the request.
     """
+
+
+def finite_real(value, what: str) -> float:
+    """``value`` as a float; a ValidationError unless it is a finite real
+    number (booleans and strings are not numbers here)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+    return out
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int; a ValidationError unless it is an integer or a
+    float with an integral value."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    number = finite_real(value, what)
+    if not number.is_integer():
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(number)
+
+
+def is_sequence(value) -> bool:
+    """Iterable, and not a string or a mapping."""
+    return hasattr(value, "__iter__") and not isinstance(value, (str, bytes, dict))
+
+
+def sequence(value, what: str) -> list:
+    """``value`` as a list; a ValidationError unless ``is_sequence(value)``."""
+    if not is_sequence(value):
+        raise ValidationError(f"{what} must be a list, got {value!r}")
+    return list(value)

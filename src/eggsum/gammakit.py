@@ -6,9 +6,18 @@ of Gamma functions, so this module provides:
 * ``log_gamma`` -- a Lanczos approximation of ln(Gamma), vectorized,
   accurate to ~1e-14 normalized error on (0, 1e8];
 * ``log_gamma_ratio`` -- ln Gamma(x+a) - ln Gamma(x+b) computed by
-  differencing the Lanczos formula analytically, which avoids the
+  differencing an approximation term by term, which avoids the
   catastrophic loss of absolute precision that plain subtraction of two
-  large log-Gamma values suffers for x in the thousands;
+  large log-Gamma values suffers for x in the thousands: the Stirling
+  series through z^-9 once both arguments are >= 16 (truncation error
+  below 1e-16 there; it agrees with the Lanczos difference to 5e-16
+  relative on [16, 5000] and is cheaper, having no nine-term sums), and
+  the Lanczos formula on [8, 16);
+* ``log_gamma_second_difference`` -- ln Gamma(x+u+w) - ln Gamma(x+u) -
+  ln Gamma(x+w) + ln Gamma(x), from the same Stirling series with every
+  logarithm of a ratio taken through log1p, so that the result (about
+  u w / x) keeps ~1e-16 relative precision; the commutator eigenvalues
+  and the ratio families R2 and R3 are such second differences;
 * ``log_multibeta`` -- the multi-variable Beta function in log space;
 * the five ratio families R1..R5 with their truncated expansions in 1/x
   and an error-decay verification harness.
@@ -35,6 +44,7 @@ __all__ = [
     "ExpansionCheck",
     "log_gamma",
     "log_gamma_ratio",
+    "log_gamma_second_difference",
     "log_multibeta",
     "expansion_coefficients",
     "r3_quadratic_coefficients",
@@ -59,6 +69,10 @@ _LANCZOS_C = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+# Stirling series coefficients B_2k / (2k (2k-1)), k = 1..5, and the
+# argument from which the series replaces the Lanczos formula in ratios.
+_STIRLING_C = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+_STIRLING_MIN = 16.0
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LN_PI = math.log(math.pi)
 
@@ -95,42 +109,142 @@ def log_gamma(x):
     return out.reshape(arr.shape)
 
 
+def _stirling_tail(z: np.ndarray) -> np.ndarray:
+    """ln Gamma(z) - [(z - 1/2) ln z - z + ln sqrt(2 pi)]: the Stirling series
+    through the z^-9 term, truncation error below 1e-16 for z >= 16."""
+    w = z * z
+    np.reciprocal(w, out=w)
+    poly = w * _STIRLING_C[-1]
+    for c in reversed(_STIRLING_C[1:-1]):
+        poly += c
+        poly *= w
+    poly += _STIRLING_C[0]
+    poly /= z
+    return poly
+
+
+def _lanczos_ratio(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """ln Gamma(x+a) - ln Gamma(x+b) by differencing the Lanczos formula
+    analytically (min(x+a, x+b) >= 8)."""
+    za = x + (a - 1.0)
+    zb = x + (b - 1.0)
+    d = a - b
+    sa = np.full_like(za, _LANCZOS_C[0])
+    sb = np.full_like(zb, _LANCZOS_C[0])
+    ds = np.zeros_like(za)
+    for i in range(1, 9):
+        sa += _LANCZOS_C[i] / (za + i)
+        sb += _LANCZOS_C[i] / (zb + i)
+        ds -= _LANCZOS_C[i] * d / ((za + i) * (zb + i))
+    ta = za + _LANCZOS_G + 0.5
+    tb = zb + _LANCZOS_G + 0.5
+    return (x + (b - 0.5)) * np.log1p(d / tb) + d * np.log(ta) - d + np.log1p(ds / sb)
+
+
+def _stirling_ratio(za: np.ndarray, zb: np.ndarray, d: float) -> np.ndarray:
+    """ln Gamma(za) - ln Gamma(zb) with za = zb + d, both >= 16:
+    (zb - 1/2) log1p(d/zb) + d (ln za - 1) + the difference of the tails."""
+    out = d / zb
+    np.log1p(out, out=out)
+    out *= zb - 0.5
+    term = np.log(za)
+    term -= 1.0
+    term *= d
+    out += term
+    tail = _stirling_tail(za)
+    tail -= _stirling_tail(zb)
+    out += tail
+    return out
+
+
 def log_gamma_ratio(x, a: float, b: float):
     """ln Gamma(x+a) - ln Gamma(x+b), stable for large x.
 
-    For min(x+a, x+b) >= 8 the difference of the Lanczos formula is taken
-    analytically, so the result keeps ~1e-15 absolute precision even when
-    the individual log-Gamma values are in the tens of thousands.
+    For min(x+a, x+b) >= 16 the Stirling series is differenced term by
+    term; for min(x+a, x+b) in [8, 16) the Lanczos formula is.  Either way
+    the result keeps ~1e-15 absolute precision even when the individual
+    log-Gamma values are in the tens of thousands.  Below 8 the two
+    log-Gamma values are small and are subtracted directly.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if not (np.all(arr + a > 0.0) and np.all(arr + b > 0.0)):
-        raise ValidationError("log_gamma_ratio requires x+a > 0 and x+b > 0")
     flat = np.atleast_1d(arr)
-    out = np.empty_like(flat)
-    analytic = np.minimum(flat + a, flat + b) >= 8.0
-    if analytic.any():
-        xa = flat[analytic]
-        za = xa + (a - 1.0)
-        zb = xa + (b - 1.0)
-        d = a - b
-        sa = np.full_like(za, _LANCZOS_C[0])
-        sb = np.full_like(zb, _LANCZOS_C[0])
-        ds = np.zeros_like(za)
-        for i in range(1, 9):
-            sa += _LANCZOS_C[i] / (za + i)
-            sb += _LANCZOS_C[i] / (zb + i)
-            ds -= _LANCZOS_C[i] * d / ((za + i) * (zb + i))
-        ta = za + _LANCZOS_G + 0.5
-        tb = zb + _LANCZOS_G + 0.5
-        out[analytic] = (
-            (xa + (b - 0.5)) * np.log1p(d / tb)
-            + d * np.log(ta)
-            - d
-            + np.log1p(ds / sb)
-        )
-    rest = ~analytic
-    if rest.any():
-        out[rest] = log_gamma(flat[rest] + a) - log_gamma(flat[rest] + b)
+    za = flat + a
+    zb = flat + b
+    low = za if a <= b else zb
+    lowest = low.min() if low.size else _STIRLING_MIN
+    if not lowest > 0.0:
+        raise ValidationError("log_gamma_ratio requires x+a > 0 and x+b > 0")
+    if lowest >= _STIRLING_MIN:
+        out = _stirling_ratio(za, zb, a - b)
+    else:
+        out = np.empty_like(flat)
+        stirling = low >= _STIRLING_MIN
+        out[stirling] = _stirling_ratio(za[stirling], zb[stirling], a - b)
+        lanczos = (low >= 8.0) & ~stirling
+        if lanczos.any():
+            out[lanczos] = _lanczos_ratio(flat[lanczos], a, b)
+        rest = low < 8.0
+        if rest.any():
+            out[rest] = log_gamma(za[rest]) - log_gamma(zb[rest])
+    if arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
+
+
+def _stirling_second_difference(x: np.ndarray, u: float, w: float) -> np.ndarray:
+    """The mixed second difference of ln Gamma at x with steps u and w, all
+    four arguments >= 16, from the Stirling series with every logarithm of
+    a ratio taken through log1p:
+
+        (x - 1/2) log1p(-u w / ((x+u)(x+w))) + u log1p(w / (x+u))
+            + w log1p(u / (x+w)) + the second difference of the tails.
+    """
+    xu = x + u
+    xw = xu if w == u else x + w
+    out = xu * xw
+    np.divide(-(u * w), out, out=out)
+    np.log1p(out, out=out)
+    out *= x - 0.5
+    term = w / xu
+    np.log1p(term, out=term)
+    term *= u
+    out += term
+    term = u / xw
+    np.log1p(term, out=term)
+    term *= w
+    out += term
+    tail_u = _stirling_tail(xu)
+    tail = _stirling_tail(xu + w)
+    tail -= tail_u
+    tail -= tail_u if w == u else _stirling_tail(xw)
+    tail += _stirling_tail(x)
+    out += tail
+    return out
+
+
+def log_gamma_second_difference(x, u: float, w: float):
+    """ln Gamma(x+u+w) - ln Gamma(x+u) - ln Gamma(x+w) + ln Gamma(x).
+
+    The mixed second difference, of size about u w / x, is summed from
+    terms of its own size when all four arguments are >= 16, so it keeps
+    ~1e-16 relative precision where differencing two ``log_gamma_ratio``
+    values would leave ~1e-16 absolute; below that it is the difference of
+    two ``log_gamma_ratio`` values.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    flat = np.atleast_1d(arr)
+    low = flat + min(0.0, u, w, u + w)
+    lowest = low.min() if low.size else _STIRLING_MIN
+    if not lowest > 0.0:
+        raise ValidationError("log_gamma_second_difference requires all four arguments > 0")
+    if lowest >= _STIRLING_MIN:
+        out = _stirling_second_difference(flat, u, w)
+    else:
+        out = np.empty_like(flat)
+        stirling = low >= _STIRLING_MIN
+        out[stirling] = _stirling_second_difference(flat[stirling], u, w)
+        rest = flat[~stirling]
+        out[~stirling] = log_gamma_ratio(rest, u + w, u) - log_gamma_ratio(rest, w, 0.0)
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
@@ -249,14 +363,11 @@ def exact_ratio(kind: ExpansionKind, x):
     if kind.tag == "R1":
         ln = log_gamma_ratio(arr, a, kind.b) + (kind.b - a) * np.log(arr)
     elif kind.tag == "R2":
-        ln = np.asarray(log_gamma_ratio(arr, a, 0.0)) + np.asarray(
-            log_gamma_ratio(arr, a, 2.0 * a)
-        )
+        # R2 and R3 are Gamma second differences: at x with steps a and a,
+        # and at x+a with steps a and b
+        ln = -np.asarray(log_gamma_second_difference(arr, a, a))
     elif kind.tag == "R3":
-        b = kind.b
-        ln = np.asarray(log_gamma_ratio(arr, a, a + b)) + np.asarray(
-            log_gamma_ratio(arr, 2.0 * a + b, 2.0 * a)
-        )
+        ln = np.asarray(log_gamma_second_difference(arr + a, a, kind.b))
     elif kind.tag == "R4":
         ln = 2.0 * np.log(arr + a) - np.log(arr) - np.log(arr + 2.0 * a)
     else:  # R5

@@ -200,11 +200,13 @@ def fit_tail_slope(sums: np.ndarray, window_fraction: float) -> tuple[float, flo
     x = np.log(ns[mask])
     y = np.log(ts[mask])
     xm = x - x.mean()
-    sxx = float(np.dot(xm, xm))
-    slope = float(np.dot(xm, y)) / sxx
+    # plain reductions, not np.dot: BLAS dot products on windows of tens of
+    # thousands of shells wake the BLAS helper threads for no gain
+    sxx = float(np.sum(xm * xm))
+    slope = float(np.sum(xm * y)) / sxx
     resid = y - y.mean() - slope * xm
     k = len(x)
-    stderr = math.sqrt(float(np.dot(resid, resid)) / (k - 2) / sxx)
+    stderr = math.sqrt(float(np.sum(resid * resid)) / (k - 2) / sxx)
     return slope, stderr
 
 

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ResourceCapError, ValidationError, finite_real, integer, sequence
 from .lattice import shell_count, shell_indices
 from .reduction import kahan_sum
 from .summability import (
@@ -67,8 +67,11 @@ class GroupFactor:
     a: float
 
     def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(sorted(int(v) for v in self.vars)))
-        object.__setattr__(self, "a", float(self.a))
+        members = sequence(self.vars, "group factor variables")
+        object.__setattr__(
+            self, "vars", tuple(sorted(integer(v, "group factor variable") for v in members))
+        )
+        object.__setattr__(self, "a", finite_real(self.a, "group factor exponent"))
         if len(self.vars) == 0:
             raise ValidationError("group factor needs a nonempty variable subset")
         if len(set(self.vars)) != len(self.vars):
@@ -82,6 +85,10 @@ class AbsFactor:
     neg: int
     a: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "neg", integer(self.neg, "abs factor variable"))
+        object.__setattr__(self, "a", finite_real(self.a, "abs factor exponent"))
+
 
 @dataclass(frozen=True)
 class ZetaSeriesSpec:
@@ -92,9 +99,11 @@ class ZetaSeriesSpec:
     b: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", tuple(float(v) for v in self.powers))
+        object.__setattr__(self, "m", integer(self.m, "variable count m"))
+        powers = sequence(self.powers, "powers")
+        object.__setattr__(self, "powers", tuple(finite_real(v, "power") for v in powers))
         object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", finite_real(self.b, "denominator exponent b"))
         if self.m < 1:
             raise ValidationError("need at least one variable")
         if len(self.powers) != self.m:
@@ -111,20 +120,24 @@ class ZetaSeriesSpec:
         if not isinstance(obj, dict):
             raise ValidationError("zeta spec JSON must be an object")
         try:
-            groups = tuple(
-                GroupFactor(vars=tuple(g["vars"]), a=g["a"]) for g in obj.get("groups", [])
-            )
+            groups = []
+            for g in sequence(obj.get("groups", []), "groups"):
+                if not isinstance(g, dict):
+                    raise ValidationError('each group must be {"vars": [...], "a": ...}')
+                groups.append(GroupFactor(vars=g["vars"], a=g["a"]))
             abs_obj = obj.get("abs")
-            abs_factor = None if abs_obj is None else AbsFactor(neg=int(abs_obj["neg"]), a=float(abs_obj["a"]))
+            if abs_obj is not None and not isinstance(abs_obj, dict):
+                raise ValidationError('abs must be null or {"neg": ..., "a": ...}')
+            abs_factor = None if abs_obj is None else AbsFactor(neg=abs_obj["neg"], a=abs_obj["a"])
             return cls(
-                m=int(obj["m"]),
-                powers=tuple(obj["powers"]),
-                groups=groups,
+                m=obj["m"],
+                powers=obj["powers"],
+                groups=tuple(groups),
                 abs_factor=abs_factor,
-                b=float(obj["b"]),
+                b=obj["b"],
             )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed zeta spec JSON: {exc}") from exc
+        except KeyError as exc:
+            raise ValidationError(f"malformed zeta spec JSON: missing {exc}") from exc
 
     def to_json(self) -> dict:
         return {

@@ -172,6 +172,27 @@ class TestErrorsAndReplay:
         code = run(["norm", "--domain", BALL, "--index", "[0]"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm", "--domain", '{"blocks":5}', "--index", "[1]"],
+            ["norm", "--domain", '{"blocks":[{"p":["x"],"a":1}]}', "--index", "[1]"],
+            ["norm", "--domain", '{"blocks":[{"p":[Infinity],"a":1}]}', "--index", "[1]"],
+            ["zeta", "--spec",
+             '{"m":2,"powers":[0,0],"groups":[{"vars":["a"],"a":1.0}],"abs":null,"b":3.0}'],
+            ["norm", "--domain", DISK, "--index", '["x"]'],
+            ["norm", "--domain", DISK, "--index", "5"],
+        ],
+        ids=["blocks-not-a-list", "p-not-numeric", "p-infinite", "zeta-vars-not-integer",
+             "index-not-numeric", "index-not-a-list"],
+    )
+    def test_malformed_values_exit_2(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_bad_kind_selector(self, capsys):
         code = run(["eig", "--domain", DISK, "--kind", "sideways:0:0"])
         assert code == 2

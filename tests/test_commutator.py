@@ -103,6 +103,72 @@ class TestEigenvalues:
             eigenvalue_bulk(DISK, SelfAdjoint(0, 0), np.array([[-1]]))
 
 
+def _mp_log_norm(dom, idx):
+    """ln ||z^idx||^2 at 50 digits, up to the constant d ln(pi), from the
+    Dirichlet-Liouville form of the norm integral."""
+    mpmath = pytest.importorskip("mpmath")
+    total = mpmath.mpf(0)
+    outer = mpmath.mpf(0)
+    pos = 0
+    for blk in dom.blocks:
+        a = mpmath.mpf(blk.a)
+        s = mpmath.mpf(0)
+        for p in blk.p:
+            p = mpmath.mpf(p)
+            v = (idx[pos] + 1) / p
+            total += mpmath.loggamma(v) - mpmath.log(p)
+            s += v
+            pos += 1
+        total += mpmath.loggamma(s / a) - mpmath.loggamma(s) - mpmath.log(a)
+        outer += s / a
+    return total - mpmath.loggamma(outer + 1)
+
+
+def _mp_eigenvalue(dom, r, l, idx):
+    """Self eigenvalue (l is None) or cross modulus from 50-digit norms."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def norm(*shifts):
+        shifted = list(idx)
+        for col, step in shifts:
+            shifted[col] += step
+        return mpmath.exp(_mp_log_norm(dom, shifted))
+
+    if l is None:
+        value = -norm((r, 1)) / norm()
+        if idx[r] > 0:
+            value += norm() / norm((r, -1))
+        return value
+    root = mpmath.sqrt(norm() * norm((r, 1), (l, -1)))
+    return abs(root / norm((l, -1)) - norm((r, 1)) / root)
+
+
+CRIT4 = DomainSpec(blocks=(BlockSpec((1.0,), 2.0), BlockSpec((1.0,), 1.0), BlockSpec((1.0,), 1.0)))
+CRIT5 = DomainSpec(blocks=(BlockSpec((1.0, 1.0), 4.0), BlockSpec((1.0,), 1.0)))
+
+
+class TestHighPrecisionOracle:
+    @pytest.mark.parametrize(
+        "dom, kind, columns, idx",
+        [
+            (BALL2, SelfAdjoint(0, 0), (0, None), (3000, 0)),
+            (BALL2, SelfAdjoint(0, 0), (0, None), (2999, 1)),
+            (DISK, SelfAdjoint(0, 0), (0, None), (99_999,)),
+            (CRIT4, SelfAdjoint(0, 0), (0, None), (200, 0, 0)),
+            (CRIT5, CrossWithin(0, 0, 1), (0, 1), (199, 1, 0)),
+            (CRIT4, CrossBetween(0, 0, 1, 0), (0, 1), (199, 1, 0)),
+        ],
+        ids=["ball-3000-0", "ball-2999-1", "disk-99999", "crit4-self", "crit5-within",
+             "crit4-between"],
+    )
+    def test_relative_error_against_mpmath(self, dom, kind, columns, idx):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            ref = _mp_eigenvalue(dom, *columns, idx)
+            got = eigenvalue(dom, kind, list(idx))
+            assert float(abs((got - ref) / ref)) <= 1e-10
+
+
 class TestAsymptotics:
     def test_disk_inverse_square(self):
         for t in (10, 100, 1000):

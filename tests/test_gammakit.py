@@ -10,6 +10,7 @@ from eggsum import (
     expansion_value,
     log_gamma,
     log_gamma_ratio,
+    log_gamma_second_difference,
     log_multibeta,
     verify_expansion,
 )
@@ -69,6 +70,37 @@ class TestLogGammaRatio:
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(ValidationError):
             log_gamma_ratio(0.5, -1.0, 0.2)
+
+
+    def test_unit_step_is_log_across_branches(self):
+        # Gamma(x+1)/Gamma(x) = x on both sides of the Stirling cut-off
+        xs = np.concatenate([np.linspace(0.1, 16.0, 400), np.geomspace(16.0, 1e7, 400)])
+        got = log_gamma_ratio(xs, 1.0, 0.0)
+        assert np.max(np.abs(got - np.log(xs)) / np.maximum(1.0, np.abs(np.log(xs)))) <= 1e-14
+
+
+class TestLogGammaSecondDifference:
+    XS = np.concatenate([np.linspace(0.1, 16.0, 400)[:-1], np.geomspace(16.0, 1e7, 400)])
+
+    def test_unit_step_closed_form(self):
+        # one unit step collapses the second difference to ln((x+u)/x),
+        # whose size u/x the result keeps to relative precision from 16 on
+        for u in (1.0 / 3.0, 0.7, 2.5):
+            ref = np.log1p(u / self.XS)
+            for got in (
+                log_gamma_second_difference(self.XS, u, 1.0),
+                log_gamma_second_difference(self.XS, 1.0, u),
+            ):
+                rel = np.abs(got - ref) / ref
+                assert rel[self.XS >= 16.0].max() <= 2e-15
+                assert rel[self.XS < 16.0].max() <= 1e-12
+
+    def test_scalar_in_scalar_out(self):
+        assert log_gamma_second_difference(3.0, 1.0, 1.0) == pytest.approx(math.log(4.0 / 3.0))
+
+    def test_rejects_nonpositive_arguments(self):
+        with pytest.raises(ValidationError):
+            log_gamma_second_difference(0.5, -1.0, 0.2)
 
 
 class TestLogMultibeta:
