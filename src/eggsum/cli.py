@@ -30,7 +30,7 @@ import numpy as np
 
 from . import commutator, gammakit, summability, zetalab
 from .domain import DomainSpec, log_norm, mc_norm_oracle
-from .errors import ResourceCapError, ValidationError
+from .errors import ResourceCapError, ValidationError, positive_integer
 from .lattice import shell_indices
 from .summability import (
     DEFAULT_MARGIN,
@@ -40,6 +40,7 @@ from .summability import (
 
 _WORKERS_ENV = "EGGSUM_WORKERS"
 _EIG_ROW_CAP = 100_000
+_LN_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 def _default_workers() -> int:
@@ -53,12 +54,16 @@ def _load_json_arg(value: str, what: str):
     """Parse an inline JSON value or the contents of a JSON file."""
     path = Path(value)
     try:
-        if path.exists() and path.is_file():
-            text = path.read_text(encoding="utf-8")
-        else:
-            text = value
+        is_file = path.is_file()
+    except (OSError, ValueError):
+        # not a usable path (a name too long, say): the value is inline JSON
+        is_file = False
+    try:
+        text = path.read_text(encoding="utf-8") if is_file else value
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} from {value!r}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"malformed JSON for {what}: {exc}") from exc
 
 
@@ -135,6 +140,8 @@ def _cmd_norm(params: dict) -> dict:
     dom = DomainSpec.from_json(params["domain"])
     idx = params["index"]
     value = log_norm(dom, idx)
+    if not -math.inf < value < _LN_DOUBLE_MAX:
+        raise ValidationError("the norm is out of double precision range for this domain and index")
     results = {"log_norm": value, "norm": math.exp(value)}
     if params["mc_samples"]:
         est, err = mc_norm_oracle(dom, idx, params["mc_samples"], params["seed"])
@@ -315,6 +322,8 @@ def execute(command: str, params: dict) -> dict:
     """Dispatch a command from its parameter dict (the replay entry point)."""
     if command not in _EXECUTORS:
         raise ValidationError(f"unknown command {command!r}")
+    if "workers" in params:
+        positive_integer(params["workers"], "workers")
     return _EXECUTORS[command](params)
 
 
@@ -403,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, domain=True, kind=False):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--workers", type=int, default=_default_workers(),
-                       help=f"worker count (default from ${_WORKERS_ENV} or 1)")
+                       help=f"worker count, at least 1, echoed in reports; results do not "
+                            f"depend on it (default from ${_WORKERS_ENV} or 1)")
         p.add_argument("--cap", type=int, default=None,
                        help="resource cap (eigenvalue evaluations / table rows)")
         if domain:

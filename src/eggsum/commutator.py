@@ -176,36 +176,45 @@ def _per_entry(fn, entries: np.ndarray) -> np.ndarray:
     return fn(np.arange(top + 1, dtype=np.float64))[entries.astype(np.intp)]
 
 
-def _log_norm_step(dom: DomainSpec, weights, rows: np.ndarray, col: int) -> np.ndarray:
-    """ln||z^(i+e_col)||^2 - ln||z^i||^2 for every row i, as Gamma ratios.
+def _log_norm_step(dom: DomainSpec, weights, rows: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
+    """Sum over the columns ``cols`` of ln||z^(i+e_c)||^2 - ln||z^i||^2 for
+    every row i, as Gamma ratios; the columns share one block and one p.
 
-    With v the weight of column ``col``, h = 1/p its step, s the sum of its
-    block k and T the total outer weight, the first difference is
+    With v the weight of column c, h = 1/p its step, s the sum of its block
+    k and T the total outer weight, the first difference is
 
         R(v, h) - R(s, h) + R(s/a_k, h/a_k) - R(T, h/a_k) - log1p(h/(a_k T)),
 
     R(x, h) = ln Gamma(x+h) - ln Gamma(x); the block terms drop for a
-    one-coordinate block and the outer ones for a one-block domain.  Terms
-    that depend on column ``col`` alone are evaluated per entry value;
-    ``weights`` is ``_weights(dom, rows)``.
+    one-coordinate block and the outer ones for a one-block domain.  Only
+    R(v, h) (the outer term too, for a one-coordinate block) depends on the
+    column, so the other terms are evaluated once for all of ``cols``; the
+    column's own terms are evaluated per entry value.  ``weights`` is
+    ``_weights(dom, rows)``.
     """
-    k, p = _coordinate(dom, col)
+    k, p = _coordinate(dom, cols[0])
     blk = dom.blocks[k]
     h = 1.0 / p
+    u = h / blk.a
     sums, outer, total = weights
-    out = -np.log1p((h / blk.a) / total)
+    several = len(dom.blocks) > 1
+    out = -np.log1p(u / total)
     if blk.size > 1:
-        out += _per_entry(lambda e: gammakit.log_gamma_ratio((e + 1.0) / p, h, 0.0), rows[:, col])
         out -= gammakit.log_gamma_ratio(sums[k], h, 0.0)
-    if len(dom.blocks) > 1:
+        if several:
+            out += gammakit.log_gamma_ratio(outer[k], u, 0.0)
+    if several:
+        out -= gammakit.log_gamma_ratio(total, u, 0.0)
+    out *= len(cols)
+    for col in cols:
         if blk.size > 1:
-            out += gammakit.log_gamma_ratio(outer[k], h / blk.a, 0.0)
-        else:
             out += _per_entry(
-                lambda e: gammakit.log_gamma_ratio((e + 1.0) / p / blk.a, h / blk.a, 0.0),
-                rows[:, col],
+                lambda e: gammakit.log_gamma_ratio((e + 1.0) / p, h, 0.0), rows[:, col]
             )
-        out -= gammakit.log_gamma_ratio(total, h / blk.a, 0.0)
+        elif several:
+            out += _per_entry(
+                lambda e: gammakit.log_gamma_ratio((e + 1.0) / p / blk.a, u, 0.0), rows[:, col]
+            )
     return out
 
 
@@ -268,16 +277,20 @@ def eigenvalue_bulk(dom: DomainSpec, kind: CommutatorKind, idx_rows: np.ndarray)
     rows[:, lowered] -= present
     weights = _weights(dom, rows)
     mixed = _log_norm_mixed(dom, weights, rows, r_col, lowered)
-    step = _log_norm_step(dom, weights, rows, r_col)
 
     if l_col is None:
         # lam(i) = e^D(j) - e^D(j+e_r) = -e^D(j) expm1(M(j)); only the
         # raising term -e^D(i) when i_r = 0
+        step = _log_norm_step(dom, weights, rows, (r_col,))
         return -np.exp(step) * np.where(present, np.expm1(mixed), 1.0)
 
     # mu(i) = |e^A - e^B| with A = (D_r(j) + D_l(j))/2 and B = (D_r(j+e_l)
     # + D_l(j+e_r))/2 = A + M(j); zero when i_l = 0
-    step += _log_norm_step(dom, weights, rows, l_col)
+    if _coordinate(dom, r_col) == _coordinate(dom, l_col):
+        step = _log_norm_step(dom, weights, rows, (r_col, l_col))
+    else:
+        step = _log_norm_step(dom, weights, rows, (r_col,))
+        step += _log_norm_step(dom, weights, rows, (l_col,))
     step *= 0.5
     return np.where(present, np.exp(step) * np.abs(np.expm1(mixed)), 0.0)
 

@@ -20,14 +20,13 @@ rejection sampling from the unit box.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gammakit
-from .errors import ValidationError, finite_real, integer, is_sequence, sequence
+from .errors import ValidationError, finite_real, integer, is_sequence, parsed_json, sequence
 
 __all__ = [
     "BlockSpec",
@@ -42,6 +41,7 @@ __all__ = [
 ]
 
 _MC_CHUNK = 1_000_000
+_MAX_ENTRY = 2**53
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class DomainSpec:
 
     @classmethod
     def from_json(cls, text_or_obj) -> "DomainSpec":
-        obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
+        obj = parsed_json(text_or_obj, "domain")
         if not isinstance(obj, dict) or "blocks" not in obj:
             raise ValidationError('domain JSON must be {"blocks": [{"p": [...], "a": ...}, ...]}')
         blocks = []
@@ -152,6 +152,10 @@ def as_multi_index(dom: DomainSpec, entries) -> tuple[tuple[int, ...], ...]:
             )
         if any(v < 0 for v in part):
             raise ValidationError("index entries must be nonnegative")
+        if any(v > _MAX_ENTRY for v in part):
+            raise ValidationError(
+                "index entries must be at most 2^53, where doubles still hold every integer"
+            )
         out.append(part)
     return tuple(out)
 

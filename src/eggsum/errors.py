@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the checks of single
 input values that raise them."""
 
+import json
 import math
 import numbers
 
@@ -26,7 +27,10 @@ def finite_real(value, what: str) -> float:
     number (booleans and strings are not numbers here)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{what} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
     if not math.isfinite(out):
         raise ValidationError(f"{what} must be finite, got {value!r}")
     return out
@@ -53,3 +57,22 @@ def sequence(value, what: str) -> list:
     if not is_sequence(value):
         raise ValidationError(f"{what} must be a list, got {value!r}")
     return list(value)
+
+
+def positive_integer(value, what: str) -> int:
+    """``value`` as an int; a ValidationError unless it is an integer >= 1."""
+    out = integer(value, what)
+    if out < 1:
+        raise ValidationError(f"{what} must be at least 1, got {value!r}")
+    return out
+
+
+def parsed_json(text_or_obj, what: str):
+    """``text_or_obj`` parsed when it is a string of JSON, else as it is; a
+    ValidationError when the string is not JSON."""
+    if not isinstance(text_or_obj, str):
+        return text_or_obj
+    try:
+        return json.loads(text_or_obj)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed JSON for {what}: {exc}") from exc

@@ -1,13 +1,18 @@
 """Deterministic compensated summation.
 
-Shell sums must be bit-reproducible for a fixed worker count and agree to
-1e-10 relative across worker counts, so every reduction here is Kahan
-compensated and combines partial results in a fixed order.
+``kahan_sum`` sums a 1-D array with Kahan compensation in a fixed order,
+so its result is bit-reproducible for a given input; it totals shell sums
+and sums the zeta terms of one shell.  The per-shell sums of the
+commutator eigenvalues do not come through here: ``summability`` takes
+them as pairwise segmented sums (``np.add.reduceat``) over batches of
+shells.
+
+``reduce_sum`` is the same sum behind the older signature with a worker
+count, which it ignores; it stays because the benchmark's isolated and
+traced layer metrics (``perfbench/``) call it.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -52,18 +57,5 @@ def kahan_sum(values) -> float:
 
 
 def reduce_sum(values, workers: int = 1) -> float:
-    """Sum partitioned across ``workers`` contiguous chunks.
-
-    Each chunk is Kahan-summed (in a thread pool when workers > 1) and the
-    chunk partials are folded in chunk order, so the result is
-    bit-reproducible for a given worker count.
-    """
-    a = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    w = max(1, int(workers))
-    if w == 1 or a.size < 2 * w:
-        return kahan_sum(a)
-    bounds = np.linspace(0, a.size, w + 1).astype(np.int64)
-    chunks = [a[bounds[i] : bounds[i + 1]] for i in range(w)]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        partials = list(pool.map(kahan_sum, chunks))
-    return _kahan_scalar(partials)
+    """``kahan_sum(values)``; ``workers`` is accepted and ignored."""
+    return kahan_sum(values)

@@ -12,6 +12,15 @@ the p where the slope crosses -1 by bisection (the slope is nonincreasing
 in p because the tail eigenvalues are < 1), reusing one set of eigenvalue
 magnitudes for every probe.
 
+Magnitudes are computed in batches of consecutive shells, about 2^14 rows
+each, with one ``eigenvalue_bulk`` call per batch; every T_n of a batch
+then comes from one ``np.power`` over the batch and one
+``np.add.reduceat`` over its shell offsets, a pairwise sum within each
+shell.  No step depends on a worker count, so shell sums and thresholds
+are the same bit for bit for every ``workers`` value.  ``shell_sums``
+streams the batches; the bisection keeps the window's batches for all of
+its probes.
+
 ``predicted_threshold`` and ``module_threshold`` evaluate the closed-form
 cut-offs; both are built from the same term helpers so the module value
 equals the max of the per-kind values exactly, not just within roundoff.
@@ -35,9 +44,9 @@ from .commutator import (
     validate_kind,
 )
 from .domain import DomainSpec
-from .errors import BracketError, ResourceCapError, ValidationError
+from .errors import BracketError, ResourceCapError, ValidationError, finite_real, positive_integer
 from .lattice import shell_count, shell_indices
-from .reduction import kahan_sum, reduce_sum
+from .reduction import kahan_sum
 
 __all__ = [
     "Verdict",
@@ -67,7 +76,7 @@ DEFAULT_TOL = 0.1
 DEFAULT_CAP = 200_000_000
 DEFAULT_SHELLS = {1: 100_000, 2: 3000, 3: 600}
 
-_ROW_CHUNK = 4_000_000
+_BATCH_ROWS = 1 << 14
 
 
 class Verdict(str, Enum):
@@ -126,28 +135,47 @@ def _check_budget(dom: DomainSpec, shells, cap: int) -> int:
     return total
 
 
-def _abs_eigenvalues(dom: DomainSpec, kind: CommutatorKind, rows: np.ndarray) -> np.ndarray:
-    if rows.shape[0] <= _ROW_CHUNK:
-        return np.abs(eigenvalue_bulk(dom, kind, rows))
-    out = np.empty(rows.shape[0], dtype=np.float64)
-    for lo in range(0, rows.shape[0], _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, rows.shape[0])
-        out[lo:hi] = np.abs(eigenvalue_bulk(dom, kind, rows[lo:hi]))
-    return out
+def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, shells: range):
+    """Yield (first shell, shell offsets, |eigenvalue| array) per batch.
 
-
-def _shell_magnitudes(dom: DomainSpec, kind: CommutatorKind, shells):
-    """Yield (n, |eigenvalue| array) per shell; single-variable domains in one batch."""
+    Consecutive shells are grouped into batches of about ``_BATCH_ROWS``
+    rows (a larger shell is a batch of its own) and each batch is one
+    ``eigenvalue_bulk`` call; ``offsets`` are the start positions of the
+    batch's shells inside its flat magnitude array.  The eigenvalue of a
+    row does not depend on the rows evaluated with it, so batching leaves
+    every magnitude bit for bit as a per-shell call gives it.
+    """
     d = dom.dimension
-    shells = list(shells)
     if d == 1:
-        rows = np.asarray(shells, dtype=np.int64)[:, np.newaxis]
-        mags = _abs_eigenvalues(dom, kind, rows)
-        for i, n in enumerate(shells):
-            yield n, mags[i : i + 1]
+        for lo in range(shells.start, shells.stop, _BATCH_ROWS):
+            hi = min(lo + _BATCH_ROWS, shells.stop)
+            rows = np.arange(lo, hi, dtype=np.int64)[:, np.newaxis]
+            yield lo, np.arange(hi - lo), np.abs(eigenvalue_bulk(dom, kind, rows))
         return
+    batch: list[np.ndarray] = []
+    size = 0
     for n in shells:
-        yield n, _abs_eigenvalues(dom, kind, shell_indices(d, n))
+        count = shell_count(d, n)
+        if batch and size + count > _BATCH_ROWS:
+            yield _evaluate_batch(dom, kind, n - len(batch), batch)
+            batch, size = [], 0
+        batch.append(shell_indices(d, n))
+        size += count
+    if batch:
+        yield _evaluate_batch(dom, kind, shells.stop - len(batch), batch)
+
+
+def _evaluate_batch(dom, kind, first: int, batch: list[np.ndarray]):
+    offsets = np.cumsum([0] + [rows.shape[0] for rows in batch[:-1]])
+    rows = batch[0] if len(batch) == 1 else np.concatenate(batch)
+    return first, offsets, np.abs(eigenvalue_bulk(dom, kind, rows))
+
+
+def _power_sums(batch, p: float, out: np.ndarray) -> None:
+    """Write T_n for the shells of one batch into ``out[n]``: one power over
+    the batch and one segmented sum, pairwise within each shell."""
+    first, offsets, mags = batch
+    out[first : first + offsets.size] = np.add.reduceat(np.power(mags, p), offsets)
 
 
 def shell_sums(
@@ -159,8 +187,15 @@ def shell_sums(
     cap: int | None = None,
     workers: int = 1,
 ) -> SummationReport:
-    """T_0..T_N with compensated per-shell summation; verdict left unset."""
+    """T_0..T_N, each a pairwise sum over its shell; verdict left unset.
+
+    The magnitudes are streamed batch by batch and none is kept.
+    ``workers`` is checked (>= 1) and otherwise unused: the sums are the
+    same bit for bit for every worker count.
+    """
     validate_kind(dom, kind)
+    positive_integer(workers, "workers")
+    p = finite_real(p, "Schatten exponent p")
     if not p > 0.0:
         raise ValidationError("Schatten exponent p must be positive")
     N = int(N)
@@ -169,8 +204,8 @@ def shell_sums(
     cap_val = _resolve_cap(dom, cap)
     _check_budget(dom, range(N + 1), cap_val)
     sums = np.empty(N + 1, dtype=np.float64)
-    for n, mags in _shell_magnitudes(dom, kind, range(N + 1)):
-        sums[n] = reduce_sum(np.power(mags, p), workers=workers)
+    for batch in _magnitude_batches(dom, kind, range(N + 1)):
+        _power_sums(batch, p, sums)
     return SummationReport(
         p=float(p),
         shell_sums=sums,
@@ -181,17 +216,22 @@ def shell_sums(
     )
 
 
+def _window_start(N: int, window_fraction: float) -> int:
+    """First shell of the trailing window of T_0..T_N."""
+    if not 0.0 < window_fraction < 1.0:
+        raise ValidationError("window_fraction must lie in (0, 1)")
+    return max(1, math.ceil((1.0 - window_fraction) * N))
+
+
 def fit_tail_slope(sums: np.ndarray, window_fraction: float) -> tuple[float, float]:
     """Least-squares slope of ln T_n vs ln n over the trailing window.
 
     Returns (nan, nan) when fewer than 8 positive shells fall in the
     window -- the inconclusive signal.
     """
-    if not 0.0 < window_fraction < 1.0:
-        raise ValidationError("window_fraction must lie in (0, 1)")
     sums = np.asarray(sums, dtype=np.float64)
     N = len(sums) - 1
-    lo = max(1, math.ceil((1.0 - window_fraction) * N))
+    lo = _window_start(N, window_fraction)
     ns = np.arange(lo, N + 1, dtype=np.float64)
     ts = sums[lo:]
     mask = ts > 0.0
@@ -216,7 +256,7 @@ def tail_slope(report: SummationReport, window_fraction: float = DEFAULT_WINDOW)
 
 
 def classify_slope(slope: float, margin: float = DEFAULT_MARGIN) -> Verdict:
-    if not margin > 0.0:
+    if not finite_real(margin, "margin") > 0.0:
         raise ValidationError("margin must be positive")
     if math.isnan(slope):
         return Verdict.INCONCLUSIVE
@@ -259,22 +299,20 @@ def shell_report(
 
 
 class _MagnitudeCache:
-    """Eigenvalue magnitudes for the window shells, reused across p probes."""
+    """Eigenvalue magnitude batches of the window shells, kept for every
+    p probe."""
 
-    def __init__(self, dom, kind, N, window, cap, workers):
+    def __init__(self, dom, kind, N, window, cap):
         self.N = N
-        self.workers = workers
-        lo = max(1, math.ceil((1.0 - window) * N))
-        shells = range(lo, N + 1)
-        cap_val = _resolve_cap(dom, cap)
-        _check_budget(dom, shells, cap_val)
         self.window = window
-        self.mags = list(_shell_magnitudes(dom, kind, shells))
+        shells = range(_window_start(N, window), N + 1)
+        _check_budget(dom, shells, _resolve_cap(dom, cap))
+        self.batches = list(_magnitude_batches(dom, kind, shells))
 
     def slope(self, p: float) -> float:
         sums = np.zeros(self.N + 1, dtype=np.float64)
-        for n, mags in self.mags:
-            sums[n] = reduce_sum(np.power(mags, p), workers=self.workers)
+        for batch in self.batches:
+            _power_sums(batch, p, sums)
         return fit_tail_slope(sums, self.window)[0]
 
 
@@ -293,16 +331,20 @@ def empirical_threshold(
     """Bisection estimate of the p where the fitted tail slope crosses -1.
 
     Requires a valid bracket: slope(p_lo) > -1 > slope(p_hi).  Returns the
-    bracket midpoint once its width is at most ``tol``.
+    bracket midpoint once its width is at most ``tol``.  ``workers`` is
+    checked (>= 1) and otherwise unused.
     """
     validate_kind(dom, kind)
+    positive_integer(workers, "workers")
+    p_lo = finite_real(p_lo, "bracket end p_lo")
+    p_hi = finite_real(p_hi, "bracket end p_hi")
     if not (0.0 < p_lo < p_hi):
         raise ValidationError("need 0 < p_lo < p_hi")
-    if not tol >= 0.01:
+    if not finite_real(tol, "tol") >= 0.01:
         raise ValidationError("tol must be at least 0.01")
     if N is None:
         N = default_shells(dom)
-    cache = _MagnitudeCache(dom, kind, int(N), window, cap, workers)
+    cache = _MagnitudeCache(dom, kind, int(N), window, cap)
     s_lo = cache.slope(p_lo)
     s_hi = cache.slope(p_hi)
     if not (s_lo > -1.0):
@@ -313,7 +355,7 @@ def empirical_threshold(
         raise BracketError(
             f"slope at p_hi={p_hi} is {s_hi:.4f}, not below -1: bracket invalid"
         )
-    lo, hi = float(p_lo), float(p_hi)
+    lo, hi = p_lo, p_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         s = cache.slope(mid)
@@ -334,7 +376,8 @@ def _self_terms(dom: DomainSpec, block: int, coord: int) -> list[float]:
     terms = []
     if m > 1:
         terms.append(p1 * (d - 1))
-    terms.append(blk.a * p1 * (d - m))
+    # the outer term is 0 for a one-block domain, also where a * p1 overflows
+    terms.append(blk.a * p1 * (d - m) if d > m else 0.0)
     return terms
 
 
@@ -343,7 +386,15 @@ def _within_terms(dom: DomainSpec, block: int, j: int, l: int) -> list[float]:
     blk = dom.blocks[block]
     if blk.a == 1.0:
         return []
+    if d == blk.size:
+        return [0.0]
     return [2.0 * blk.a * (d - blk.size) / (1.0 / blk.p[j] + 1.0 / blk.p[l])]
+
+
+def _finite_cutoff(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValidationError("the predicted cut-off exceeds double precision for this domain")
+    return value
 
 
 def predicted_threshold(dom: DomainSpec, kind: CommutatorKind) -> float:
@@ -353,9 +404,10 @@ def predicted_threshold(dom: DomainSpec, kind: CommutatorKind) -> float:
     if d == 1:
         return 0.5
     if isinstance(kind, SelfAdjoint):
-        return max([float(d)] + _self_terms(dom, kind.block, kind.coord))
+        return _finite_cutoff(max([float(d)] + _self_terms(dom, kind.block, kind.coord)))
     if isinstance(kind, CrossWithin):
-        return max([float(d)] + _within_terms(dom, kind.block, kind.raised, kind.lowered))
+        terms = _within_terms(dom, kind.block, kind.raised, kind.lowered)
+        return _finite_cutoff(max([float(d)] + terms))
     assert isinstance(kind, CrossBetween)
     return float(d)
 
@@ -390,7 +442,7 @@ def module_threshold_breakdown(dom: DomainSpec) -> dict:
         q_k = max(terms)
         candidates.append(q_k)
         entries.append({"block": k, "case": case, "q": q_k, "terms": terms})
-    return {"dimension": d, "blocks": entries, "value": max(candidates)}
+    return {"dimension": d, "blocks": entries, "value": _finite_cutoff(max(candidates))}
 
 
 def module_threshold(dom: DomainSpec) -> float:

@@ -23,14 +23,13 @@ the same slope fit and margin band as the commutator shell sums.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError, finite_real, integer, sequence
+from .errors import ResourceCapError, ValidationError, finite_real, integer, parsed_json, sequence
 from .lattice import shell_count, shell_indices
 from .reduction import kahan_sum
 from .summability import (
@@ -116,7 +115,7 @@ class ZetaSeriesSpec:
 
     @classmethod
     def from_json(cls, text_or_obj) -> "ZetaSeriesSpec":
-        obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
+        obj = parsed_json(text_or_obj, "zeta spec")
         if not isinstance(obj, dict):
             raise ValidationError("zeta spec JSON must be an object")
         try:

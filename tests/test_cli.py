@@ -182,9 +182,14 @@ class TestErrorsAndReplay:
              '{"m":2,"powers":[0,0],"groups":[{"vars":["a"],"a":1.0}],"abs":null,"b":3.0}'],
             ["norm", "--domain", DISK, "--index", '["x"]'],
             ["norm", "--domain", DISK, "--index", "5"],
+            ["shells", "--domain", DISK, "--kind", "self:0:0", "--p", "inf", "--N", "100"],
+            ["threshold", "--domain", DISK, "--kind", "self:0:0", "--N", "2000", "--tol", "inf"],
+            ["shells", "--domain", DISK, "--kind", "self:0:0", "--p", "1", "--N", "100",
+             "--workers", "-3"],
         ],
         ids=["blocks-not-a-list", "p-not-numeric", "p-infinite", "zeta-vars-not-integer",
-             "index-not-numeric", "index-not-a-list"],
+             "index-not-numeric", "index-not-a-list", "schatten-p-infinite", "tol-infinite",
+             "workers-negative"],
     )
     def test_malformed_values_exit_2(self, capsys, argv):
         code = run(argv)

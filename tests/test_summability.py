@@ -22,7 +22,11 @@ from eggsum import (
     shell_sums,
     tail_slope,
 )
+from eggsum.commutator import eigenvalue_bulk
+from eggsum.lattice import shell_count, shell_indices
 from eggsum.summability import (
+    _BATCH_ROWS,
+    _magnitude_batches,
     classify_slope,
     fit_tail_slope,
     max_predicted_over_kinds,
@@ -64,6 +68,10 @@ class TestShellSums:
         with pytest.raises(ValidationError):
             shell_sums(DISK, SELF, 0.0, 64)
         with pytest.raises(ValidationError):
+            shell_sums(DISK, SELF, math.inf, 64)
+        with pytest.raises(ValidationError):
+            shell_sums(DISK, SELF, 1.0, 64, workers=0)
+        with pytest.raises(ValidationError):
             shell_sums(DISK, SELF, 1.0, 8)
 
     def test_cap_exceeded_is_loud(self):
@@ -84,6 +92,53 @@ class TestShellSums:
         c = shell_sums(BALL2, SELF, 2.0, 200, workers=3)
         rel = np.abs(c.shell_sums - a.shell_sums) / np.maximum(a.shell_sums, 1e-300)
         assert rel.max() <= 1e-10
+
+
+class TestMagnitudeBatches:
+    @pytest.mark.parametrize(
+        "dom, kind, shells",
+        [
+            # shells 180-184 each hold more than one batch of rows
+            (DomainSpec.single_block([1.0, 1.0, 1.0], 4.0), CrossWithin(0, 0, 1), range(170, 185)),
+            (BALL2, SELF, range(0, 400)),
+            (DISK, SELF, range(5, 5 + 2 * _BATCH_ROWS + 3)),
+        ],
+        ids=["3d-large-shells", "2d-many-shells", "1d-batch-edges"],
+    )
+    def test_bitwise_equal_to_per_shell_calls(self, dom, kind, shells):
+        d = dom.dimension
+        got = []
+        n = shells.start
+        for first, offsets, mags in _magnitude_batches(dom, kind, shells):
+            assert first == n
+            bounds = list(offsets) + [mags.size]
+            assert mags.size <= _BATCH_ROWS or len(offsets) == 1
+            for lo, hi in zip(bounds, bounds[1:]):
+                assert hi - lo == shell_count(d, n)
+                got.append(mags[lo:hi])
+                n += 1
+        assert n == shells.stop
+        for n, mags in zip(shells, got):
+            want = np.abs(eigenvalue_bulk(dom, kind, shell_indices(d, n)))
+            assert np.array_equal(mags, want), n
+
+    def test_worker_count_is_bit_identical(self):
+        for dom, kind in [(DISK, SELF), (BALL2, CrossWithin(0, 0, 1))]:
+            a = shell_sums(dom, kind, 2.0, 300, workers=1)
+            b = shell_sums(dom, kind, 2.0, 300, workers=3)
+            assert np.array_equal(a.shell_sums, b.shell_sums)
+            assert a.total == b.total
+        assert empirical_threshold(BALL2, SELF, 1.0, 4.0, tol=0.05, N=400, workers=1) == (
+            empirical_threshold(BALL2, SELF, 1.0, 4.0, tol=0.05, N=400, workers=3)
+        )
+
+    def test_ball_sums_match_fsum(self):
+        N, p = 600, 2.0
+        rep = shell_sums(BALL2, SELF, p, N)
+        for n in range(N + 1):
+            terms = np.power(np.abs(eigenvalue_bulk(BALL2, SELF, shell_indices(2, n))), p)
+            want = math.fsum(terms.tolist())
+            assert abs(rep.shell_sums[n] - want) <= 1e-14 * want, n
 
 
 class TestTailSlope:
@@ -186,6 +241,12 @@ class TestEmpiricalThreshold:
             empirical_threshold(DISK, SELF, 1.0, 0.5, tol=0.1, N=2000)
         with pytest.raises(ValidationError):
             empirical_threshold(DISK, SELF, 0.25, 1.0, tol=0.001, N=2000)
+        with pytest.raises(ValidationError):
+            empirical_threshold(DISK, SELF, 0.25, 1.0, tol=math.inf, N=2000)
+        with pytest.raises(ValidationError):
+            empirical_threshold(DISK, SELF, 0.25, math.inf, tol=0.1, N=2000)
+        with pytest.raises(ValidationError):
+            empirical_threshold(DISK, SELF, 0.25, 1.0, tol=0.1, N=2000, workers=-3)
 
 
 class TestPredictedThreshold:
