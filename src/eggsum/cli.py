@@ -22,7 +22,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -31,23 +30,15 @@ import numpy as np
 from . import commutator, gammakit, summability, zetalab
 from .domain import DomainSpec, log_norm, mc_norm_oracle
 from .errors import ResourceCapError, ValidationError, positive_integer
-from .lattice import shell_indices
+from .lattice import range_count, shell_batches
 from .summability import (
     DEFAULT_MARGIN,
     DEFAULT_TOL,
     DEFAULT_WINDOW,
 )
 
-_WORKERS_ENV = "EGGSUM_WORKERS"
 _EIG_ROW_CAP = 100_000
 _LN_DOUBLE_MAX = math.log(sys.float_info.max)
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(_WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def _load_json_arg(value: str, what: str):
@@ -139,7 +130,10 @@ def _resolve_shells(dom: DomainSpec, n_arg: int | None) -> int:
 def _cmd_norm(params: dict) -> dict:
     dom = DomainSpec.from_json(params["domain"])
     idx = params["index"]
-    value = log_norm(dom, idx)
+    # a norm beyond double range overflows to inf (or NaN, from inf - inf)
+    # on the way; the range check turns either into exit 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = log_norm(dom, idx)
     if not -math.inf < value < _LN_DOUBLE_MAX:
         raise ValidationError("the norm is out of double precision range for this domain and index")
     results = {"log_norm": value, "norm": math.exp(value)}
@@ -157,20 +151,31 @@ def _cmd_eig(params: dict) -> dict:
     if lo < 0 or hi < lo:
         raise ValidationError("need 0 <= degree-min <= degree-max")
     cap = params["cap"] if params["cap"] is not None else _EIG_ROW_CAP
-    d = dom.dimension
+    shells = range(lo, hi + 1)
+    if range_count(dom.dimension, shells) > cap:
+        raise ResourceCapError(
+            f"eigenvalue table would have more than {cap} rows; raise --cap"
+        )
     rows = []
-    count = 0
-    for n in range(lo, hi + 1):
-        idx = shell_indices(d, n)
-        count += len(idx)
-        if count > cap:
-            raise ResourceCapError(
-                f"eigenvalue table would have more than {cap} rows; raise --cap"
-            )
+    for _, _, idx in shell_batches(dom.dimension, shells):
         vals = commutator.eigenvalue_bulk(dom, kind, idx)
-        for r, v in zip(idx.tolist(), vals.tolist()):
+        for n, r, v in zip(idx.sum(axis=1).tolist(), idx.tolist(), vals.tolist()):
             rows.append({"degree": n, "index": r, "eigenvalue": v})
     return _report("eig", params, {"rows": rows})
+
+
+def _require_finite(sums, slope: float, total: float, window: float) -> None:
+    """A report whose tail fit has no slope, or whose sums left double range,
+    is an error: it never becomes a success report holding nulls."""
+    if math.isfinite(slope) and math.isfinite(total):
+        return
+    points = summability.fit_points(sums, window)
+    if points < summability.MIN_FIT_POINTS:
+        raise ValidationError(
+            f"only {points} shell sums in the fit window are positive, the tail fit "
+            f"needs {summability.MIN_FIT_POINTS}; lower the exponent or raise N"
+        )
+    raise ValidationError("the shell sums exceed double precision range")
 
 
 def _cmd_shells(params: dict) -> dict:
@@ -186,8 +191,8 @@ def _cmd_shells(params: dict) -> dict:
         window=params["window"],
         margin=params["margin"],
         cap=params["cap"],
-        workers=params["workers"],
     )
+    _require_finite(rep.shell_sums, rep.slope, rep.total, params["window"])
     results = {
         "shell_sums": rep.shell_sums,
         "slope": rep.slope,
@@ -215,7 +220,6 @@ def _cmd_threshold(params: dict) -> dict:
         N=N,
         window=params["window"],
         cap=params["cap"],
-        workers=params["workers"],
     )
     agreement_tol = max(params["tol"], 0.1 * predicted)
     results = {
@@ -256,6 +260,7 @@ def _cmd_zeta(params: dict) -> dict:
         margin=params["margin"],
         **kwargs,
     )
+    _require_finite(rep.shell_sums, rep.slope, rep.total, params["window"])
     results = {
         "critical_b": rep.critical,
         "b": spec.b,
@@ -411,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, domain=True, kind=False):
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=int, default=_default_workers(),
-                       help=f"worker count, at least 1, echoed in reports; results do not "
-                            f"depend on it (default from ${_WORKERS_ENV} or 1)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker count, at least 1, echoed in reports; it changes "
+                            "nothing (default 1)")
         p.add_argument("--cap", type=int, default=None,
                        help="resource cap (eigenvalue evaluations / table rows)")
         if domain:

@@ -12,14 +12,12 @@ the p where the slope crosses -1 by bisection (the slope is nonincreasing
 in p because the tail eigenvalues are < 1), reusing one set of eigenvalue
 magnitudes for every probe.
 
-Magnitudes are computed in batches of consecutive shells, about 2^14 rows
-each, with one ``eigenvalue_bulk`` call per batch; every T_n of a batch
-then comes from one ``np.power`` over the batch and one
-``np.add.reduceat`` over its shell offsets, a pairwise sum within each
-shell.  No step depends on a worker count, so shell sums and thresholds
-are the same bit for bit for every ``workers`` value.  ``shell_sums``
-streams the batches; the bisection keeps the window's batches for all of
-its probes.
+Magnitudes are computed over ``lattice.shell_batches``, runs of
+consecutive shells of about 2^14 rows, with one ``eigenvalue_bulk`` call
+per run; every T_n of a run then comes from one ``np.power`` over the run
+and one segmented pairwise sum (``reduction.pairwise_sum``) over its shell
+offsets.  ``shell_sums`` streams the runs; the bisection keeps the
+window's runs for all of its probes.
 
 ``predicted_threshold`` and ``module_threshold`` evaluate the closed-form
 cut-offs; both are built from the same term helpers so the module value
@@ -44,9 +42,9 @@ from .commutator import (
     validate_kind,
 )
 from .domain import DomainSpec
-from .errors import BracketError, ResourceCapError, ValidationError, finite_real, positive_integer
-from .lattice import shell_count, shell_indices
-from .reduction import kahan_sum
+from .errors import BracketError, ResourceCapError, ValidationError, finite_real
+from .lattice import range_count, shell_batches
+from .reduction import pairwise_sum
 
 __all__ = [
     "Verdict",
@@ -62,6 +60,8 @@ __all__ = [
     "classify",
     "classify_slope",
     "fit_tail_slope",
+    "fit_points",
+    "MIN_FIT_POINTS",
     "shell_report",
     "empirical_threshold",
     "predicted_threshold",
@@ -75,8 +75,7 @@ DEFAULT_WINDOW = 0.5
 DEFAULT_TOL = 0.1
 DEFAULT_CAP = 200_000_000
 DEFAULT_SHELLS = {1: 100_000, 2: 3000, 3: 600}
-
-_BATCH_ROWS = 1 << 14
+MIN_FIT_POINTS = 8
 
 
 class Verdict(str, Enum):
@@ -124,9 +123,8 @@ def _resolve_cap(dom: DomainSpec, cap: int | None) -> int:
     return cap
 
 
-def _check_budget(dom: DomainSpec, shells, cap: int) -> int:
-    d = dom.dimension
-    total = sum(shell_count(d, n) for n in shells)
+def _check_budget(dom: DomainSpec, shells: range, cap: int) -> int:
+    total = range_count(dom.dimension, shells)
     if total > cap:
         raise ResourceCapError(
             f"shell sums would evaluate {total} eigenvalues, above the cap of {cap}; "
@@ -136,46 +134,19 @@ def _check_budget(dom: DomainSpec, shells, cap: int) -> int:
 
 
 def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, shells: range):
-    """Yield (first shell, shell offsets, |eigenvalue| array) per batch.
-
-    Consecutive shells are grouped into batches of about ``_BATCH_ROWS``
-    rows (a larger shell is a batch of its own) and each batch is one
-    ``eigenvalue_bulk`` call; ``offsets`` are the start positions of the
-    batch's shells inside its flat magnitude array.  The eigenvalue of a
-    row does not depend on the rows evaluated with it, so batching leaves
-    every magnitude bit for bit as a per-shell call gives it.
-    """
-    d = dom.dimension
-    if d == 1:
-        for lo in range(shells.start, shells.stop, _BATCH_ROWS):
-            hi = min(lo + _BATCH_ROWS, shells.stop)
-            rows = np.arange(lo, hi, dtype=np.int64)[:, np.newaxis]
-            yield lo, np.arange(hi - lo), np.abs(eigenvalue_bulk(dom, kind, rows))
-        return
-    batch: list[np.ndarray] = []
-    size = 0
-    for n in shells:
-        count = shell_count(d, n)
-        if batch and size + count > _BATCH_ROWS:
-            yield _evaluate_batch(dom, kind, n - len(batch), batch)
-            batch, size = [], 0
-        batch.append(shell_indices(d, n))
-        size += count
-    if batch:
-        yield _evaluate_batch(dom, kind, shells.stop - len(batch), batch)
-
-
-def _evaluate_batch(dom, kind, first: int, batch: list[np.ndarray]):
-    offsets = np.cumsum([0] + [rows.shape[0] for rows in batch[:-1]])
-    rows = batch[0] if len(batch) == 1 else np.concatenate(batch)
-    return first, offsets, np.abs(eigenvalue_bulk(dom, kind, rows))
+    """Yield (first shell, shell offsets, |eigenvalue| array) per run of
+    ``lattice.shell_batches``.  The eigenvalue of a row does not depend on
+    the rows evaluated with it, so every magnitude is bit for bit what a
+    per-shell call gives."""
+    for first, offsets, rows in shell_batches(dom.dimension, shells):
+        yield first, offsets, np.abs(eigenvalue_bulk(dom, kind, rows))
 
 
 def _power_sums(batch, p: float, out: np.ndarray) -> None:
     """Write T_n for the shells of one batch into ``out[n]``: one power over
     the batch and one segmented sum, pairwise within each shell."""
     first, offsets, mags = batch
-    out[first : first + offsets.size] = np.add.reduceat(np.power(mags, p), offsets)
+    out[first : first + offsets.size] = pairwise_sum(np.power(mags, p), offsets)
 
 
 def shell_sums(
@@ -185,16 +156,12 @@ def shell_sums(
     N: int,
     *,
     cap: int | None = None,
-    workers: int = 1,
 ) -> SummationReport:
     """T_0..T_N, each a pairwise sum over its shell; verdict left unset.
 
     The magnitudes are streamed batch by batch and none is kept.
-    ``workers`` is checked (>= 1) and otherwise unused: the sums are the
-    same bit for bit for every worker count.
     """
     validate_kind(dom, kind)
-    positive_integer(workers, "workers")
     p = finite_real(p, "Schatten exponent p")
     if not p > 0.0:
         raise ValidationError("Schatten exponent p must be positive")
@@ -212,7 +179,7 @@ def shell_sums(
         slope=None,
         slope_stderr=None,
         verdict=None,
-        total=kahan_sum(sums),
+        total=pairwise_sum(sums),
     )
 
 
@@ -226,8 +193,8 @@ def _window_start(N: int, window_fraction: float) -> int:
 def fit_tail_slope(sums: np.ndarray, window_fraction: float) -> tuple[float, float]:
     """Least-squares slope of ln T_n vs ln n over the trailing window.
 
-    Returns (nan, nan) when fewer than 8 positive shells fall in the
-    window -- the inconclusive signal.
+    Returns (nan, nan) when fewer than ``MIN_FIT_POINTS`` positive shells
+    fall in the window -- the inconclusive signal.
     """
     sums = np.asarray(sums, dtype=np.float64)
     N = len(sums) - 1
@@ -235,7 +202,7 @@ def fit_tail_slope(sums: np.ndarray, window_fraction: float) -> tuple[float, flo
     ns = np.arange(lo, N + 1, dtype=np.float64)
     ts = sums[lo:]
     mask = ts > 0.0
-    if int(mask.sum()) < 8:
+    if int(mask.sum()) < MIN_FIT_POINTS:
         return math.nan, math.nan
     x = np.log(ns[mask])
     y = np.log(ts[mask])
@@ -248,6 +215,13 @@ def fit_tail_slope(sums: np.ndarray, window_fraction: float) -> tuple[float, flo
     k = len(x)
     stderr = math.sqrt(float(np.sum(resid * resid)) / (k - 2) / sxx)
     return slope, stderr
+
+
+def fit_points(sums: np.ndarray, window_fraction: float) -> int:
+    """Number of positive shell sums in the trailing window: the points of
+    the tail fit."""
+    sums = np.asarray(sums, dtype=np.float64)
+    return int(np.count_nonzero(sums[_window_start(len(sums) - 1, window_fraction) :] > 0.0))
 
 
 def tail_slope(report: SummationReport, window_fraction: float = DEFAULT_WINDOW) -> tuple[float, float]:
@@ -283,12 +257,11 @@ def shell_report(
     window: float = DEFAULT_WINDOW,
     margin: float = DEFAULT_MARGIN,
     cap: int | None = None,
-    workers: int = 1,
 ) -> SummationReport:
     """shell_sums + tail_slope + classify in one step."""
     if N is None:
         N = default_shells(dom)
-    report = shell_sums(dom, kind, p, N, cap=cap, workers=workers)
+    report = shell_sums(dom, kind, p, N, cap=cap)
     slope, stderr = fit_tail_slope(report.shell_sums, window)
     return replace(
         report,
@@ -326,16 +299,13 @@ def empirical_threshold(
     *,
     window: float = DEFAULT_WINDOW,
     cap: int | None = None,
-    workers: int = 1,
 ) -> float:
     """Bisection estimate of the p where the fitted tail slope crosses -1.
 
     Requires a valid bracket: slope(p_lo) > -1 > slope(p_hi).  Returns the
-    bracket midpoint once its width is at most ``tol``.  ``workers`` is
-    checked (>= 1) and otherwise unused.
+    bracket midpoint once its width is at most ``tol``.
     """
     validate_kind(dom, kind)
-    positive_integer(workers, "workers")
     p_lo = finite_real(p_lo, "bracket end p_lo")
     p_hi = finite_real(p_hi, "bracket end p_hi")
     if not (0.0 < p_lo < p_hi):

@@ -17,8 +17,11 @@ empirical verdict.
 
 ``brute_shell_sums`` computes T_n = (shell sum of the numerator) / n^b
 exactly -- for disjoint factor groups via sequence convolution, which
-keeps N = 5000 shells cheap in any m <= 5 -- and classifies the tail with
-the same slope fit and margin band as the commutator shell sums.
+keeps N = 5000 shells cheap in any m <= 5, otherwise by enumerating the
+lattice over ``lattice.shell_batches`` -- and classifies the tail with
+the same slope fit and margin band as the commutator shell sums.  Shell
+sums of the enumeration and the total are numpy's pairwise sums
+(``reduction.pairwise_sum``).
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError, finite_real, integer, parsed_json, sequence
-from .lattice import shell_count, shell_indices
-from .reduction import kahan_sum
+from .lattice import range_count, shell_batches
+from .reduction import pairwise_sum
 from .summability import (
     DEFAULT_CAP,
     DEFAULT_MARGIN,
@@ -374,27 +377,32 @@ def _numerator_by_shell_conv(spec: ZetaSeriesSpec, N: int) -> np.ndarray | None:
 
 
 def _numerator_by_shell_enum(spec: ZetaSeriesSpec, N: int, term_cap: int) -> np.ndarray:
-    """Direct lattice enumeration fallback (overlapping groups etc.)."""
+    """Direct lattice enumeration fallback (overlapping groups etc.).
+
+    Shell n of the positive lattice is shell n - m of N^m shifted by one in
+    every variable; each run of ``shell_batches`` is evaluated at once and
+    summed pairwise per shell."""
     m = spec.m
-    total_terms = sum(shell_count(m, n - m) for n in range(m, N + 1))
+    shells = range(N - m + 1)
+    total_terms = range_count(m, shells)
     if total_terms > term_cap:
         raise ResourceCapError(
             f"enumerating {total_terms} lattice terms exceeds the cap of {term_cap}"
         )
     powers = np.asarray(spec.powers)
     out = np.zeros(N + 1, dtype=np.float64)
-    for n in range(m, N + 1):
-        rows = shell_indices(m, n - m).astype(np.float64) + 1.0
+    for first, offsets, rows in shell_batches(m, shells):
+        rows = rows + 1.0
         vals = np.prod(rows**powers, axis=1)
         for g in spec.groups:
             vals *= np.sum(rows[:, list(g.vars)], axis=1) ** g.a
         if spec.abs_factor is not None:
-            base = np.abs(n - 2.0 * rows[:, spec.abs_factor.neg])
+            base = np.abs(rows.sum(axis=1) - 2.0 * rows[:, spec.abs_factor.neg])
             fac = np.zeros_like(base)
             nz = base > 0.0
             fac[nz] = base[nz] ** spec.abs_factor.a
             vals *= fac
-        out[n] = kahan_sum(vals)
+        out[first + m : first + m + offsets.size] = pairwise_sum(vals, offsets)
     return out
 
 
@@ -424,7 +432,8 @@ def brute_shell_sums(
         method = "enumeration"
     sums = np.zeros(N + 1, dtype=np.float64)
     ns = np.arange(1, N + 1, dtype=np.float64)
-    sums[1:] = numer[1:] / ns**spec.b
+    # n^-b underflows where n^b would overflow
+    sums[1:] = numer[1:] * ns**-spec.b
     slope, stderr = fit_tail_slope(sums, window)
     match = family_of(spec)
     return ZetaReport(
@@ -433,7 +442,7 @@ def brute_shell_sums(
         slope=slope,
         slope_stderr=stderr,
         verdict=classify_slope(slope, margin),
-        total=kahan_sum(sums),
+        total=pairwise_sum(sums),
         critical=critical_b(spec),
         family=match.family,
         side_ok=match.side_ok,

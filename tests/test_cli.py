@@ -71,6 +71,18 @@ class TestEig:
         assert code == 3
         assert "cap" in capsys.readouterr().err
 
+    def test_cap_boundary(self, capsys):
+        # degrees 2..40 of the 2-ball hold sum(n + 1) = 858 rows
+        argv = ["eig", "--domain", BALL, "--kind", "within:0:0:1", "--degree-min", "2",
+                "--degree-max", "40"]
+        rep = run_json(capsys, argv + ["--cap", "858"])
+        rows = rep["results"]["rows"]
+        assert len(rows) == 858
+        assert [r["degree"] for r in rows] == [sum(r["index"]) for r in rows]
+        assert rows[0]["degree"] == 2 and rows[-1]["degree"] == 40
+        assert run(argv + ["--cap", "857"]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestShells:
     def test_disk_report(self, capsys):
@@ -84,6 +96,13 @@ class TestShells:
         assert len(res["shell_sums"]) == 501
         assert rep["params"]["margin"] == 0.15
         assert rep["params"]["window"] == 0.5
+
+    def test_worker_count_is_echoed(self, capsys):
+        argv = ["shells", "--domain", BALL, "--kind", "within:0:0:1", "--p", "3.0", "--N", "100"]
+        one = run_json(capsys, argv)
+        two = run_json(capsys, argv + ["--workers", "2"])
+        assert two["params"]["workers"] == 2
+        assert two["results"] == one["results"]
 
 
 class TestThreshold:
@@ -151,11 +170,6 @@ class TestVerifyGamma:
 
 
 class TestConfig:
-    def test_workers_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("EGGSUM_WORKERS", "3")
-        rep = run_json(capsys, ["norm", "--domain", DISK, "--index", "[0]"])
-        assert rep["params"]["workers"] == 3
-
     def test_help_documents_csv_columns(self, capsys):
         with pytest.raises(SystemExit):
             run(["--help"])
@@ -186,10 +200,15 @@ class TestErrorsAndReplay:
             ["threshold", "--domain", DISK, "--kind", "self:0:0", "--N", "2000", "--tol", "inf"],
             ["shells", "--domain", DISK, "--kind", "self:0:0", "--p", "1", "--N", "100",
              "--workers", "-3"],
+            ["shells", "--domain", BALL, "--p", "1000", "--N", "100"],
+            ["zeta", "--spec", '{"m":2,"powers":[0,0],"groups":[],"abs":null,"b":400}',
+             "--N", "100"],
+            ["norm", "--domain", '{"blocks":[{"p":[1],"a":5e-324}]}', "--index", "[0]"],
         ],
         ids=["blocks-not-a-list", "p-not-numeric", "p-infinite", "zeta-vars-not-integer",
              "index-not-numeric", "index-not-a-list", "schatten-p-infinite", "tol-infinite",
-             "workers-negative"],
+             "workers-negative", "shells-fit-underflow", "zeta-fit-underflow",
+             "norm-overflow"],
     )
     def test_malformed_values_exit_2(self, capsys, argv):
         code = run(argv)

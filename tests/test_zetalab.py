@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from eggsum import (
     family_of,
     reduce_group,
 )
+from eggsum.lattice import shell_indices
 from eggsum.summability import classify_slope, fit_tail_slope
 from eggsum.zetalab import _numerator_by_shell_conv, _numerator_by_shell_enum
 
@@ -187,6 +189,26 @@ class TestBruteForce:
         enum = _numerator_by_shell_enum(spec, N, 10**7)
         assert conv is not None
         np.testing.assert_allclose(conv, enum, rtol=1e-12)
+
+    def test_enumeration_sums_match_fsum(self):
+        # shells 3..200 of three variables: many shells per batch at first,
+        # one shell per batch from shell 183 on
+        spec = ZetaSeriesSpec(
+            m=3,
+            powers=(0.5, 0.0, 1.0),
+            groups=(GroupFactor((0, 1), 0.5), GroupFactor((1, 2), -0.5)),
+            abs_factor=AbsFactor(neg=1, a=0.75),
+            b=6.0,
+        )
+        N = 200
+        enum = _numerator_by_shell_enum(spec, N, 10**7)
+        assert np.all(enum[:3] == 0.0)
+        for n in range(3, N + 1):
+            i = shell_indices(3, n - 3).astype(np.float64) + 1.0
+            terms = (i[:, 0] ** 0.5 * i[:, 2] * (i[:, 0] + i[:, 1]) ** 0.5
+                     * (i[:, 1] + i[:, 2]) ** -0.5 * np.abs(n - 2.0 * i[:, 1]) ** 0.75)
+            want = math.fsum(terms.tolist())
+            assert abs(enum[n] - want) <= 1e-14 * want, n
 
     def test_group_on_abs_variable_falls_back_to_enumeration(self):
         spec = ZetaSeriesSpec(
