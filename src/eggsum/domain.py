@@ -21,6 +21,7 @@ rejection sampling from the unit box.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,15 @@ class BlockSpec:
         object.__setattr__(self, "a", finite_real(self.a, "outer power a"))
         if len(self.p) == 0:
             raise ValidationError("block needs at least one inner exponent")
-        if not all(v > 0.0 for v in self.p):
-            raise ValidationError("inner exponents must be positive")
-        if not self.a > 0.0:
-            raise ValidationError("outer power must be positive")
+        # a subnormal p or a overflows the Gamma arguments (i+1)/p and s/a
+        if not all(v >= sys.float_info.min for v in self.p):
+            raise ValidationError(
+                f"inner exponents must be positive normal numbers (>= {sys.float_info.min:g})"
+            )
+        if not self.a >= sys.float_info.min:
+            raise ValidationError(
+                f"outer power must be a positive normal number (>= {sys.float_info.min:g})"
+            )
 
     @property
     def size(self) -> int:
@@ -257,15 +263,19 @@ def mc_norm_oracle(
     sizes = []
     pos = 0
     for blk in dom.blocks:
-        sizes.append((pos, pos + blk.size, np.asarray(blk.p), blk.a))
+        sizes.append((pos, pos + blk.size, 2.0 * np.asarray(blk.p), blk.a))
         pos += blk.size
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        u = rng.random((m, d))
+        # one log per sample; every power is then exp of a linear combination
+        # (a draw of exactly 0 gives log -inf and exp(-inf) = 0 as before)
+        with np.errstate(divide="ignore"):
+            logs = np.log(rng.random((m, d)))
         lhs = np.zeros(m)
-        for lo, hi, p, a in sizes:
-            lhs += np.sum(u[:, lo:hi] ** (2.0 * p), axis=1) ** a
-        vals = np.prod(u**exponents, axis=1) * scale
+        for lo, hi, p2, a in sizes:
+            lhs += np.exp(logs[:, lo:hi] * p2).sum(axis=1) ** a
+        # einsum, not a BLAS product, which would wake helper threads
+        vals = np.exp(np.einsum("ij,j->i", logs, exponents)) * scale
         vals[lhs >= 1.0] = 0.0
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))

@@ -3,24 +3,24 @@
 Everything downstream (monomial norms, commutator eigenvalues) is a ratio
 of Gamma functions, so this module provides:
 
-* ``log_gamma`` -- a Lanczos approximation of ln(Gamma), vectorized,
-  accurate to ~1e-14 normalized error on (0, 1e8];
-* ``log_gamma_ratio`` -- ln Gamma(x+a) - ln Gamma(x+b) computed by
-  differencing an approximation term by term, which avoids the
-  catastrophic loss of absolute precision that plain subtraction of two
-  large log-Gamma values suffers for x in the thousands: the Stirling
-  series through z^-9 once both arguments are >= 16 (truncation error
-  below 1e-16 there; it agrees with the Lanczos difference to 5e-16
-  relative on [16, 5000] and is cheaper, having no nine-term sums), and
-  the Lanczos formula on [8, 16);
+* ``log_gamma`` -- ln(Gamma), vectorized;
+* ``log_gamma_ratio`` -- ln Gamma(x+a) - ln Gamma(x+b), computed without
+  forming either log-Gamma value, which avoids the catastrophic loss of
+  absolute precision that plain subtraction of two large log-Gamma values
+  suffers for x in the thousands;
 * ``log_gamma_second_difference`` -- ln Gamma(x+u+w) - ln Gamma(x+u) -
-  ln Gamma(x+w) + ln Gamma(x), from the same Stirling series with every
-  logarithm of a ratio taken through log1p, so that the result (about
-  u w / x) keeps ~1e-16 relative precision; the commutator eigenvalues
-  and the ratio families R2 and R3 are such second differences;
+  ln Gamma(x+w) + ln Gamma(x), with every logarithm of a ratio taken
+  through log1p, so that the result (about u w / x) keeps its relative
+  precision; the commutator eigenvalues and the ratio families R2 and R3
+  are such second differences;
 * ``log_multibeta`` -- the multi-variable Beta function in log space;
 * the five ratio families R1..R5 with their truncated expansions in 1/x
   and an error-decay verification harness.
+
+The three log-Gamma routines have one evaluation path: the Stirling
+series through z^-9 (DLMF 5.11.1), differenced term by term in the
+ratios, after lifting an argument z below 16 by k = ceil(16 - z) unit
+steps with Gamma(z+1) = z Gamma(z) (DLMF 5.5.1).
 
 The quadratic (1/x^2) coefficient of the four-Gamma ratio R3 is derived by
 composing two R1 expansions rather than using a closed form: the obvious
@@ -54,59 +54,30 @@ __all__ = [
     "EXPANSION_TAGS",
 ]
 
-# Lanczos g=7, 9-term coefficient set; ~1e-15 relative error on Gamma for
-# moderate arguments, flattening to ~2e-13 absolute on ln Gamma at large z
-# (irrelevant there: ln Gamma itself is >> 1).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 # Stirling series coefficients B_2k / (2k (2k-1)), k = 1..5, and the
-# argument from which the series replaces the Lanczos formula in ratios.
+# smallest argument at which the series is evaluated.
 _STIRLING_C = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
 _STIRLING_MIN = 16.0
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_LN_PI = math.log(math.pi)
 
 EXPANSION_TAGS = ("R1", "R2", "R3", "R4", "R5")
 
 
-def _lanczos_core(z: np.ndarray) -> np.ndarray:
-    """ln Gamma for z >= 0.5 (no validation)."""
-    zp = z - 1.0
-    s = np.full_like(zp, _LANCZOS_C[0])
-    for i in range(1, 9):
-        s += _LANCZOS_C[i] / (zp + i)
-    t = zp + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (zp + 0.5) * np.log(t) - t + np.log(s)
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0; scalar in, scalar out, arrays pass through."""
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(arr > 0.0):
-        raise ValidationError("log_gamma requires strictly positive arguments")
-    flat = np.atleast_1d(arr)
-    out = np.empty_like(flat)
-    small = flat < 0.5
-    if small.any():
-        xs = flat[small]
-        # Gamma reflection keeps the Lanczos argument in [0.5, 1].
-        out[small] = _LN_PI - np.log(np.sin(np.pi * xs)) - _lanczos_core(1.0 - xs)
-    big = ~small
-    if big.any():
-        out[big] = _lanczos_core(flat[big])
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+def _lifted(x: np.ndarray, low: np.ndarray, stirling, recurrence) -> np.ndarray:
+    """f(x) elementwise, for a sum f of ln Gamma terms whose smallest argument
+    is ``low``: ``stirling(x)`` where low >= 16; below, by the recurrence,
+    ``stirling(x + k) - recurrence(x, k)`` with each element's own
+    k = ceil(16 - low), so that an element's result does not depend on the
+    others.  ``recurrence(x, k)`` sums the k recurrence terms of f at x."""
+    small = np.flatnonzero(low < _STIRLING_MIN)
+    if not small.size:
+        return stirling(x)
+    shift = np.ceil(_STIRLING_MIN - low[small])
+    lifted = x.copy()
+    lifted[small] += shift
+    out = stirling(lifted)
+    out[small] -= recurrence(x[small], shift)
+    return out
 
 
 def _stirling_tail(z: np.ndarray) -> np.ndarray:
@@ -123,22 +94,39 @@ def _stirling_tail(z: np.ndarray) -> np.ndarray:
     return poly
 
 
-def _lanczos_ratio(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """ln Gamma(x+a) - ln Gamma(x+b) by differencing the Lanczos formula
-    analytically (min(x+a, x+b) >= 8)."""
-    za = x + (a - 1.0)
-    zb = x + (b - 1.0)
-    d = a - b
-    sa = np.full_like(za, _LANCZOS_C[0])
-    sb = np.full_like(zb, _LANCZOS_C[0])
-    ds = np.zeros_like(za)
-    for i in range(1, 9):
-        sa += _LANCZOS_C[i] / (za + i)
-        sb += _LANCZOS_C[i] / (zb + i)
-        ds -= _LANCZOS_C[i] * d / ((za + i) * (zb + i))
-    ta = za + _LANCZOS_G + 0.5
-    tb = zb + _LANCZOS_G + 0.5
-    return (x + (b - 0.5)) * np.log1p(d / tb) + d * np.log(ta) - d + np.log1p(ds / sb)
+def _stirling_log_gamma(z: np.ndarray) -> np.ndarray:
+    """ln Gamma(z) for z >= 16 from the Stirling series."""
+    out = np.log(z)
+    out *= z - 0.5
+    out -= z
+    out += _LN_SQRT_2PI
+    out += _stirling_tail(z)
+    return out
+
+
+def _log_rising(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """ln of the rising product x (x+1) ... (x+k-1), taken with one log; the
+    product is exact for integer x."""
+    prod = x.copy()
+    for j in range(1, int(k.max())):
+        prod *= np.where(j < k, x + j, 1.0)
+    return np.log(prod)
+
+
+def log_gamma(x):
+    """ln Gamma(x) for x > 0; scalar in, scalar out, arrays pass through.
+
+    The Stirling series, after lifting an argument below 16 by k unit steps
+    and subtracting the log of the rising product x (x+1) ... (x+k-1).
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all(arr > 0.0):
+        raise ValidationError("log_gamma requires strictly positive arguments")
+    flat = arr.reshape(-1)
+    out = _lifted(flat, flat, _stirling_log_gamma, _log_rising)
+    if arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 def _stirling_ratio(za: np.ndarray, zb: np.ndarray, d: float) -> np.ndarray:
@@ -160,32 +148,27 @@ def _stirling_ratio(za: np.ndarray, zb: np.ndarray, d: float) -> np.ndarray:
 def log_gamma_ratio(x, a: float, b: float):
     """ln Gamma(x+a) - ln Gamma(x+b), stable for large x.
 
-    For min(x+a, x+b) >= 16 the Stirling series is differenced term by
-    term; for min(x+a, x+b) in [8, 16) the Lanczos formula is.  Either way
-    the result keeps ~1e-15 absolute precision even when the individual
-    log-Gamma values are in the tens of thousands.  Below 8 the two
-    log-Gamma values are small and are subtracted directly.
+    The Stirling series is differenced term by term, so the result keeps
+    ~1e-15 absolute precision even when the individual log-Gamma values
+    are in the tens of thousands.  Where min(x+a, x+b) < 16, x is lifted by
+    k unit steps first and sum_j log1p(d / (x+b+j)), d = a - b, j < k, is
+    subtracted.
     """
     arr = np.asarray(x, dtype=np.float64)
-    flat = np.atleast_1d(arr)
-    za = flat + a
-    zb = flat + b
-    low = za if a <= b else zb
+    flat = arr.reshape(-1)
+    low = flat + min(a, b)
     lowest = low.min() if low.size else _STIRLING_MIN
     if not lowest > 0.0:
         raise ValidationError("log_gamma_ratio requires x+a > 0 and x+b > 0")
-    if lowest >= _STIRLING_MIN:
-        out = _stirling_ratio(za, zb, a - b)
-    else:
-        out = np.empty_like(flat)
-        stirling = low >= _STIRLING_MIN
-        out[stirling] = _stirling_ratio(za[stirling], zb[stirling], a - b)
-        lanczos = (low >= 8.0) & ~stirling
-        if lanczos.any():
-            out[lanczos] = _lanczos_ratio(flat[lanczos], a, b)
-        rest = low < 8.0
-        if rest.any():
-            out[rest] = log_gamma(za[rest]) - log_gamma(zb[rest])
+    d = a - b
+
+    def steps(y, k):
+        total = np.zeros_like(y)
+        for j in range(int(k.max())):
+            total += np.where(j < k, np.log1p(d / (y + (b + j))), 0.0)
+        return total
+
+    out = _lifted(flat, low, lambda y: _stirling_ratio(y + a, y + b, d), steps)
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
@@ -226,25 +209,26 @@ def log_gamma_second_difference(x, u: float, w: float):
     """ln Gamma(x+u+w) - ln Gamma(x+u) - ln Gamma(x+w) + ln Gamma(x).
 
     The mixed second difference, of size about u w / x, is summed from
-    terms of its own size when all four arguments are >= 16, so it keeps
-    ~1e-16 relative precision where differencing two ``log_gamma_ratio``
-    values would leave ~1e-16 absolute; below that it is the difference of
-    two ``log_gamma_ratio`` values.
+    terms of its own size, so it keeps ~1e-16 relative precision where
+    differencing two ``log_gamma_ratio`` values would leave ~1e-16
+    absolute.  Where an argument is below 16, x is lifted by k unit steps
+    first and sum_j log1p(-u w / ((x+j+u)(x+j+w))), j < k, is subtracted.
     """
     arr = np.asarray(x, dtype=np.float64)
-    flat = np.atleast_1d(arr)
+    flat = arr.reshape(-1)
     low = flat + min(0.0, u, w, u + w)
     lowest = low.min() if low.size else _STIRLING_MIN
     if not lowest > 0.0:
         raise ValidationError("log_gamma_second_difference requires all four arguments > 0")
-    if lowest >= _STIRLING_MIN:
-        out = _stirling_second_difference(flat, u, w)
-    else:
-        out = np.empty_like(flat)
-        stirling = low >= _STIRLING_MIN
-        out[stirling] = _stirling_second_difference(flat[stirling], u, w)
-        rest = flat[~stirling]
-        out[~stirling] = log_gamma_ratio(rest, u + w, u) - log_gamma_ratio(rest, w, 0.0)
+
+    def steps(y, k):
+        total = np.zeros_like(y)
+        for j in range(int(k.max())):
+            z = y + j
+            total += np.where(j < k, np.log1p(-(u * w) / ((z + u) * (z + w))), 0.0)
+        return total
+
+    out = _lifted(flat, low, lambda y: _stirling_second_difference(y, u, w), steps)
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)

@@ -30,6 +30,10 @@ class TestSpecs:
             BlockSpec(p=(1.0, -2.0), a=1.0)
         with pytest.raises(ValidationError):
             BlockSpec(p=(1.0,), a=0.0)
+        # subnormal p or a would overflow (i+1)/p and s/a in log_norm_bulk
+        for p, a in (((1.0,), 5e-324), ((1.0, 5e-324), 1.0)):
+            with pytest.raises(ValidationError):
+                BlockSpec(p=p, a=a)
 
     def test_domain_needs_blocks(self):
         with pytest.raises(ValidationError):
