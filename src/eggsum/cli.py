@@ -88,7 +88,8 @@ def _kind_str(kind: commutator.CommutatorKind) -> str:
 
 
 def _clean(obj):
-    """JSON-safe copy: numpy scalars/arrays to python, non-finite to None."""
+    """JSON-safe copy: numpy scalars/arrays to python.  A non-finite float
+    is an error: a report never carries one as a null."""
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -97,7 +98,9 @@ def _clean(obj):
         return [_clean(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return v if math.isfinite(v) else None
+        if not math.isfinite(v):
+            raise ValidationError("a result is not a finite number for these parameters")
+        return v
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
@@ -130,11 +133,10 @@ def _resolve_shells(dom: DomainSpec, n_arg: int | None) -> int:
 def _cmd_norm(params: dict) -> dict:
     dom = DomainSpec.from_json(params["domain"])
     idx = params["index"]
-    # a norm beyond double range overflows to inf (or NaN, from inf - inf)
-    # on the way; the range check turns either into exit 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = log_norm(dom, idx)
-    if not -math.inf < value < _LN_DOUBLE_MAX:
+    # log_norm rejects a log-norm beyond double range; its exponential may
+    # still overflow
+    value = log_norm(dom, idx)
+    if not value < _LN_DOUBLE_MAX:
         raise ValidationError("the norm is out of double precision range for this domain and index")
     results = {"log_norm": value, "norm": math.exp(value)}
     if params["mc_samples"]:
@@ -277,6 +279,10 @@ def _cmd_zeta(params: dict) -> dict:
     return _report("zeta", params, results)
 
 
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
 def _verify_one(tag: str, order: int, a: float, b: float | None, xs) -> dict:
     needs_b = tag in ("R1", "R3", "R5")
     kind = gammakit.ExpansionKind(tag, a, b if needs_b else None)
@@ -290,7 +296,8 @@ def _verify_one(tag: str, order: int, a: float, b: float | None, xs) -> dict:
         "exact": check.exact,
         "approx": check.approx,
         "abs_error": check.abs_error,
-        "decay_exponent": check.decay_exponent,
+        # exact agreement has no finite decay exponent: null, flagged below
+        "decay_exponent": _finite_or_none(check.decay_exponent),
         "agreement_exact": math.isinf(check.decay_exponent),
     }
     if tag == "R3":
@@ -298,7 +305,7 @@ def _verify_one(tag: str, order: int, a: float, b: float | None, xs) -> dict:
         entry["quadratic_coefficients"] = check.r3_coefficients
         entry["printed_variant"] = {
             "abs_error": printed.abs_error,
-            "decay_exponent": printed.decay_exponent,
+            "decay_exponent": _finite_or_none(printed.decay_exponent),
         }
     return entry
 

@@ -28,9 +28,18 @@ from
   its own size, which gives the log of the quotient of the two ratios.
 
 At j = i - e_l (l = r for the self kind), lam(i) = -e^D_r(j) expm1(M(j))
-and mu(i) = e^A |expm1(M(j))| with A = (D_r(j) + D_l(j))/2.  Gamma terms
-that depend on one coordinate alone are evaluated once per entry value.
-No full log-norm is formed.
+and mu(i) = e^A |expm1(M(j))| with A = (D_r(j) + D_l(j))/2.  No full
+log-norm is formed.
+
+Every Gamma and log1p term depends on a row only through an integer key:
+an entry, the degree sums of a block's runs of equal p (which give s_k),
+or the degree sums of the groups of equal p a (which give T, keyed by all
+groups but the last and the row sum).  Each term is evaluated once per
+distinct key of the rows in a call and gathered (``_KeyTable``), or per
+row where the keys are no fewer than the rows (unequal p in a block, three
+or more groups of equal p a, a single row).  Both apply the same
+elementwise function to the same integer keys, so an eigenvalue does not
+depend on the rows evaluated with it.
 
 ``asymptotic_eigenvalue`` returns the dominant large-index expression for
 each kind (up to the unknown multiplicative constant), used only for
@@ -39,6 +48,7 @@ ratio-convergence checks along rays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -129,33 +139,6 @@ def all_kinds(dom: DomainSpec) -> list[CommutatorKind]:
     return kinds
 
 
-def _weights(dom: DomainSpec, rows: np.ndarray):
-    """Per block the weight sum s_k and the outer weight s_k / a_k, and the
-    total outer weight T.
-
-    s_k sums the sorted weights (idx+1)/p of block k, and T adds the outer
-    weights in block order, exactly as ``log_norm_bulk`` forms them (two
-    weights need no sorting: their sum is exact in either order).
-    """
-    sums, outer = [], []
-    pos = 0
-    for blk in dom.blocks:
-        if blk.size <= 2:
-            s = (rows[:, pos] + 1.0) / blk.p[0]
-            if blk.size == 2:
-                s += (rows[:, pos + 1] + 1.0) / blk.p[1]
-        else:
-            v = (rows[:, pos : pos + blk.size] + 1.0) / np.asarray(blk.p)
-            s = np.sort(v, axis=1).sum(axis=1)
-        pos += blk.size
-        sums.append(s)
-        outer.append(s / blk.a)
-    total = outer[0].copy()
-    for x in outer[1:]:
-        total += x
-    return sums, outer, total
-
-
 def _coordinate(dom: DomainSpec, col: int) -> tuple[int, float]:
     """(block, inner exponent) of a flat column of ``dom``."""
     pos = 0
@@ -165,18 +148,137 @@ def _coordinate(dom: DomainSpec, col: int) -> tuple[int, float]:
         pos += blk.size
 
 
-def _per_entry(fn, entries: np.ndarray) -> np.ndarray:
-    """``fn`` of the integer-valued ``entries``, evaluated once per value
-    0..max(entries) and gathered when there are fewer such values than
-    entries (a shell of total degree n in d >= 3 coordinates has ~n^2/2
-    rows but only n+1 values per coordinate)."""
-    top = int(entries.max()) if entries.size else -1
-    if top + 1 >= entries.size:
-        return fn(entries)
-    return fn(np.arange(top + 1, dtype=np.float64))[entries.astype(np.intp)]
+class _KeyTable:
+    """Integer keys of the rows (one or more int64 columns), and the distinct
+    keys when there are fewer of them than rows.
+
+    Each row's key is coded in mixed radix over the span of its columns and
+    marked in a ``present`` mask, whose running count numbers the distinct
+    codes: no sort.  ``keys`` are then the distinct keys and ``inverse``
+    each row's place among them.  When neither the span nor the distinct
+    count is smaller than the row count, ``keys`` are the rows' own and
+    ``inverse`` is None.  A table applies an elementwise function to its
+    keys either way, so a row's value does not depend on the other rows.
+    """
+
+    def __init__(self, columns: list[np.ndarray]):
+        self.keys, self.inverse = tuple(columns), None
+        rows = columns[0].size
+        if rows == 0:
+            return
+        lows = [int(c.min()) for c in columns]
+        widths = [int(c.max()) - lo + 1 for c, lo in zip(columns, lows)]
+        span = math.prod(widths)
+        if span >= rows:
+            return
+        code = columns[0] - lows[0]
+        if len(columns) == 1:
+            # every value of a one-column span is a key of the same kind
+            self.keys, self.inverse = (np.arange(lows[0], lows[0] + span),), code
+            return
+        for c, lo, w in zip(columns[1:], lows[1:], widths[1:]):
+            code *= w
+            code += c
+            code -= lo
+        present = np.zeros(span, dtype=bool)
+        present[code] = True
+        rank = np.cumsum(present)
+        if rank[-1] >= rows:
+            return
+        rank -= 1
+        codes = np.flatnonzero(present)
+        keys = []
+        for lo, w in zip(lows[:0:-1], widths[:0:-1]):
+            codes, digit = np.divmod(codes, w)
+            keys.append(digit + lo)
+        keys.append(codes + lows[0])
+        self.keys, self.inverse = tuple(keys[::-1]), rank[code]
+
+    def __call__(self, fn) -> np.ndarray:
+        """``fn`` of each row's key: once per distinct key, then gathered."""
+        values = fn(*self.keys)
+        return values if self.inverse is None else values[self.inverse]
 
 
-def _log_norm_step(dom: DomainSpec, weights, rows: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
+def _weight(degrees, groups) -> np.ndarray:
+    """sum over ``groups`` of (degree + size) / weight, in group order, for
+    groups (weight, columns) and their integer degree sums."""
+    out = (degrees[0] + len(groups[0][1])) / groups[0][0]
+    for deg, (weight, cols) in zip(degrees[1:], groups[1:]):
+        out += (deg + len(cols)) / weight
+    return out
+
+
+class _Keyed:
+    """The kernel's Gamma and log1p terms for integer index rows, each
+    evaluated on a ``_KeyTable`` of integer degree sums and gathered per row.
+
+    * ``entry(col, fn)`` -- fn(e) for the entry e of column ``col``;
+    * ``block(k, fn)`` -- fn(s_k) for the weight sum of block k: the key is
+      the degree sum D of each run of the block's coordinates with equal p,
+      and s_k = sum (D + m)/p over the runs, m a run's size;
+    * ``total(fn)`` -- fn(T) for the total outer weight: the coordinates are
+      grouped by equal p a, T = sum (G + m)/(p a) over the groups, and the
+      key is the degrees G of all groups but the last together with the row
+      sum, which fixes the last (a shell has O(n) such keys).
+
+    Each key set's table is built once per instance, so the step and mixed
+    terms share it.
+    """
+
+    def __init__(self, dom: DomainSpec, rows: np.ndarray):
+        self._rows = rows
+        self._tables: dict = {}
+        self._blocks = []
+        outer: dict[float, list[int]] = {}
+        pos = 0
+        for blk in dom.blocks:
+            runs: dict[float, list[int]] = {}
+            for j, p in enumerate(blk.p):
+                runs.setdefault(p, []).append(pos + j)
+                outer.setdefault(p * blk.a, []).append(pos + j)
+            self._blocks.append(list(runs.items()))
+            pos += blk.size
+        self._outer = list(outer.items())
+
+    def _degree(self, cols) -> np.ndarray:
+        """Sum of the columns ``cols``, added column by column (a sum along
+        a short row axis costs ten times as much)."""
+        out = self._rows[:, cols[0]]
+        for col in cols[1:]:
+            out = out + self._rows[:, col]
+        return out
+
+    def _table(self, name, columns) -> _KeyTable:
+        if name not in self._tables:
+            self._tables[name] = _KeyTable(columns())
+        return self._tables[name]
+
+    def entry(self, col: int, fn) -> np.ndarray:
+        return self._table(("entry", col), lambda: [self._rows[:, col]])(fn)
+
+    def block(self, k: int, fn) -> np.ndarray:
+        runs = self._blocks[k]
+        table = self._table(("block", k), lambda: [self._degree(cols) for _, cols in runs])
+        return table(lambda *degrees: fn(_weight(degrees, runs)))
+
+    def total(self, fn) -> np.ndarray:
+        groups = self._outer
+        table = self._table(
+            "total",
+            lambda: [self._degree(cols) for _, cols in groups[:-1]]
+            + [self._degree(range(self._rows.shape[1]))],
+        )
+
+        def of_key(*key):
+            *degrees, row_sum = key
+            degrees.append(row_sum - sum(degrees))
+            return fn(_weight(degrees, groups))
+
+        return table(of_key)
+
+
+def _log_norm_step(dom: DomainSpec, keyed: _Keyed, cols: tuple[int, ...]) -> np.ndarray:
     """Sum over the columns ``cols`` of ln||z^(i+e_c)||^2 - ln||z^i||^2 for
     every row i, as Gamma ratios; the columns share one block and one p.
 
@@ -188,37 +290,32 @@ def _log_norm_step(dom: DomainSpec, weights, rows: np.ndarray, cols: tuple[int, 
     R(x, h) = ln Gamma(x+h) - ln Gamma(x); the block terms drop for a
     one-coordinate block and the outer ones for a one-block domain.  Only
     R(v, h) (the outer term too, for a one-coordinate block) depends on the
-    column, so the other terms are evaluated once for all of ``cols``; the
-    column's own terms are evaluated per entry value.  ``weights`` is
-    ``_weights(dom, rows)``.
+    column, so the other terms are evaluated once for all of ``cols``.
     """
     k, p = _coordinate(dom, cols[0])
     blk = dom.blocks[k]
     h = 1.0 / p
     u = h / blk.a
-    sums, outer, total = weights
     several = len(dom.blocks) > 1
-    out = -np.log1p(u / total)
+    out = keyed.total(lambda t: -np.log1p(u / t))
     if blk.size > 1:
-        out -= gammakit.log_gamma_ratio(sums[k], h, 0.0)
+        out -= keyed.block(k, lambda s: gammakit.log_gamma_ratio(s, h, 0.0))
         if several:
-            out += gammakit.log_gamma_ratio(outer[k], u, 0.0)
+            out += keyed.block(k, lambda s: gammakit.log_gamma_ratio(s / blk.a, u, 0.0))
     if several:
-        out -= gammakit.log_gamma_ratio(total, u, 0.0)
+        out -= keyed.total(lambda t: gammakit.log_gamma_ratio(t, u, 0.0))
     out *= len(cols)
     for col in cols:
         if blk.size > 1:
-            out += _per_entry(
-                lambda e: gammakit.log_gamma_ratio((e + 1.0) / p, h, 0.0), rows[:, col]
-            )
+            out += keyed.entry(col, lambda e: gammakit.log_gamma_ratio((e + 1.0) / p, h, 0.0))
         elif several:
-            out += _per_entry(
-                lambda e: gammakit.log_gamma_ratio((e + 1.0) / p / blk.a, u, 0.0), rows[:, col]
+            out += keyed.entry(
+                col, lambda e: gammakit.log_gamma_ratio((e + 1.0) / p / blk.a, u, 0.0)
             )
     return out
 
 
-def _log_norm_mixed(dom: DomainSpec, weights, rows: np.ndarray, r: int, l: int) -> np.ndarray:
+def _log_norm_mixed(dom: DomainSpec, keyed: _Keyed, r: int, l: int) -> np.ndarray:
     """L(j+e_r+e_l) - L(j+e_r) - L(j+e_l) + L(j) for every row j, with L the
     log-norm and r == l allowed.
 
@@ -226,37 +323,40 @@ def _log_norm_mixed(dom: DomainSpec, weights, rows: np.ndarray, r: int, l: int) 
     coordinate's own (r == l), its block's sum (same block) and the outer
     ones.  Each is a ``log_gamma_second_difference``, accurate relative to
     its own size ~ 1/|j|, where a difference of two first differences would
-    be accurate only to ~1e-16 absolute.  ``weights`` is
-    ``_weights(dom, rows)``.
+    be accurate only to ~1e-16 absolute.
     """
     (kr, pr), (kl, pl) = _coordinate(dom, r), _coordinate(dom, l)
     br, bl = dom.blocks[kr], dom.blocks[kl]
     hr, hl = 1.0 / pr, 1.0 / pl
     ur, ul = hr / br.a, hl / bl.a
-    sums, outer, total = weights
     several = len(dom.blocks) > 1
-    out = -np.log1p(-(ur * ul) / ((total + ur) * (total + ul)))
+    out = keyed.total(lambda t: -np.log1p(-(ur * ul) / ((t + ur) * (t + ul))))
     if kr == kl and br.size > 1:
         if r == l:
-            out += _per_entry(
-                lambda e: gammakit.log_gamma_second_difference((e + 1.0) / pr, hr, hr), rows[:, r]
+            out += keyed.entry(
+                r, lambda e: gammakit.log_gamma_second_difference((e + 1.0) / pr, hr, hr)
             )
-        out -= gammakit.log_gamma_second_difference(sums[kr], hr, hl)
+        out -= keyed.block(kr, lambda s: gammakit.log_gamma_second_difference(s, hr, hl))
         if several:
-            out += gammakit.log_gamma_second_difference(outer[kr], ur, ul)
+            out += keyed.block(
+                kr, lambda s: gammakit.log_gamma_second_difference(s / br.a, ur, ul)
+            )
     elif kr == kl and several:
         # a one-coordinate block: its outer weight is the coordinate's own
-        out += _per_entry(
-            lambda e: gammakit.log_gamma_second_difference((e + 1.0) / pr / br.a, ur, ur),
-            rows[:, r],
+        out += keyed.entry(
+            r, lambda e: gammakit.log_gamma_second_difference((e + 1.0) / pr / br.a, ur, ur)
         )
     if several:
-        out -= gammakit.log_gamma_second_difference(total, ur, ul)
+        out -= keyed.total(lambda t: gammakit.log_gamma_second_difference(t, ur, ul))
     return out
 
 
 def eigenvalue_bulk(dom: DomainSpec, kind: CommutatorKind, idx_rows: np.ndarray) -> np.ndarray:
-    """Eigenvalue at every row of ``idx_rows`` (flat indices, shape (n, d))."""
+    """Eigenvalue at every row of ``idx_rows`` (flat indices, shape (n, d)).
+
+    Raises ValidationError when an eigenvalue is not a finite double (an
+    inner exponent or outer power so extreme that a Gamma term overflows).
+    """
     rows = np.asarray(idx_rows)
     if rows.ndim == 1:
         rows = rows[np.newaxis, :]
@@ -266,33 +366,41 @@ def eigenvalue_bulk(dom: DomainSpec, kind: CommutatorKind, idx_rows: np.ndarray)
         )
     if np.any(rows < 0):
         raise ValidationError("index entries must be nonnegative")
-    rows = rows.astype(np.float64)
+    if rows.dtype.kind not in "iu" and not np.all(rows == np.rint(rows)):
+        raise ValidationError("index entries must be integers")
+    # a copy, column-major: the keys are sums of whole columns
+    rows = np.array(rows, dtype=np.int64, order="F")
     r_col, l_col = _columns(dom, kind)
     lowered = r_col if l_col is None else l_col
 
     # Everything is evaluated at j = i - e_lowered (at i where that entry is
     # 0): with D_c(j) = L(j+e_c) - L(j) and M(j) the mixed second
     # difference, D_r(j+e_l) = D_r(j) + M(j) and D_l(j+e_r) = D_l(j) + M(j).
-    present = rows[:, lowered] > 0.0
+    present = rows[:, lowered] > 0
     rows[:, lowered] -= present
-    weights = _weights(dom, rows)
-    mixed = _log_norm_mixed(dom, weights, rows, r_col, lowered)
-
-    if l_col is None:
-        # lam(i) = e^D(j) - e^D(j+e_r) = -e^D(j) expm1(M(j)); only the
-        # raising term -e^D(i) when i_r = 0
-        step = _log_norm_step(dom, weights, rows, (r_col,))
-        return -np.exp(step) * np.where(present, np.expm1(mixed), 1.0)
-
-    # mu(i) = |e^A - e^B| with A = (D_r(j) + D_l(j))/2 and B = (D_r(j+e_l)
-    # + D_l(j+e_r))/2 = A + M(j); zero when i_l = 0
-    if _coordinate(dom, r_col) == _coordinate(dom, l_col):
-        step = _log_norm_step(dom, weights, rows, (r_col, l_col))
-    else:
-        step = _log_norm_step(dom, weights, rows, (r_col,))
-        step += _log_norm_step(dom, weights, rows, (l_col,))
-    step *= 0.5
-    return np.where(present, np.exp(step) * np.abs(np.expm1(mixed)), 0.0)
+    keyed = _Keyed(dom, rows)
+    with np.errstate(all="ignore"):
+        mixed = _log_norm_mixed(dom, keyed, r_col, lowered)
+        if l_col is None:
+            # lam(i) = e^D(j) - e^D(j+e_r) = -e^D(j) expm1(M(j)); only the
+            # raising term -e^D(i) when i_r = 0
+            step = _log_norm_step(dom, keyed, (r_col,))
+            out = -np.exp(step) * np.where(present, np.expm1(mixed), 1.0)
+        else:
+            # mu(i) = |e^A - e^B| with A = (D_r(j) + D_l(j))/2 and B =
+            # (D_r(j+e_l) + D_l(j+e_r))/2 = A + M(j); zero when i_l = 0
+            if _coordinate(dom, r_col) == _coordinate(dom, l_col):
+                step = _log_norm_step(dom, keyed, (r_col, l_col))
+            else:
+                step = _log_norm_step(dom, keyed, (r_col,))
+                step += _log_norm_step(dom, keyed, (l_col,))
+            step *= 0.5
+            out = np.where(present, np.exp(step) * np.abs(np.expm1(mixed)), 0.0)
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(
+            "an eigenvalue is not a finite double on this domain: a term leaves double range"
+        )
+    return out
 
 
 def eigenvalue(dom: DomainSpec, kind: CommutatorKind, idx) -> float:

@@ -197,7 +197,8 @@ def log_norm_bulk(dom: DomainSpec, idx_rows: np.ndarray) -> np.ndarray:
 
     Rows are flat indices in domain coordinate order.  Only the shape is
     validated here; entries must keep every Gamma argument positive, i.e.
-    be >= 0.
+    be >= 0.  Raises ValidationError when a log-norm is not a finite double
+    (an outer power so small that s/a overflows ln Gamma, say).
     """
     rows = np.asarray(idx_rows, dtype=np.float64)
     if rows.ndim == 1:
@@ -205,33 +206,39 @@ def log_norm_bulk(dom: DomainSpec, idx_rows: np.ndarray) -> np.ndarray:
     d = dom.dimension
     if rows.shape[1] != d:
         raise ValidationError(f"index rows have {rows.shape[1]} columns, expected {d}")
-    const = d * math.log(math.pi)
-    out = np.zeros(rows.shape[0], dtype=np.float64)
-    outer_args = []
-    pos = 0
-    for blk in dom.blocks:
-        const -= math.fsum(math.log(v) for v in blk.p) + math.log(blk.a)
-        v = (rows[:, pos : pos + blk.size] + 1.0) / np.asarray(blk.p)
-        pos += blk.size
-        if blk.size == 1:
-            s = v[:, 0]
-            # single-variable Beta factor is identically 1
-        else:
-            # sorting the per-block weights first makes the result exactly
-            # invariant under coordinate permutations within equal-p blocks
-            v = np.sort(v, axis=1)
-            s = v.sum(axis=1)
-            out += gammakit.log_gamma(v).sum(axis=1) - gammakit.log_gamma(s)
-        outer_args.append(s / blk.a)
-    total = outer_args[0].copy()
-    for x in outer_args[1:]:
-        total += x
-    if len(outer_args) > 1:
-        for x in outer_args:
-            out += gammakit.log_gamma(x)
-        out -= gammakit.log_gamma(total)
-    out -= np.log(total)
-    return out + const
+    # ln Gamma overflows on the way to a log-norm out of double range (inf,
+    # or NaN from inf - inf); the range check below reports either
+    with np.errstate(all="ignore"):
+        const = d * math.log(math.pi)
+        out = np.zeros(rows.shape[0], dtype=np.float64)
+        outer_args = []
+        pos = 0
+        for blk in dom.blocks:
+            const -= math.fsum(math.log(v) for v in blk.p) + math.log(blk.a)
+            v = (rows[:, pos : pos + blk.size] + 1.0) / np.asarray(blk.p)
+            pos += blk.size
+            if blk.size == 1:
+                s = v[:, 0]
+                # single-variable Beta factor is identically 1
+            else:
+                # sorting the per-block weights first makes the result exactly
+                # invariant under coordinate permutations within equal-p blocks
+                v = np.sort(v, axis=1)
+                s = v.sum(axis=1)
+                out += gammakit.log_gamma(v).sum(axis=1) - gammakit.log_gamma(s)
+            outer_args.append(s / blk.a)
+        total = outer_args[0].copy()
+        for x in outer_args[1:]:
+            total += x
+        if len(outer_args) > 1:
+            for x in outer_args:
+                out += gammakit.log_gamma(x)
+            out -= gammakit.log_gamma(total)
+        out -= np.log(total)
+        out += const
+    if not np.all(np.isfinite(out)):
+        raise ValidationError("the log-norm is out of double precision range for this domain")
+    return out
 
 
 def log_norm(dom: DomainSpec, idx) -> float:

@@ -59,6 +59,8 @@ __all__ = [
 _STIRLING_C = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
 _STIRLING_MIN = 16.0
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# elements per pass of the upward recurrence
+_RECURRENCE_CHUNK = 2048
 
 EXPANSION_TAGS = ("R1", "R2", "R3", "R4", "R5")
 
@@ -76,7 +78,11 @@ def _lifted(x: np.ndarray, low: np.ndarray, stirling, recurrence) -> np.ndarray:
     lifted = x.copy()
     lifted[small] += shift
     out = stirling(lifted)
-    out[small] -= recurrence(x[small], shift)
+    # the recurrence runs over (step, element) arrays of up to 16 rows: in
+    # chunks, so that its temporaries stay small for long inputs
+    for lo in range(0, small.size, _RECURRENCE_CHUNK):
+        part = small[lo : lo + _RECURRENCE_CHUNK]
+        out[part] -= recurrence(x[part], shift[lo : lo + _RECURRENCE_CHUNK])
     return out
 
 
@@ -104,13 +110,26 @@ def _stirling_log_gamma(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _steps(k: np.ndarray) -> np.ndarray:
+    """The step numbers j = 0 .. max(k)-1 as a column: a recurrence over
+    j < k is one pass over a 2-D (step, element) array."""
+    return np.arange(int(k.max()), dtype=np.float64)[:, np.newaxis]
+
+
+def _fold(terms: np.ndarray, k: np.ndarray, ufunc) -> np.ndarray:
+    """``ufunc`` over the first k rows of each column of the 2-D ``terms``,
+    in row order; the other rows are set to the ufunc's identity, which
+    leaves the result unchanged.  ``accumulate`` is sequential at any shape,
+    where a reduction may regroup a short column, so an element's result
+    does not depend on the others."""
+    terms[_steps(k) >= k] = ufunc.identity
+    return ufunc.accumulate(terms, axis=0)[-1]
+
+
 def _log_rising(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """ln of the rising product x (x+1) ... (x+k-1), taken with one log; the
     product is exact for integer x."""
-    prod = x.copy()
-    for j in range(1, int(k.max())):
-        prod *= np.where(j < k, x + j, 1.0)
-    return np.log(prod)
+    return np.log(_fold(x + _steps(k), k, np.multiply))
 
 
 def log_gamma(x):
@@ -162,13 +181,10 @@ def log_gamma_ratio(x, a: float, b: float):
         raise ValidationError("log_gamma_ratio requires x+a > 0 and x+b > 0")
     d = a - b
 
-    def steps(y, k):
-        total = np.zeros_like(y)
-        for j in range(int(k.max())):
-            total += np.where(j < k, np.log1p(d / (y + (b + j))), 0.0)
-        return total
+    def recurrence(y, k):
+        return _fold(np.log1p(d / (y + (b + _steps(k)))), k, np.add)
 
-    out = _lifted(flat, low, lambda y: _stirling_ratio(y + a, y + b, d), steps)
+    out = _lifted(flat, low, lambda y: _stirling_ratio(y + a, y + b, d), recurrence)
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
@@ -221,14 +237,11 @@ def log_gamma_second_difference(x, u: float, w: float):
     if not lowest > 0.0:
         raise ValidationError("log_gamma_second_difference requires all four arguments > 0")
 
-    def steps(y, k):
-        total = np.zeros_like(y)
-        for j in range(int(k.max())):
-            z = y + j
-            total += np.where(j < k, np.log1p(-(u * w) / ((z + u) * (z + w))), 0.0)
-        return total
+    def recurrence(y, k):
+        z = y + _steps(k)
+        return _fold(np.log1p(-(u * w) / ((z + u) * (z + w))), k, np.add)
 
-    out = _lifted(flat, low, lambda y: _stirling_second_difference(y, u, w), steps)
+    out = _lifted(flat, low, lambda y: _stirling_second_difference(y, u, w), recurrence)
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)

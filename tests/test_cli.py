@@ -204,11 +204,15 @@ class TestErrorsAndReplay:
             ["zeta", "--spec", '{"m":2,"powers":[0,0],"groups":[],"abs":null,"b":400}',
              "--N", "100"],
             ["norm", "--domain", '{"blocks":[{"p":[1],"a":5e-324}]}', "--index", "[0]"],
+            ["eig", "--domain", '{"blocks":[{"p":[1e200,1],"a":2}]}', "--degree-max", "2"],
+            ["eig", "--domain", '{"blocks":[{"p":[1e-300],"a":1},{"p":[1],"a":1}]}',
+             "--degree-max", "2"],
+            ["eig", "--domain", '{"blocks":[{"p":[1,1],"a":1e-300}]}', "--degree-max", "2"],
         ],
         ids=["blocks-not-a-list", "p-not-numeric", "p-infinite", "zeta-vars-not-integer",
              "index-not-numeric", "index-not-a-list", "schatten-p-infinite", "tol-infinite",
              "workers-negative", "shells-fit-underflow", "zeta-fit-underflow",
-             "norm-overflow"],
+             "norm-overflow", "eig-huge-p", "eig-tiny-p", "eig-tiny-a"],
     )
     def test_malformed_values_exit_2(self, capsys, argv):
         code = run(argv)

@@ -1,7 +1,8 @@
 """Property test of the CLI's input handling: whatever JSON arrives as a
-domain or an index, ``eggsum norm`` and ``eggsum module-threshold`` end
-with exit 0, 2 or 3, raise nothing out of ``run``, and a successful report
-holds no null or NaN among its results."""
+domain or an index, and whatever kind selector and Schatten exponent,
+``eggsum norm``, ``module-threshold``, ``eig`` and ``shells`` end with exit
+0, 2 or 3, raise nothing out of ``run``, and a successful report holds no
+null or NaN among its results."""
 
 import contextlib
 import io
@@ -38,6 +39,22 @@ BLOCK = st.fixed_dictionaries(
 )
 DOMAIN = st.fixed_dictionaries({"blocks": st.lists(BLOCK, min_size=1, max_size=3) | JSON}) | JSON
 INDEX = st.lists(NUMBERS, max_size=7) | st.lists(st.lists(NUMBERS, max_size=3), max_size=3) | JSON
+
+# small domains of positive exponents, edge values included: most of them
+# reach the eigenvalue kernel, where DOMAIN mostly fails validation
+POSITIVE = NUMBERS.filter(lambda v: v > 0)
+EGG = st.fixed_dictionaries(
+    {
+        "blocks": st.lists(
+            st.fixed_dictionaries({"p": st.lists(POSITIVE, min_size=1, max_size=2), "a": POSITIVE}),
+            min_size=1,
+            max_size=2,
+        )
+    }
+)
+KIND = st.sampled_from(["self:0:0", "self:1:0", "within:0:0:1", "between:0:0:1:0"]) | st.text(
+    max_size=8
+)
 
 SETTINGS = settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -83,3 +100,17 @@ def test_norm_any_json(domain, index):
 @given(domain=DOMAIN)
 def test_module_threshold_any_json(domain):
     _check(["module-threshold", f"--domain={json.dumps(domain)}"])
+
+
+@SETTINGS
+@given(domain=DOMAIN | EGG, kind=KIND, low=st.integers(0, 2), width=st.integers(0, 2))
+def test_eig_any_json(domain, kind, low, width):
+    _check(["eig", f"--domain={json.dumps(domain)}", f"--kind={kind}",
+            f"--degree-min={low}", f"--degree-max={low + width}"])
+
+
+@settings(SETTINGS, max_examples=150)
+@given(domain=DOMAIN | EGG, kind=KIND, N=st.integers(16, 40), p=NUMBERS)
+def test_shells_any_json(domain, kind, N, p):
+    _check(["shells", f"--domain={json.dumps(domain)}", f"--kind={kind}", f"--p={p}",
+            f"--N={N}"])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from eggsum import (
     eigenvalue,
     eigenvalue_bulk,
 )
+from eggsum import gammakit
 from eggsum.commutator import all_kinds, validate_kind
+from eggsum.lattice import shell_indices
 
 from helpers import domain_with_all_kinds
 
@@ -102,6 +105,88 @@ class TestEigenvalues:
         with pytest.raises(ValidationError):
             eigenvalue_bulk(DISK, SelfAdjoint(0, 0), np.array([[-1]]))
 
+    def test_rejects_fractional_entries(self):
+        with pytest.raises(ValidationError):
+            eigenvalue_bulk(BALL2, SelfAdjoint(0, 0), np.array([[1.5, 2.0]]))
+
+    @pytest.mark.parametrize(
+        "dom",
+        [
+            DomainSpec(blocks=(BlockSpec((1.0,), sys.float_info.min), BlockSpec((1.0,), 1.0))),
+            DomainSpec(blocks=(BlockSpec((1e200, 1.0), 2.0),)),
+            DomainSpec(blocks=(BlockSpec((1e-300,), 1.0), BlockSpec((1.0,), 1.0))),
+            DomainSpec(blocks=(BlockSpec((1.0, 1.0), 1e-300),)),
+        ],
+        ids=["small-normal-a", "huge-p", "tiny-p", "tiny-a"],
+    )
+    def test_overflow_is_a_validation_error(self, dom):
+        # a Gamma term leaves double range: a ValidationError, never a NaN or
+        # a RuntimeWarning (which the test configuration turns into an error)
+        rows = shell_indices(dom.dimension, 2)
+        with pytest.raises(ValidationError):
+            eigenvalue_bulk(dom, SelfAdjoint(0, 0), rows)
+
+
+def _random_keyed_domain(seed: int) -> DomainSpec:
+    """Two or three blocks whose p and a come from small sets, so that equal
+    p inside a block and equal p a across blocks are common."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for size in rng.permutation([2, 1, int(rng.integers(0, 2))]):
+        if size:
+            p = tuple(float(v) for v in rng.choice([0.5, 1.0, 1.5], size))
+            blocks.append(BlockSpec(p, float(rng.choice([0.5, 1.0, 2.0, 3.0]))))
+    return DomainSpec(blocks=tuple(blocks))
+
+
+# random domains, most of whose terms are tabulated, and two whose block or
+# total-weight terms are evaluated per row: unequal p in a block, and three
+# groups of equal p a
+KEYED_DOMAINS = [_random_keyed_domain(seed) for seed in range(6)] + [
+    DomainSpec(blocks=(BlockSpec((2.0, 1.0), 0.8), BlockSpec((1.0,), 1.0))),
+    DomainSpec(blocks=(BlockSpec((1.5,), 2.0), BlockSpec((1.0,), 1.3), BlockSpec((0.6, 0.6), 1.0))),
+]
+
+
+class TestKeyedKernel:
+    """The kernel evaluates each Gamma term once per distinct integer key of
+    the rows it is given; a row's eigenvalue must not depend on them."""
+
+    @pytest.mark.parametrize(
+        "dom", KEYED_DOMAINS,
+        ids=[f"random-{seed}" for seed in range(6)] + ["unequal-p-in-block", "three-pa-groups"],
+    )
+    def test_shell_and_batch_calls_match_single_rows_bitwise(self, dom):
+        rng = np.random.default_rng(1)
+        shells = [shell_indices(dom.dimension, n) for n in range(0, 15)]
+        batch = np.concatenate(shells)
+        for kind in all_kinds(dom):
+            whole = eigenvalue_bulk(dom, kind, batch)
+            per_shell = np.concatenate([eigenvalue_bulk(dom, kind, rows) for rows in shells])
+            assert np.array_equal(whole, per_shell), kind
+            for i in rng.choice(batch.shape[0], 40, replace=False):
+                assert eigenvalue_bulk(dom, kind, batch[i]) == whole[i], (kind, batch[i])
+
+    @pytest.mark.parametrize(
+        "kind", [SelfAdjoint(0, 0), CrossWithin(0, 0, 1), CrossBetween(0, 0, 1, 0)],
+        ids=["crit4-self", "crit5-within", "crit4-between"],
+    )
+    def test_gamma_work_per_shell(self, monkeypatch, kind):
+        # a shell of degree n in d = 3 has ~n^2/2 rows but O(n) distinct keys
+        dom = CRIT5 if isinstance(kind, CrossWithin) else CRIT4
+        rows = shell_indices(3, 200)
+        elements = []
+        for name in ("log_gamma_ratio", "log_gamma_second_difference"):
+            routine = getattr(gammakit, name)
+
+            def counted(x, *args, routine=routine):
+                elements.append(np.size(x))
+                return routine(x, *args)
+
+            monkeypatch.setattr(gammakit, name, counted)
+        eigenvalue_bulk(dom, kind, rows)
+        assert 0 < sum(elements) <= rows.shape[0] // 8
+
 
 def _mp_log_norm(dom, idx):
     """ln ||z^idx||^2 at 50 digits, up to the constant d ln(pi), from the
@@ -145,6 +230,7 @@ def _mp_eigenvalue(dom, r, l, idx):
 
 CRIT4 = DomainSpec(blocks=(BlockSpec((1.0,), 2.0), BlockSpec((1.0,), 1.0), BlockSpec((1.0,), 1.0)))
 CRIT5 = DomainSpec(blocks=(BlockSpec((1.0, 1.0), 4.0), BlockSpec((1.0,), 1.0)))
+FRACTIONAL = DomainSpec(blocks=(BlockSpec((1 / 3, 1 / 3), 2.5), BlockSpec((0.7,), 1.0)))
 
 
 class TestHighPrecisionOracle:
@@ -167,6 +253,30 @@ class TestHighPrecisionOracle:
             ref = _mp_eigenvalue(dom, *columns, idx)
             got = eigenvalue(dom, kind, list(idx))
             assert float(abs((got - ref) / ref)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "kind, columns",
+        [
+            (SelfAdjoint(0, 0), (0, None)),
+            (CrossWithin(0, 0, 1), (0, 1)),
+            (CrossBetween(0, 0, 1, 0), (0, 2)),
+        ],
+        ids=["self", "within", "between"],
+    )
+    def test_tabulated_shell_against_mpmath(self, kind, columns):
+        # non-integer p and p a: the tables' weights (D + m)/p are rounded
+        # apart from the entries' (i + 1)/p
+        mpmath = pytest.importorskip("mpmath")
+        rows = shell_indices(FRACTIONAL.dimension, 120)
+        values = eigenvalue_bulk(FRACTIONAL, kind, rows)
+        with mpmath.workdps(50):
+            for i in (0, 1, 119, 120, 2500, 5000, 7259, rows.shape[0] - 2, rows.shape[0] - 1):
+                idx = [int(v) for v in rows[i]]
+                if columns[1] is not None and idx[columns[1]] == 0:
+                    assert values[i] == 0.0, idx
+                    continue
+                ref = _mp_eigenvalue(FRACTIONAL, *columns, idx)
+                assert float(abs((values[i] - ref) / ref)) <= 1e-10, idx
 
 
 class TestAsymptotics:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +162,13 @@ class TestGeneralNorms:
             ([0, 3, 11, 1], [11, 3, 0, 1]),
         ]:
             assert log_norm(dom, idx) == log_norm(perm, swapped)
+
+    def test_small_normal_outer_power_is_rejected(self):
+        # s/a ~ 4.5e307 overflows ln Gamma: a ValidationError, not a warning
+        # (which the test configuration turns into an error) or a NaN
+        dom = DomainSpec(blocks=(BlockSpec((1.0,), sys.float_info.min), BlockSpec((1.0,), 1.0)))
+        with pytest.raises(ValidationError):
+            log_norm(dom, [0, 0])
 
     def test_bulk_matches_scalar(self):
         dom = DomainSpec(blocks=(BlockSpec((1.5, 0.7), 2.0), BlockSpec((1.0,), 1.0)))

@@ -57,6 +57,20 @@ class TestLogGamma:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert log_gamma(x).shape == (2, 2)
 
+    def test_long_arrays_match_scalar_calls(self):
+        # thousands of arguments below 16, so the upward recurrence runs in
+        # several passes; an element's result must not depend on the others
+        x = np.random.default_rng(9).uniform(1e-3, 20.0, 6000)
+        routines = (
+            log_gamma,
+            lambda v: log_gamma_ratio(v, 1 / 3, 0.0),
+            lambda v: log_gamma_second_difference(v, 0.25, 1.7),
+        )
+        for fn in routines:
+            whole = fn(x)
+            for i in range(0, x.size, 97):
+                assert fn(float(x[i])) == whole[i]
+
 
 class TestLogGammaRatio:
     def test_matches_direct_difference_at_moderate_x(self):
