@@ -330,7 +330,9 @@ def _log_norm_mixed(dom: DomainSpec, keyed: _Keyed, r: int, l: int) -> np.ndarra
     hr, hl = 1.0 / pr, 1.0 / pl
     ur, ul = hr / br.a, hl / bl.a
     several = len(dom.blocks) > 1
-    out = keyed.total(lambda t: -np.log1p(-(ur * ul) / ((t + ur) * (t + ul))))
+    # two factors in [0, 1): their product neither overflows for a tiny
+    # outer power nor turns 0/0 for a huge one
+    out = keyed.total(lambda t: -np.log1p(-(ur / (t + ur)) * (ul / (t + ul))))
     if kr == kl and br.size > 1:
         if r == l:
             out += keyed.entry(

@@ -3,6 +3,9 @@
 Shells are the natural unit of the tail analysis (the series under study
 are organized by total degree), so enumeration is by shell, vectorized,
 and deterministic: rows are produced in lexicographic order.
+``shell_indices`` builds a shell of any dimension from its two-column
+form by splitting the last entry of every row, one ``np.repeat`` per
+column and split, with no Python loop over entries.
 
 ``shell_batches`` is the one walk over a range of shells: it groups
 consecutive shells into runs of about ``BATCH_ROWS`` rows (a larger shell
@@ -54,21 +57,19 @@ def shell_indices(d: int, n: int) -> np.ndarray:
         raise ValidationError("total degree must be >= 0")
     if d == 1:
         return np.array([[n]], dtype=np.int32)
-    if d == 2:
-        c0 = np.arange(n + 1, dtype=np.int32)
-        return np.column_stack([c0, n - c0])
-    if d == 3:
-        sizes = np.arange(n + 1, 0, -1, dtype=np.int64)
-        c0 = np.repeat(np.arange(n + 1, dtype=np.int32), sizes)
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        c1 = (np.arange(sizes.sum(), dtype=np.int64) - starts[c0]).astype(np.int32)
-        return np.column_stack([c0, c1, (n - c0 - c1).astype(np.int32)])
-    parts = []
-    for j in range(n + 1):
-        rest = shell_indices(d - 1, n - j)
-        head = np.full((rest.shape[0], 1), j, dtype=np.int32)
-        parts.append(np.hstack([head, rest]))
-    return np.vstack(parts)
+    cols = [np.arange(n + 1, dtype=np.int32)]
+    last = n - cols[0]
+    for _ in range(d - 2):
+        # split the last entry L of every row into (x, L - x), x = 0..L:
+        # rows stay in lexicographic order
+        counts = last + 1
+        starts = np.cumsum(counts, dtype=np.int64) - counts
+        x = (np.arange(starts[-1] + counts[-1]) - np.repeat(starts, counts)).astype(np.int32)
+        cols = [np.repeat(c, counts) for c in cols]
+        cols.append(x)
+        last = np.repeat(last, counts) - x
+    cols.append(last)
+    return np.column_stack(cols)
 
 
 def shell_batches(d: int, shells: range):

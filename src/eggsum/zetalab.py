@@ -22,6 +22,13 @@ lattice over ``lattice.shell_batches`` -- and classifies the tail with
 the same slope fit and margin band as the commutator shell sums.  Shell
 sums of the enumeration and the total are numpy's pairwise sums
 (``reduction.pairwise_sum``).
+
+Every power the series takes has an integer base in 0..N, so each comes
+from a table ``_power_seq(e, N)`` built once per exponent: the
+convolution path convolves the tables, its abs factor |n - 2t|^a is a
+stride -2 view of one mirrored table, and the enumeration gathers from
+the tables by integer index.  A power or shell sum past double range is a
+``ValidationError``.
 """
 
 from __future__ import annotations
@@ -302,10 +309,18 @@ class ZetaReport:
 
 
 def _power_seq(exponent: float, N: int) -> np.ndarray:
-    """[0, 1^e, 2^e, ..., N^e] -- weight of one positive variable by value."""
+    """[0, 1^e, 2^e, ..., N^e] -- weight of one positive variable by value.
+
+    The 0 at base 0 drops a term for any sign of e.  A power that overflows
+    is a ValidationError (one that underflows is 0).
+    """
     out = np.zeros(N + 1, dtype=np.float64)
-    t = np.arange(1, N + 1, dtype=np.float64)
-    out[1:] = t**exponent
+    with np.errstate(over="ignore"):
+        out[1:] = np.arange(1, N + 1, dtype=np.float64) ** exponent
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(
+            f"the power {N}^{exponent!r} of a series term overflows double range"
+        )
     return out
 
 
@@ -365,13 +380,13 @@ def _numerator_by_shell_conv(spec: ZetaSeriesSpec, N: int) -> np.ndarray | None:
     else:
         u = np.zeros(N + 1)
         u[0] = 1.0
+    w = _power_seq(a_abs, N)
+    # mirrored: mirror[N + k] = |k|^a for k = -N..N
+    mirror = np.concatenate([w[:0:-1], w])
     out = np.zeros(N + 1, dtype=np.float64)
     for n in range(1, N + 1):
-        ts = np.arange(1, n + 1, dtype=np.float64)
-        base = np.abs(n - 2.0 * ts)
-        fac = np.zeros_like(base)
-        nz = base > 0.0
-        fac[nz] = base[nz] ** a_abs
+        # |n - 2t| for t = 1..n, a stride -2 view of the mirrored table
+        fac = mirror[N - n : N + n - 1 : 2][::-1]
         out[n] = float(np.dot(v_seq[1 : n + 1] * fac, u[n - 1 :: -1][:n]))
     return out
 
@@ -389,19 +404,22 @@ def _numerator_by_shell_enum(spec: ZetaSeriesSpec, N: int, term_cap: int) -> np.
         raise ResourceCapError(
             f"enumerating {total_terms} lattice terms exceeds the cap of {term_cap}"
         )
-    powers = np.asarray(spec.powers)
+    # tables up to the largest base each factor reaches: one variable is at
+    # most N - m + 1, a group of k variables sums to at most N - m + k
+    top = N - m + 1
+    var_tables = [_power_seq(e, top) for e in spec.powers]
+    group_tables = [(g.vars, _power_seq(g.a, top + len(g.vars) - 1)) for g in spec.groups]
+    abs_table = None if spec.abs_factor is None else _power_seq(spec.abs_factor.a, N)
     out = np.zeros(N + 1, dtype=np.float64)
     for first, offsets, rows in shell_batches(m, shells):
-        rows = rows + 1.0
-        vals = np.prod(rows**powers, axis=1)
-        for g in spec.groups:
-            vals *= np.sum(rows[:, list(g.vars)], axis=1) ** g.a
-        if spec.abs_factor is not None:
-            base = np.abs(rows.sum(axis=1) - 2.0 * rows[:, spec.abs_factor.neg])
-            fac = np.zeros_like(base)
-            nz = base > 0.0
-            fac[nz] = base[nz] ** spec.abs_factor.a
-            vals *= fac
+        rows = rows + 1
+        vals = var_tables[0][rows[:, 0]]
+        for j in range(1, m):
+            vals *= var_tables[j][rows[:, j]]
+        for members, table in group_tables:
+            vals *= table[rows[:, list(members)].sum(axis=1)]
+        if abs_table is not None:
+            vals *= abs_table[np.abs(rows.sum(axis=1) - 2 * rows[:, spec.abs_factor.neg])]
         out[first + m : first + m + offsets.size] = pairwise_sum(vals, offsets)
     return out
 
@@ -425,15 +443,19 @@ def brute_shell_sums(
         raise ResourceCapError(
             f"N={N} exceeds the configured shell cap {max_shells}; raise max_shells to proceed"
         )
-    numer = _numerator_by_shell_conv(spec, N)
-    method = "convolution"
-    if numer is None:
-        numer = _numerator_by_shell_enum(spec, N, term_cap)
-        method = "enumeration"
-    sums = np.zeros(N + 1, dtype=np.float64)
-    ns = np.arange(1, N + 1, dtype=np.float64)
-    # n^-b underflows where n^b would overflow
-    sums[1:] = numer[1:] * ns**-spec.b
+    # a product or sum past double range is inf (or inf * 0 = NaN) here and
+    # a ValidationError below, never a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        numer = _numerator_by_shell_conv(spec, N)
+        method = "convolution"
+        if numer is None:
+            numer = _numerator_by_shell_enum(spec, N, term_cap)
+            method = "enumeration"
+        sums = np.zeros(N + 1, dtype=np.float64)
+        # n^-b underflows where n^b would overflow
+        sums[1:] = numer[1:] * _power_seq(-spec.b, N)[1:]
+    if not np.all(np.isfinite(sums)):
+        raise ValidationError("a shell sum of the series overflows double range")
     slope, stderr = fit_tail_slope(sums, window)
     match = family_of(spec)
     return ZetaReport(

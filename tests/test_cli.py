@@ -83,6 +83,18 @@ class TestEig:
         assert run(argv + ["--cap", "857"]) == 3
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("a", ["1e-300", "1e-200", "1e300"])
+    def test_one_block_extreme_outer_power(self, capsys, a):
+        # a one-block egg is the same set for every outer power: the table
+        # is the ball's
+        def eigs(domain, kind):
+            argv = ["eig", "--domain", domain, "--kind", kind, "--degree-max", "3"]
+            return [r["eigenvalue"] for r in run_json(capsys, argv)["results"]["rows"]]
+
+        for kind in ("self:0:0", "within:0:0:1"):
+            got = eigs(BALL.replace('"a":1.0', f'"a":{a}'), kind)
+            assert got == pytest.approx(eigs(BALL, kind), rel=1e-14, abs=0.0)
+
 
 class TestShells:
     def test_disk_report(self, capsys):
@@ -207,19 +219,25 @@ class TestErrorsAndReplay:
             ["eig", "--domain", '{"blocks":[{"p":[1e200,1],"a":2}]}', "--degree-max", "2"],
             ["eig", "--domain", '{"blocks":[{"p":[1e-300],"a":1},{"p":[1],"a":1}]}',
              "--degree-max", "2"],
-            ["eig", "--domain", '{"blocks":[{"p":[1,1],"a":1e-300}]}', "--degree-max", "2"],
+            ["zeta", "--spec", '{"m":2,"powers":[400,0],"b":1}', "--N", "200"],
+            ["zeta", "--spec",
+             '{"m":3,"powers":[0,0,0],"groups":[{"vars":[0,1],"a":400},{"vars":[1,2],"a":1}],'
+             '"b":3}', "--N", "200"],
         ],
         ids=["blocks-not-a-list", "p-not-numeric", "p-infinite", "zeta-vars-not-integer",
              "index-not-numeric", "index-not-a-list", "schatten-p-infinite", "tol-infinite",
              "workers-negative", "shells-fit-underflow", "zeta-fit-underflow",
-             "norm-overflow", "eig-huge-p", "eig-tiny-p", "eig-tiny-a"],
+             "norm-overflow", "eig-huge-p", "eig-tiny-p", "zeta-power-overflow",
+             "zeta-group-power-overflow"],
     )
     def test_malformed_values_exit_2(self, capsys, argv):
         code = run(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
+        # the one error line and nothing else: no numpy warning before it
         assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1, captured.err
 
     def test_bad_kind_selector(self, capsys):
         code = run(["eig", "--domain", DISK, "--kind", "sideways:0:0"])

@@ -1,8 +1,10 @@
 """Property test of the CLI's input handling: whatever JSON arrives as a
-domain or an index, and whatever kind selector and Schatten exponent,
-``eggsum norm``, ``module-threshold``, ``eig`` and ``shells`` end with exit
-0, 2 or 3, raise nothing out of ``run``, and a successful report holds no
-null or NaN among its results."""
+domain, an index or a zeta spec, and whatever kind selector, Schatten
+exponent and bracket, ``eggsum norm``, ``module-threshold``, ``eig``,
+``shells``, ``threshold`` and ``zeta`` end with exit 0, 2 or 3, raise nothing
+out of ``run`` (numpy warnings included, which the test configuration turns
+into errors), and a successful report holds no null or NaN among its
+results."""
 
 import contextlib
 import io
@@ -51,6 +53,22 @@ EGG = st.fixed_dictionaries(
             max_size=2,
         )
     }
+)
+# zeta specs of 1 to 5 variables whose exponents are edge values, with
+# group and abs factors that may or may not fit the variables
+ZETA = st.integers(1, 5).flatmap(
+    lambda m: st.fixed_dictionaries(
+        {"m": st.just(m), "powers": st.lists(NUMBERS, min_size=m, max_size=m), "b": NUMBERS},
+        optional={
+            "groups": st.lists(
+                st.fixed_dictionaries(
+                    {"vars": st.lists(st.integers(0, m), min_size=1, max_size=3), "a": NUMBERS}
+                ),
+                max_size=2,
+            ),
+            "abs": st.none() | st.fixed_dictionaries({"neg": st.integers(0, m), "a": NUMBERS}),
+        },
+    )
 )
 KIND = st.sampled_from(["self:0:0", "self:1:0", "within:0:0:1", "between:0:0:1:0"]) | st.text(
     max_size=8
@@ -114,3 +132,18 @@ def test_eig_any_json(domain, kind, low, width):
 def test_shells_any_json(domain, kind, N, p):
     _check(["shells", f"--domain={json.dumps(domain)}", f"--kind={kind}", f"--p={p}",
             f"--N={N}"])
+
+
+@settings(SETTINGS, max_examples=150)
+@given(spec=ZETA | JSON, N=st.integers(16, 60))
+def test_zeta_any_json(spec, N):
+    _check(["zeta", f"--spec={json.dumps(spec)}", f"--N={N}"])
+
+
+@settings(SETTINGS, max_examples=150)
+@given(domain=DOMAIN | EGG, kind=KIND, N=st.integers(16, 40), lo=st.none() | NUMBERS,
+       hi=st.none() | NUMBERS)
+def test_threshold_any_json(domain, kind, N, lo, hi):
+    # an absent bracket end takes the default around the predicted cut-off
+    ends = [f"--p-{name}={v}" for name, v in (("lo", lo), ("hi", hi)) if v is not None]
+    _check(["threshold", f"--domain={json.dumps(domain)}", f"--kind={kind}", f"--N={N}", *ends])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ RANGES = {
     2: [range(0, 400), range(150, 330)],
     3: [range(0, 200), range(170, 185)],
     4: [range(0, 45), range(30, 41)],
+    5: [range(0, 25), range(18, 24)],
 }
 CASES = [(d, shells) for d, ranges in RANGES.items() for shells in ranges]
 
@@ -36,6 +39,17 @@ def test_batches_concatenate_to_shell_indices(d, shells):
     assert n == shells.stop
     want = np.concatenate([shell_indices(d, k) for k in shells])
     assert np.array_equal(np.concatenate(got), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_shell_indices_against_brute_force(d):
+    for n in range(11):
+        # the d-tuples of 0..n in lexicographic order, filtered by their sum
+        want = [row for row in itertools.product(range(n + 1), repeat=d) if sum(row) == n]
+        got = shell_indices(d, n)
+        assert got.dtype == np.int32
+        assert got.shape == (shell_count(d, n), d)
+        assert [tuple(row) for row in got.tolist()] == want, (d, n)
 
 
 def test_batches_of_an_empty_range():

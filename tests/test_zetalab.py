@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -189,6 +190,32 @@ class TestBruteForce:
         enum = _numerator_by_shell_enum(spec, N, 10**7)
         assert conv is not None
         np.testing.assert_allclose(conv, enum, rtol=1e-12)
+
+    def test_abs_factor_path_matches_fsum(self):
+        # triple-abs at N = 80: each shell n is the fsum over the compositions
+        # of n into four positive parts, listed by their three cut points
+        N = 80
+        convs = {}
+        for a_abs in (0.25, 1.5, -0.5):
+            spec = ZetaSeriesSpec(
+                m=4,
+                powers=(0.5, -0.25, 1.0, 0.75),
+                groups=(GroupFactor((0, 1, 2), 0.5),),
+                abs_factor=AbsFactor(neg=3, a=a_abs),
+            )
+            convs[a_abs] = _numerator_by_shell_conv(spec, N)
+            assert np.all(convs[a_abs][:4] == 0.0)
+        for n in range(4, N + 1):
+            cuts = np.array(list(itertools.combinations(range(1, n), 3)))
+            i = np.diff(cuts, prepend=0, append=n).astype(np.float64)
+            rest = (i[:, 0] ** 0.5 * i[:, 1] ** -0.25 * i[:, 2] * i[:, 3] ** 0.75
+                    * (i[:, 0] + i[:, 1] + i[:, 2]) ** 0.5)
+            base = np.abs(n - 2.0 * i[:, 3])
+            # a zero base drops the term for any sign of the exponent
+            rest, base = rest[base > 0.0], base[base > 0.0]
+            for a_abs, conv in convs.items():
+                want = math.fsum((rest * base**a_abs).tolist())
+                assert abs(conv[n] - want) <= 1e-13 * want, (a_abs, n)
 
     def test_enumeration_sums_match_fsum(self):
         # shells 3..200 of three variables: many shells per batch at first,
