@@ -30,7 +30,7 @@ import numpy as np
 from . import commutator, gammakit, summability, zetalab
 from .domain import DomainSpec, log_norm, mc_norm_oracle
 from .errors import ResourceCapError, ValidationError, positive_integer
-from .lattice import range_count, shell_batches
+from .lattice import range_count, shell_batches, singletons
 from .summability import (
     DEFAULT_MARGIN,
     DEFAULT_TOL,
@@ -159,7 +159,7 @@ def _cmd_eig(params: dict) -> dict:
             f"eigenvalue table would have more than {cap} rows; raise --cap"
         )
     rows = []
-    for _, _, idx in shell_batches(dom.dimension, shells):
+    for _, _, idx, _ in shell_batches(singletons(dom.dimension), shells):
         vals = commutator.eigenvalue_bulk(dom, kind, idx)
         for n, r, v in zip(idx.sum(axis=1).tolist(), idx.tolist(), vals.tolist()):
             rows.append({"degree": n, "index": r, "eigenvalue": v})
@@ -201,6 +201,7 @@ def _cmd_shells(params: dict) -> dict:
         "slope_stderr": rep.slope_stderr,
         "verdict": rep.verdict.value,
         "total": rep.total,
+        "evaluations": summability.evaluation_count(dom, kind, range(N + 1)),
     }
     return _report("shells", params, results)
 
@@ -230,6 +231,9 @@ def _cmd_threshold(params: dict) -> dict:
         "abs_difference": abs(predicted - empirical),
         "agreement_tol": agreement_tol,
         "agrees": abs(predicted - empirical) <= agreement_tol,
+        "evaluations": summability.evaluation_count(
+            dom, kind, summability.tail_shells(N, params["window"])
+        ),
     }
     return _report("threshold", params, results)
 

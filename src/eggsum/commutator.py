@@ -67,6 +67,7 @@ __all__ = [
     "validate_kind",
     "eigenvalue",
     "eigenvalue_bulk",
+    "column_partition",
     "asymptotic_eigenvalue",
 ]
 
@@ -146,6 +147,37 @@ def _coordinate(dom: DomainSpec, col: int) -> tuple[int, float]:
         if col < pos + blk.size:
             return k, blk.p[col - pos]
         pos += blk.size
+
+
+def column_partition(dom: DomainSpec, kind: CommutatorKind) -> list[list[int]]:
+    """The flat columns of ``dom`` in groups that the kernel of ``kind``
+    cannot tell apart, in order of their first column.
+
+    The kernel reads a row only through its raised and lowered entries,
+    the run sums of equal p of the kind's block or blocks and the group
+    sums of equal p a (``_Keyed``), so moving degree between two columns
+    of one group leaves the eigenvalue bit for bit as it is.  The raised
+    and lowered columns stay alone; the other columns of the kind's blocks
+    group by block and equal p, the rest by equal p a, with ``_Keyed``'s
+    float keys.
+    """
+    r_col, l_col = _columns(dom, kind)
+    alone = {r_col, r_col if l_col is None else l_col}
+    kind_blocks = {_coordinate(dom, col)[0] for col in alone}
+    groups: dict[tuple, list[int]] = {}
+    pos = 0
+    for k, blk in enumerate(dom.blocks):
+        for j, p in enumerate(blk.p):
+            col = pos + j
+            if col in alone:
+                key = ("alone", col)
+            elif k in kind_blocks:
+                key = ("block", k, p)
+            else:
+                key = ("outer", p * blk.a)
+            groups.setdefault(key, []).append(col)
+        pos += blk.size
+    return list(groups.values())
 
 
 class _KeyTable:

@@ -10,20 +10,24 @@ column and split, with no Python loop over entries.
 ``shell_batches`` is the one walk over a range of shells: it groups
 consecutive shells into runs of about ``BATCH_ROWS`` rows (a larger shell
 is a run of its own), so a caller evaluates and sums a whole run with a
-few numpy calls instead of a few per shell.  Row counts of a range come
-from the closed form ``cumulative_count``.
+few numpy calls instead of a few per shell.  Given a partition of the
+columns into groups, it yields one representative row per class of rows
+that differ only inside groups, with the class's size as an exact float
+multiplicity; given every column alone, it yields every row.  Row counts
+of a range come from the closed form ``cumulative_count``, class counts
+from the same form in one variable per group.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from .errors import ValidationError
 
 __all__ = ["BATCH_ROWS", "shell_count", "cumulative_count", "range_count", "shell_indices",
-           "shell_batches"]
+           "singletons", "shell_batches"]
 
 # enough rows to amortise the per-call cost of the numpy kernels, few
 # enough that a run's temporaries stay small (2^16-row runs raised the
@@ -72,27 +76,92 @@ def shell_indices(d: int, n: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def shell_batches(d: int, shells: range):
-    """Yield (first shell, shell offsets, rows) for runs of consecutive shells.
+def singletons(d: int) -> list[list[int]]:
+    """The partition of d columns with every column alone: ``shell_batches``
+    then yields every row."""
+    return [[col] for col in range(d)]
 
-    ``rows`` are the run's multi-indices in shell order, each shell as
-    ``shell_indices`` gives it, and ``offsets`` the start of each shell
-    inside them, so ``first + k`` is the shell starting at ``offsets[k]``.
-    A run holds at most ``BATCH_ROWS`` rows unless it is a single shell.
+
+def _max_multiplicity(sizes: list[int], n: int) -> int:
+    """The largest class multiplicity on shell n for merged groups of the
+    given sizes (at least one): degree placed one unit at a time on the
+    group whose count it multiplies most, (t + m)/(t + 1).  The log of each
+    count is concave in its degree, so this greedy placement reaches the
+    maximum."""
+    degrees = [0] * len(sizes)
+    for _ in range(n):
+        g = max(range(len(sizes)), key=lambda g: (degrees[g] + sizes[g]) / (degrees[g] + 1))
+        degrees[g] += 1
+    return prod(comb(t + m - 1, m - 1) for t, m in zip(degrees, sizes))
+
+
+def shell_batches(groups, shells: range):
+    """Yield (first shell, shell offsets, rows, mult) for runs of
+    consecutive shells, one row per class of rows.
+
+    ``groups`` partitions the columns 0..d-1 into lists, in order of their
+    first column.  The walk enumerates the shells in one variable per group
+    and puts a group's degree t on its first column: that row stands for
+    the C(t+m-1, m-1) rows (stars and bars) that spread t over the group's
+    m columns, and ``mult`` is the product of those counts over the groups,
+    float64 and exact.  Where every group is a single column, ``mult`` is
+    None and the rows are the shells' rows as ``shell_indices`` gives them.
+    ``offsets`` are the start of each shell inside ``rows``, so
+    ``first + k`` is the shell starting at ``offsets[k]``.  A run holds at
+    most ``BATCH_ROWS`` rows unless it is a single shell.
+
+    Raises ValidationError, before the first run, when a multiplicity in
+    the range reaches 2^53 and would no longer be exact (the largest one
+    lies on the last shell).
     """
-    if d == 1:
-        for lo in range(shells.start, shells.stop, BATCH_ROWS):
-            hi = min(lo + BATCH_ROWS, shells.stop)
-            yield lo, np.arange(hi - lo), np.arange(lo, hi, dtype=np.int32)[:, np.newaxis]
-        return
+    sizes = [len(group) for group in groups]
+    firsts = [group[0] for group in groups]
+    d, dim = sum(sizes), len(groups)
+    merged = [(g, m) for g, m in enumerate(sizes) if m > 1]
+    if merged and shells.stop > shells.start:
+        n_max = shells.stop - 1
+        if _max_multiplicity([m for _, m in merged], n_max) >= 2**53:
+            raise ValidationError(
+                f"a class of shell {n_max} stands for 2^53 rows or more, beyond exact "
+                "multiplicities; lower N"
+            )
+        counts = {
+            m: np.array([comb(t + m - 1, m - 1) for t in range(n_max + 1)], dtype=np.float64)
+            for _, m in merged
+        }
     first = shells.start
     while first < shells.stop:
-        stop = first + 1
-        while stop < shells.stop and range_count(d, range(first, stop + 1)) <= BATCH_ROWS:
-            stop += 1
-        parts = [shell_indices(d, n) for n in range(first, stop)]
-        offsets = np.cumsum([0] + [part.shape[0] for part in parts[:-1]])
-        # pop a lone shell: the walk keeps no reference to a yielded run, so
-        # the caller can free it as soon as it is done with it
-        yield first, offsets, np.concatenate(parts) if len(parts) > 1 else parts.pop()
+        if dim == 1:
+            stop = min(first + BATCH_ROWS, shells.stop)
+            parts = [np.arange(first, stop, dtype=np.int32)[:, np.newaxis]]
+            offsets = np.arange(stop - first)
+        else:
+            stop = first + 1
+            while stop < shells.stop and range_count(dim, range(first, stop + 1)) <= BATCH_ROWS:
+                stop += 1
+            parts = [shell_indices(dim, n) for n in range(first, stop)]
+            offsets = np.cumsum([0] + [part.shape[0] for part in parts[:-1]])
+        # pop a lone part and name no run: the walk keeps no reference to a
+        # yielded run, so the caller can free it as soon as it is done with it
+        if merged:
+            yield (first, offsets, *_representatives(_joined(parts), firsts, d, merged, counts))
+        else:
+            yield first, offsets, _joined(parts), None
         first = stop
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if len(parts) > 1 else parts.pop()
+
+
+def _representatives(classes, firsts, d, merged, counts) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, mult) of a run of classes: each group's degree on its first
+    column, and the product over the merged groups (index, size) of their
+    counts C(t+m-1, m-1), looked up by degree in ``counts[m]``."""
+    rows = np.zeros((classes.shape[0], d), dtype=np.int32)
+    rows[:, firsts] = classes
+    (g, m), *rest = merged
+    mult = counts[m][classes[:, g]]
+    for g, m in rest:
+        mult *= counts[m][classes[:, g]]
+    return rows, mult

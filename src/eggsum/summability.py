@@ -14,10 +14,14 @@ magnitudes for every probe.
 
 Magnitudes are computed over ``lattice.shell_batches``, runs of
 consecutive shells of about 2^14 rows, with one ``eigenvalue_bulk`` call
-per run; every T_n of a run then comes from one ``np.power`` over the run
-and one segmented pairwise sum (``reduction.pairwise_sum``) over its shell
-offsets.  ``shell_sums`` streams the runs; the bisection keeps the
-window's runs for all of its probes.
+per run.  The walk takes ``commutator.column_partition`` of the kind, so a
+run holds one row per class of rows that the kernel cannot tell apart,
+with the class's multiplicity; every T_n of a run then comes from one
+``np.power`` over the run, one product with the multiplicities (none
+where no columns merge) and one segmented pairwise sum
+(``reduction.pairwise_sum``) over its shell offsets.  An evaluation is one
+class, and the cap counts evaluations.  ``shell_sums`` streams the runs;
+the bisection keeps the window's runs for all of its probes.
 
 ``predicted_threshold`` and ``module_threshold`` evaluate the closed-form
 cut-offs; both are built from the same term helpers so the module value
@@ -38,11 +42,12 @@ from .commutator import (
     CrossWithin,
     SelfAdjoint,
     all_kinds,
+    column_partition,
     eigenvalue_bulk,
     validate_kind,
 )
 from .domain import DomainSpec
-from .errors import BracketError, ResourceCapError, ValidationError, finite_real
+from .errors import BracketError, ResourceCapError, ValidationError, finite_real, integer
 from .lattice import range_count, shell_batches
 from .reduction import pairwise_sum
 
@@ -55,6 +60,8 @@ __all__ = [
     "DEFAULT_CAP",
     "DEFAULT_SHELLS",
     "default_shells",
+    "evaluation_count",
+    "tail_shells",
     "shell_sums",
     "tail_slope",
     "classify",
@@ -123,30 +130,49 @@ def _resolve_cap(dom: DomainSpec, cap: int | None) -> int:
     return cap
 
 
-def _check_budget(dom: DomainSpec, shells: range, cap: int) -> int:
-    total = range_count(dom.dimension, shells)
+def evaluation_count(dom: DomainSpec, kind: CommutatorKind, shells: range) -> int:
+    """Eigenvalues evaluated for the shells ``shells``: one per class of
+    rows, the rows of a shell in one variable per group of
+    ``column_partition``."""
+    return range_count(len(column_partition(dom, kind)), shells)
+
+
+def _check_budget(dom: DomainSpec, kind: CommutatorKind, shells: range, cap: int) -> None:
+    total = evaluation_count(dom, kind, shells)
     if total > cap:
         raise ResourceCapError(
             f"shell sums would evaluate {total} eigenvalues, above the cap of {cap}; "
             "raise cap= explicitly to proceed"
         )
-    return total
 
 
 def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, shells: range):
     """Yield (first shell, shell offsets, |eigenvalue| array) per run of
-    ``lattice.shell_batches``.  The eigenvalue of a row does not depend on
-    the rows evaluated with it, so every magnitude is bit for bit what a
-    per-shell call gives."""
-    for first, offsets, rows in shell_batches(dom.dimension, shells):
-        yield first, offsets, np.abs(eigenvalue_bulk(dom, kind, rows))
+    ``lattice.shell_batches`` over the kind's classes, followed by the
+    run's multiplicities where columns merge.  The eigenvalue of a row does
+    not depend on the rows evaluated with it, so every magnitude is bit for
+    bit what a per-shell call gives."""
+    for first, offsets, rows, mult in shell_batches(column_partition(dom, kind), shells):
+        mags = np.abs(eigenvalue_bulk(dom, kind, rows))
+        yield (first, offsets, mags) if mult is None else (first, offsets, mags, mult)
 
 
 def _power_sums(batch, p: float, out: np.ndarray) -> None:
     """Write T_n for the shells of one batch into ``out[n]``: one power over
-    the batch and one segmented sum, pairwise within each shell."""
-    first, offsets, mags = batch
-    out[first : first + offsets.size] = pairwise_sum(np.power(mags, p), offsets)
+    the batch, times the multiplicities if it has them, and one segmented
+    sum, pairwise within each shell."""
+    first, offsets, mags, *mult = batch
+    terms = np.power(mags, p)
+    if mult:
+        terms *= mult[0]
+    out[first : first + offsets.size] = pairwise_sum(terms, offsets)
+
+
+def _checked_N(N) -> int:
+    N = integer(N, "N")
+    if N < 16:
+        raise ValidationError("N must be at least 16")
+    return N
 
 
 def shell_sums(
@@ -165,11 +191,8 @@ def shell_sums(
     p = finite_real(p, "Schatten exponent p")
     if not p > 0.0:
         raise ValidationError("Schatten exponent p must be positive")
-    N = int(N)
-    if N < 16:
-        raise ValidationError("N must be at least 16")
-    cap_val = _resolve_cap(dom, cap)
-    _check_budget(dom, range(N + 1), cap_val)
+    N = _checked_N(N)
+    _check_budget(dom, kind, range(N + 1), _resolve_cap(dom, cap))
     sums = np.empty(N + 1, dtype=np.float64)
     for batch in _magnitude_batches(dom, kind, range(N + 1)):
         _power_sums(batch, p, sums)
@@ -188,6 +211,12 @@ def _window_start(N: int, window_fraction: float) -> int:
     if not 0.0 < window_fraction < 1.0:
         raise ValidationError("window_fraction must lie in (0, 1)")
     return max(1, math.ceil((1.0 - window_fraction) * N))
+
+
+def tail_shells(N: int, window_fraction: float) -> range:
+    """The shells of the trailing window of T_0..T_N: the ones the
+    bisection evaluates."""
+    return range(_window_start(N, window_fraction), N + 1)
 
 
 def fit_tail_slope(sums: np.ndarray, window_fraction: float) -> tuple[float, float]:
@@ -272,14 +301,14 @@ def shell_report(
 
 
 class _MagnitudeCache:
-    """Eigenvalue magnitude batches of the window shells, kept for every
-    p probe."""
+    """Class magnitude batches of the window shells, with their
+    multiplicities, kept for every p probe."""
 
     def __init__(self, dom, kind, N, window, cap):
         self.N = N
         self.window = window
-        shells = range(_window_start(N, window), N + 1)
-        _check_budget(dom, shells, _resolve_cap(dom, cap))
+        shells = tail_shells(N, window)
+        _check_budget(dom, kind, shells, _resolve_cap(dom, cap))
         self.batches = list(_magnitude_batches(dom, kind, shells))
 
     def slope(self, p: float) -> float:
@@ -312,9 +341,8 @@ def empirical_threshold(
         raise ValidationError("need 0 < p_lo < p_hi")
     if not finite_real(tol, "tol") >= 0.01:
         raise ValidationError("tol must be at least 0.01")
-    if N is None:
-        N = default_shells(dom)
-    cache = _MagnitudeCache(dom, kind, int(N), window, cap)
+    N = default_shells(dom) if N is None else _checked_N(N)
+    cache = _MagnitudeCache(dom, kind, N, window, cap)
     s_lo = cache.slope(p_lo)
     s_hi = cache.slope(p_hi)
     if not (s_lo > -1.0):

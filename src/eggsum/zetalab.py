@@ -40,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError, finite_real, integer, parsed_json, sequence
-from .lattice import range_count, shell_batches
+from .lattice import range_count, shell_batches, singletons
 from .reduction import pairwise_sum
 from .summability import (
     DEFAULT_CAP,
@@ -411,7 +411,7 @@ def _numerator_by_shell_enum(spec: ZetaSeriesSpec, N: int, term_cap: int) -> np.
     group_tables = [(g.vars, _power_seq(g.a, top + len(g.vars) - 1)) for g in spec.groups]
     abs_table = None if spec.abs_factor is None else _power_seq(spec.abs_factor.a, N)
     out = np.zeros(N + 1, dtype=np.float64)
-    for first, offsets, rows in shell_batches(m, shells):
+    for first, offsets, rows, _ in shell_batches(singletons(m), shells):
         rows = rows + 1
         vals = var_tables[0][rows[:, 0]]
         for j in range(1, m):

@@ -7,6 +7,8 @@ from eggsum.cli import run
 
 DISK = '{"blocks":[{"p":[1.0],"a":1.0}]}'
 BALL = '{"blocks":[{"p":[1.0,1.0],"a":1.0}]}'
+# the self kind of block 0 merges the two other coordinates into one class
+CRIT4 = '{"blocks":[{"p":[1.0],"a":2.0},{"p":[1.0],"a":1.0},{"p":[1.0],"a":1.0}]}'
 ZSPEC = '{"m":2,"powers":[0,0],"groups":[],"abs":null,"b":3.0}'
 
 
@@ -83,6 +85,12 @@ class TestEig:
         assert run(argv + ["--cap", "857"]) == 3
         assert capsys.readouterr().out == ""
 
+    def test_every_row_where_columns_merge(self, capsys):
+        argv = ["eig", "--domain", CRIT4, "--kind", "self:0:0", "--degree-max", "10"]
+        rows = run_json(capsys, argv)["results"]["rows"]
+        # all C(13, 3) indices of degree at most 10, each once
+        assert len(rows) == len({tuple(r["index"]) for r in rows}) == 286
+
     @pytest.mark.parametrize("a", ["1e-300", "1e-200", "1e300"])
     def test_one_block_extreme_outer_power(self, capsys, a):
         # a one-block egg is the same set for every outer power: the table
@@ -135,6 +143,13 @@ class TestThreshold:
         )
         assert code == 2
         assert "bracket" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("N", ["-3", "5", "15"])
+    def test_small_N_exit_2(self, capsys, N):
+        code = run(["threshold", "--domain", BALL, "--kind", "self:0:0", "--N", N])
+        assert code == 2
+        assert "N must be at least 16" in capsys.readouterr().err
 
 
 class TestModuleThreshold:
@@ -252,10 +267,18 @@ class TestErrorsAndReplay:
         assert code == 3
 
     def test_replay_reproduces_bit_for_bit(self, capsys, tmp_path):
-        argv = ["shells", "--domain", BALL, "--kind", "within:0:0:1", "--p", "2.0", "--N", "200"]
-        first = run_json(capsys, argv)
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(first))
-        second = run_json(capsys, ["replay", str(path)])
-        assert second["results"] == first["results"]
-        assert second["params"] == first["params"]
+        cases = [
+            # every row of shells 0..200 of the 2-ball
+            (["shells", "--domain", BALL, "--kind", "within:0:0:1", "--p", "2.0", "--N", "200"],
+             20_301),
+            # the classes (i_0, t) of the window shells 50..100
+            (["threshold", "--domain", CRIT4, "--kind", "self:0:0", "--N", "100"], 3_876),
+        ]
+        for argv, evaluations in cases:
+            first = run_json(capsys, argv)
+            assert first["results"]["evaluations"] == evaluations
+            path = tmp_path / "report.json"
+            path.write_text(json.dumps(first))
+            second = run_json(capsys, ["replay", str(path)])
+            assert second["results"] == first["results"]
+            assert second["params"] == first["params"]

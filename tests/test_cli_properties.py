@@ -70,6 +70,8 @@ ZETA = st.integers(1, 5).flatmap(
         },
     )
 )
+# shell counts the commands accept, and ones below 16 they reject
+SHELLS = st.integers(16, 40) | st.integers(-20, 15)
 KIND = st.sampled_from(["self:0:0", "self:1:0", "within:0:0:1", "between:0:0:1:0"]) | st.text(
     max_size=8
 )
@@ -128,7 +130,7 @@ def test_eig_any_json(domain, kind, low, width):
 
 
 @settings(SETTINGS, max_examples=150)
-@given(domain=DOMAIN | EGG, kind=KIND, N=st.integers(16, 40), p=NUMBERS)
+@given(domain=DOMAIN | EGG, kind=KIND, N=SHELLS, p=NUMBERS)
 def test_shells_any_json(domain, kind, N, p):
     _check(["shells", f"--domain={json.dumps(domain)}", f"--kind={kind}", f"--p={p}",
             f"--N={N}"])
@@ -141,7 +143,7 @@ def test_zeta_any_json(spec, N):
 
 
 @settings(SETTINGS, max_examples=150)
-@given(domain=DOMAIN | EGG, kind=KIND, N=st.integers(16, 40), lo=st.none() | NUMBERS,
+@given(domain=DOMAIN | EGG, kind=KIND, N=SHELLS, lo=st.none() | NUMBERS,
        hi=st.none() | NUMBERS)
 def test_threshold_any_json(domain, kind, N, lo, hi):
     # an absent bracket end takes the default around the predicted cut-off

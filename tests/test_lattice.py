@@ -1,15 +1,20 @@
 import itertools
+from math import comb, prod
 
 import numpy as np
 import pytest
 
+from eggsum import BlockSpec, CrossBetween, CrossWithin, DomainSpec, SelfAdjoint, ValidationError
+from eggsum.commutator import column_partition
 from eggsum.lattice import (
     BATCH_ROWS,
+    _max_multiplicity,
     cumulative_count,
     range_count,
     shell_batches,
     shell_count,
     shell_indices,
+    singletons,
 )
 
 RANGES = {
@@ -27,8 +32,8 @@ CASES = [(d, shells) for d, ranges in RANGES.items() for shells in ranges]
 def test_batches_concatenate_to_shell_indices(d, shells):
     got = []
     n = shells.start
-    for first, offsets, rows in shell_batches(d, shells):
-        assert first == n
+    for first, offsets, rows, mult in shell_batches(singletons(d), shells):
+        assert first == n and mult is None
         assert offsets[0] == 0 and np.all(np.diff(offsets) > 0)
         assert rows.shape[0] <= BATCH_ROWS or len(offsets) == 1
         bounds = list(offsets) + [rows.shape[0]]
@@ -54,7 +59,8 @@ def test_shell_indices_against_brute_force(d):
 
 def test_batches_of_an_empty_range():
     for d in (1, 2, 3):
-        assert list(shell_batches(d, range(5, 5))) == []
+        assert list(shell_batches(singletons(d), range(5, 5))) == []
+    assert list(shell_batches([[0], [1, 2]], range(5, 5))) == []
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -65,3 +71,91 @@ def test_range_count_is_the_sum_of_shell_counts(d):
         if hi > 0:
             assert cumulative_count(d, hi - 1) - cumulative_count(d, lo - 1) == want
     assert cumulative_count(d, -1) == 0
+
+
+CRIT4 = DomainSpec(blocks=(BlockSpec((1.0,), 2.0), BlockSpec((1.0,), 1.0), BlockSpec((1.0,), 1.0)))
+CRIT5 = DomainSpec(blocks=(BlockSpec((1.0, 1.0), 4.0), BlockSpec((1.0,), 1.0)))
+BALL4 = DomainSpec.single_block([1.0, 1.0, 1.0, 1.0])
+# p a = 2 on every column outside block 0, in blocks of unequal a
+EGG5 = DomainSpec(
+    blocks=(BlockSpec((1.0, 1.0), 2.0), BlockSpec((2.0,), 1.0), BlockSpec((1.0, 1.0), 2.0))
+)
+PARTITIONS = [
+    ("crit4-self", CRIT4, SelfAdjoint(0, 0), [[0], [1, 2]]),
+    ("crit4-between", CRIT4, CrossBetween(0, 0, 1, 0), [[0], [1], [2]]),
+    ("crit5-within", CRIT5, CrossWithin(0, 0, 1), [[0], [1], [2]]),
+    ("ball4-self", BALL4, SelfAdjoint(0, 0), [[0], [1, 2, 3]]),
+    ("ball4-within", BALL4, CrossWithin(0, 0, 1), [[0], [1], [2, 3]]),
+    ("ball4-within-apart", BALL4, CrossWithin(0, 1, 3), [[0, 2], [1], [3]]),
+    ("egg5-self", EGG5, SelfAdjoint(0, 0), [[0], [1], [2, 3, 4]]),
+    ("egg5-between", EGG5, CrossBetween(0, 0, 2, 1), [[0], [1], [2], [3], [4]]),
+]
+
+
+@pytest.mark.parametrize("dom, kind, want", [c[1:] for c in PARTITIONS],
+                         ids=[c[0] for c in PARTITIONS])
+def test_column_partition(dom, kind, want):
+    assert column_partition(dom, kind) == want
+
+
+def _brute_classes(groups, n):
+    """{representative row: multiplicity} of shell n by counting its rows."""
+    d = sum(len(g) for g in groups)
+    out = {}
+    for row in shell_indices(d, n).tolist():
+        rep = [0] * d
+        for g in groups:
+            rep[g[0]] = sum(row[c] for c in g)
+        out[tuple(rep)] = out.get(tuple(rep), 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("groups, shells", [
+    ([[0], [1, 2]], range(0, 40)),
+    ([[0], [1, 2, 3]], range(0, 30)),
+    ([[0, 2], [1], [3]], range(10, 25)),
+    ([[0], [1, 2], [3, 4]], range(0, 20)),
+    ([[0, 1, 2]], range(0, 50)),
+])
+def test_classes_count_the_rows_of_each_shell(groups, shells):
+    d = sum(len(g) for g in groups)
+    n = shells.start
+    for first, offsets, rows, mult in shell_batches(groups, shells):
+        assert first == n and mult.dtype == np.float64
+        bounds = list(offsets) + [rows.shape[0]]
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert mult[lo:hi].sum() == shell_count(d, n)
+            got = {tuple(r): m for r, m in zip(rows[lo:hi].tolist(), mult[lo:hi].tolist())}
+            assert got == _brute_classes(groups, n), n
+            n += 1
+    assert n == shells.stop
+
+
+def test_class_runs_are_batched_by_class_count():
+    groups = [[0], [1, 2, 3]]
+    n = 0
+    for first, offsets, rows, _ in shell_batches(groups, range(0, 600)):
+        assert rows.shape[0] <= BATCH_ROWS or len(offsets) == 1
+        assert rows.shape[0] == range_count(2, range(first, first + offsets.size))
+        n = first + offsets.size
+    assert n == 600
+
+
+def test_multiplicity_refused_from_2_53():
+    # a 10-D ball self kind: the class (0, t) stands for C(t + 8, 8) rows
+    groups = [[0], list(range(1, 10))]
+    top = max(t for t in range(1000) if comb(t + 8, 8) < 2**53)
+    [(_, _, _, mult)] = shell_batches(groups, range(top, top + 1))
+    assert mult.max() == comb(top + 8, 8)
+    with pytest.raises(ValidationError, match="2\\^53"):
+        next(shell_batches(groups, range(0, top + 2)))
+
+
+@pytest.mark.parametrize("sizes", [[2], [3, 2], [2, 5], [4, 4, 3], [2, 2, 2, 6]])
+def test_max_multiplicity_is_the_largest_class(sizes):
+    for n in [0, 1, 2, 7, 24, 61]:
+        want = max(
+            prod(comb(t + m - 1, m - 1) for t, m in zip(degrees, sizes))
+            for degrees in shell_indices(len(sizes), n).tolist()
+        )
+        assert _max_multiplicity(sizes, n) == want, n

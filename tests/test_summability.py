@@ -22,13 +22,16 @@ from eggsum import (
     shell_sums,
     tail_slope,
 )
-from eggsum.commutator import eigenvalue_bulk
-from eggsum.lattice import BATCH_ROWS, shell_count, shell_indices
+from eggsum import summability
+from eggsum.commutator import column_partition, eigenvalue_bulk
+from eggsum.lattice import BATCH_ROWS, range_count, shell_batches, shell_count, shell_indices
 from eggsum.summability import (
     _magnitude_batches,
     classify_slope,
+    evaluation_count,
     fit_tail_slope,
     max_predicted_over_kinds,
+    tail_shells,
 )
 
 from helpers import random_domain
@@ -129,6 +132,86 @@ class TestMagnitudeBatches:
             rep = shell_sums(DISK, SELF, p, 100_000)
             want = math.fsum(rep.shell_sums.tolist())
             assert abs(rep.total - want) <= 1e-14 * want, p
+
+
+CRIT4 = DomainSpec(blocks=(BlockSpec((1.0,), 2.0), BlockSpec((1.0,), 1.0), BlockSpec((1.0,), 1.0)))
+
+
+def ball(d):
+    return DomainSpec.single_block([1.0] * d)
+
+
+# (label, domain, kind, shell): every case merges columns
+CLASS_CASES = [
+    ("crit4-self", CRIT4, SELF, 200),
+    ("ball4-self", ball(4), SELF, 60),
+    ("ball4-within", ball(4), CrossWithin(0, 0, 1), 60),
+    ("egg5-two-block-self",
+     DomainSpec(blocks=(BlockSpec((1.0, 1.0, 1.0), 2.0), BlockSpec((0.5, 0.5), 3.0))), SELF, 30),
+    # p a = 2 outside block 0, from blocks of unequal a
+    ("egg5-three-block-self",
+     DomainSpec(blocks=(BlockSpec((1.0, 1.0), 2.0), BlockSpec((2.0,), 1.0),
+                        BlockSpec((1.0, 1.0), 2.0))), SELF, 30),
+]
+
+
+class TestClasses:
+    @pytest.mark.parametrize("dom, kind, n", [c[1:] for c in CLASS_CASES],
+                             ids=[c[0] for c in CLASS_CASES])
+    def test_every_row_matches_its_class_bitwise(self, dom, kind, n):
+        groups = column_partition(dom, kind)
+        firsts = [g[0] for g in groups]
+        [(_, _, reps, mult)] = shell_batches(groups, range(n, n + 1))
+        assert mult is not None and mult.sum() == shell_count(dom.dimension, n)
+        rows = shell_indices(dom.dimension, n)
+        # each row's class: its group degree sums, coded in base n + 1
+        radix = (n + 1) ** np.arange(len(groups))
+        code = np.column_stack([rows[:, g].sum(axis=1) for g in groups]) @ radix
+        rep_code = reps[:, firsts] @ radix
+        order = np.argsort(rep_code)
+        cls = order[np.searchsorted(rep_code, code, sorter=order)]
+        assert np.array_equal(rep_code[cls], code)
+        assert np.array_equal(np.bincount(cls, minlength=reps.shape[0]), mult)
+        want = eigenvalue_bulk(dom, kind, rows)
+        got = eigenvalue_bulk(dom, kind, reps)[cls]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("dom, kind, N, p", [
+        (CRIT4, SELF, 120, 4.0),
+        (ball(4), SELF, 40, 4.0),
+        (ball(4), CrossWithin(0, 0, 1), 40, 4.0),
+        (CLASS_CASES[3][1], SELF, 25, 6.0),
+    ], ids=["crit4-self", "ball4-self", "ball4-within", "egg5-two-block-self"])
+    def test_class_sums_match_fsum_over_rows(self, dom, kind, N, p):
+        rep = shell_sums(dom, kind, p, N, cap=10**6)
+        for n in range(N + 1):
+            terms = np.power(np.abs(eigenvalue_bulk(dom, kind, shell_indices(dom.dimension, n))), p)
+            want = math.fsum(terms.tolist())
+            assert abs(rep.shell_sums[n] - want) <= 1e-14 * want, n
+
+    def test_multiplicity_from_2_53_refused_before_any_eigenvalue(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("an eigenvalue was evaluated")
+
+        monkeypatch.setattr(summability, "eigenvalue_bulk", unexpected)
+        # the 10-D ball self kind: class (0, 368) of shell 368 stands for
+        # C(376, 8) >= 2^53 rows
+        with pytest.raises(ValidationError, match="2\\^53"):
+            shell_sums(ball(10), SELF, 2.0, 400, cap=10**6)
+        with pytest.raises(ValidationError, match="2\\^53"):
+            empirical_threshold(ball(10), SELF, 5.0, 15.0, N=400, cap=10**6)
+
+    def test_cap_counts_evaluations(self):
+        shells = tail_shells(600, 0.5)
+        assert evaluation_count(ball(4), SELF, shells) == range_count(2, shells) == 135_751
+        assert evaluation_count(CRIT4, CrossBetween(0, 0, 1, 0), shells) == range_count(3, shells)
+        with pytest.raises(ResourceCapError, match="135751"):
+            empirical_threshold(ball(4), SELF, 2.0, 6.5, N=600, cap=135_750)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_ball_self_cutoff_is_the_dimension(self, d):
+        th = empirical_threshold(ball(d), SELF, d / 2.0, 1.5 * d + 0.5, N=600, cap=200_000)
+        assert 0.9 * d <= th <= 1.1 * d
 
 
 class TestTailSlope:
@@ -235,6 +318,9 @@ class TestEmpiricalThreshold:
             empirical_threshold(DISK, SELF, 0.25, 1.0, tol=math.inf, N=2000)
         with pytest.raises(ValidationError):
             empirical_threshold(DISK, SELF, 0.25, math.inf, tol=0.1, N=2000)
+        for N in (15, 5, 0, -3):
+            with pytest.raises(ValidationError, match="N must be at least 16"):
+                empirical_threshold(DISK, SELF, 0.25, 1.0, tol=0.1, N=N)
 
 
 class TestPredictedThreshold:
