@@ -29,7 +29,7 @@ import numpy as np
 
 from . import commutator, gammakit, summability, zetalab
 from .domain import DomainSpec, log_norm, mc_norm_oracle
-from .errors import ResourceCapError, ValidationError, positive_integer
+from .errors import ResourceCapError, ValidationError, parsed_json, positive_integer
 from .lattice import range_count, shell_batches, singletons
 from .summability import (
     DEFAULT_MARGIN,
@@ -54,7 +54,8 @@ def _load_json_arg(value: str, what: str):
         return json.loads(text)
     except OSError as exc:
         raise ValidationError(f"cannot read {what} from {value!r}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # a decoding error, or an integer of more digits than Python converts
         raise ValidationError(f"malformed JSON for {what}: {exc}") from exc
 
 
@@ -123,7 +124,7 @@ def _print_csv(header: list[str], rows) -> None:
 
 def _resolve_shells(dom: DomainSpec, n_arg: int | None) -> int:
     if n_arg is not None:
-        return int(n_arg)
+        return n_arg
     return summability.default_shells(dom)
 
 
@@ -315,7 +316,16 @@ def _verify_one(tag: str, order: int, a: float, b: float | None, xs) -> dict:
 
 
 def _cmd_verify_gamma(params: dict) -> dict:
-    xs = [params["x0"] * 2.0**j for j in range(params["doublings"] + 1)]
+    x0, doublings = params["x0"], params["doublings"]
+    if not x0 >= 1.0:
+        raise ValidationError(f"x0 must be at least 1, got {x0!r}")
+    try:
+        last = math.ldexp(x0, doublings)
+    except OverflowError:
+        last = math.inf
+    if not math.isfinite(last):
+        raise ValidationError("the last node x0 * 2^doublings is out of double precision range")
+    xs = [x0 * 2.0**j for j in range(doublings + 1)]
     tags = gammakit.EXPANSION_TAGS if params["kind"] == "all" else (params["kind"].upper(),)
     checks = [
         _verify_one(tag, params["order"], params["a"], params["b"], xs) for tag in tags
@@ -332,15 +342,6 @@ _EXECUTORS = {
     "zeta": _cmd_zeta,
     "verify-gamma": _cmd_verify_gamma,
 }
-
-
-def execute(command: str, params: dict) -> dict:
-    """Dispatch a command from its parameter dict (the replay entry point)."""
-    if command not in _EXECUTORS:
-        raise ValidationError(f"unknown command {command!r}")
-    if "workers" in params:
-        positive_integer(params["workers"], "workers")
-    return _EXECUTORS[command](params)
 
 
 # ------------------------------------------------------------------ output
@@ -416,8 +417,24 @@ CSV columns per subcommand (--format csv; JSON is the canonical format):
 """
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are ValidationErrors: exit 2 with one message."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _worker_count(text: str) -> int:
+    try:
+        return positive_integer(int(text), "workers")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"workers must be an integer of at least 1, got {text!r}"
+        ) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eggsum",
         description=__doc__,
         epilog=_CSV_COLUMNS,
@@ -427,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, domain=True, kind=False):
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_worker_count, default=1,
                        help="worker count, at least 1, echoed in reports; it changes "
                             "nothing (default 1)")
         p.add_argument("--cap", type=int, default=None,
@@ -496,30 +513,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from_args(args: argparse.Namespace) -> dict:
+_JSON_ARGS = ("domain", "spec", "index")
+
+
+def _params_from_args(args: argparse.Namespace, load=_load_json_arg) -> dict:
     params = {k: v for k, v in vars(args).items() if k != "command"}
-    if "domain" in params:
-        params["domain"] = _load_json_arg(params["domain"], "--domain")
-    if "spec" in params:
-        params["spec"] = _load_json_arg(params["spec"], "--spec")
-    if "index" in params:
-        params["index"] = _load_json_arg(params["index"], "--index")
+    for name in _JSON_ARGS:
+        if name in params:
+            params[name] = load(params[name], f"--{name}")
     return params
+
+
+def _replayed_params(parser: argparse.ArgumentParser, report_arg: str) -> tuple[str, dict]:
+    """The command and parameters of a saved report, parsed as the command
+    line would parse them.  A null takes its default; a domain, spec or index
+    goes in as JSON text and is never read as a file path."""
+    saved = _load_json_arg(report_arg, "report")
+    if not isinstance(saved, dict) or "command" not in saved or "params" not in saved:
+        raise ValidationError("replay needs a report with command and params fields")
+    command, params = saved["command"], saved["params"]
+    if not (isinstance(command, str) and command in _EXECUTORS) or not isinstance(params, dict):
+        raise ValidationError(f"replay needs a report of one of {sorted(_EXECUTORS)}")
+    argv = [command]
+    for key, value in params.items():
+        if value is not None:
+            text = value if isinstance(value, str) and key not in _JSON_ARGS else json.dumps(value)
+            argv.append(f"--{key.replace('_', '-')}={text}")
+    args = parser.parse_args(argv)
+    unknown = sorted(set(params) - set(vars(args)))
+    if unknown:
+        raise ValidationError(f"unknown parameters {unknown} for {command}")
+    return command, _params_from_args(args, load=parsed_json)
 
 
 def run(argv=None) -> int:
     """Parse arguments, execute, print the report; returns the exit status."""
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "replay":
-            saved = _load_json_arg(args.report, "report")
-            if not isinstance(saved, dict) or "command" not in saved or "params" not in saved:
-                raise ValidationError("replay needs a report with command and params fields")
-            report = execute(saved["command"], saved["params"])
+            command, params = _replayed_params(parser, args.report)
         else:
-            report = execute(args.command, _params_from_args(args))
-        _emit(report, args.format)
+            command, params = args.command, _params_from_args(args)
+        _emit(_EXECUTORS[command](params), args.format)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -140,13 +140,16 @@ def all_kinds(dom: DomainSpec) -> list[CommutatorKind]:
     return kinds
 
 
-def _coordinate(dom: DomainSpec, col: int) -> tuple[int, float]:
-    """(block, inner exponent) of a flat column of ``dom``."""
-    pos = 0
-    for k, blk in enumerate(dom.blocks):
-        if col < pos + blk.size:
-            return k, blk.p[col - pos]
-        pos += blk.size
+def _groups(dom: DomainSpec) -> tuple[list[list], list]:
+    """Each block's runs of equal p, and the domain's groups of equal p a,
+    as (weight, columns) pairs in order of first column: the sums through
+    which the kernel reads a row besides its raised and lowered entries."""
+    runs: list[dict[float, list[int]]] = [{} for _ in dom.blocks]
+    outer: dict[float, list[int]] = {}
+    for col, (k, p) in enumerate(dom.columns):
+        runs[k].setdefault(p, []).append(col)
+        outer.setdefault(p * dom.blocks[k].a, []).append(col)
+    return [list(r.items()) for r in runs], list(outer.items())
 
 
 def column_partition(dom: DomainSpec, kind: CommutatorKind) -> list[list[int]]:
@@ -155,29 +158,19 @@ def column_partition(dom: DomainSpec, kind: CommutatorKind) -> list[list[int]]:
 
     The kernel reads a row only through its raised and lowered entries,
     the run sums of equal p of the kind's block or blocks and the group
-    sums of equal p a (``_Keyed``), so moving degree between two columns
+    sums of equal p a (``_groups``), so moving degree between two columns
     of one group leaves the eigenvalue bit for bit as it is.  The raised
     and lowered columns stay alone; the other columns of the kind's blocks
-    group by block and equal p, the rest by equal p a, with ``_Keyed``'s
-    float keys.
+    group by the block's runs, the rest by the groups of equal p a.
     """
     r_col, l_col = _columns(dom, kind)
     alone = {r_col, r_col if l_col is None else l_col}
-    kind_blocks = {_coordinate(dom, col)[0] for col in alone}
-    groups: dict[tuple, list[int]] = {}
-    pos = 0
-    for k, blk in enumerate(dom.blocks):
-        for j, p in enumerate(blk.p):
-            col = pos + j
-            if col in alone:
-                key = ("alone", col)
-            elif k in kind_blocks:
-                key = ("block", k, p)
-            else:
-                key = ("outer", p * blk.a)
-            groups.setdefault(key, []).append(col)
-        pos += blk.size
-    return list(groups.values())
+    kind_blocks = {dom.columns[col][0] for col in alone}
+    runs, outer = _groups(dom)
+    groups = [[col] for col in alone]
+    groups += [[c for c in cols if c not in alone] for k in kind_blocks for _, cols in runs[k]]
+    groups += [[c for c in cols if dom.columns[c][0] not in kind_blocks] for _, cols in outer]
+    return sorted((g for g in groups if g), key=lambda g: g[0])
 
 
 class _KeyTable:
@@ -261,17 +254,7 @@ class _Keyed:
     def __init__(self, dom: DomainSpec, rows: np.ndarray):
         self._rows = rows
         self._tables: dict = {}
-        self._blocks = []
-        outer: dict[float, list[int]] = {}
-        pos = 0
-        for blk in dom.blocks:
-            runs: dict[float, list[int]] = {}
-            for j, p in enumerate(blk.p):
-                runs.setdefault(p, []).append(pos + j)
-                outer.setdefault(p * blk.a, []).append(pos + j)
-            self._blocks.append(list(runs.items()))
-            pos += blk.size
-        self._outer = list(outer.items())
+        self._blocks, self._outer = _groups(dom)
 
     def _degree(self, cols) -> np.ndarray:
         """Sum of the columns ``cols``, added column by column (a sum along
@@ -324,7 +307,7 @@ def _log_norm_step(dom: DomainSpec, keyed: _Keyed, cols: tuple[int, ...]) -> np.
     R(v, h) (the outer term too, for a one-coordinate block) depends on the
     column, so the other terms are evaluated once for all of ``cols``.
     """
-    k, p = _coordinate(dom, cols[0])
+    k, p = dom.columns[cols[0]]
     blk = dom.blocks[k]
     h = 1.0 / p
     u = h / blk.a
@@ -357,7 +340,7 @@ def _log_norm_mixed(dom: DomainSpec, keyed: _Keyed, r: int, l: int) -> np.ndarra
     its own size ~ 1/|j|, where a difference of two first differences would
     be accurate only to ~1e-16 absolute.
     """
-    (kr, pr), (kl, pl) = _coordinate(dom, r), _coordinate(dom, l)
+    (kr, pr), (kl, pl) = dom.columns[r], dom.columns[l]
     br, bl = dom.blocks[kr], dom.blocks[kl]
     hr, hl = 1.0 / pr, 1.0 / pl
     ur, ul = hr / br.a, hl / bl.a
@@ -423,7 +406,7 @@ def eigenvalue_bulk(dom: DomainSpec, kind: CommutatorKind, idx_rows: np.ndarray)
         else:
             # mu(i) = |e^A - e^B| with A = (D_r(j) + D_l(j))/2 and B =
             # (D_r(j+e_l) + D_l(j+e_r))/2 = A + M(j); zero when i_l = 0
-            if _coordinate(dom, r_col) == _coordinate(dom, l_col):
+            if dom.columns[r_col] == dom.columns[l_col]:
                 step = _log_norm_step(dom, keyed, (r_col, l_col))
             else:
                 step = _log_norm_step(dom, keyed, (r_col,))
@@ -443,23 +426,12 @@ def eigenvalue(dom: DomainSpec, kind: CommutatorKind, idx) -> float:
     return float(eigenvalue_bulk(dom, kind, row[np.newaxis, :])[0])
 
 
-def _block_slices(dom: DomainSpec) -> list[tuple[int, int]]:
-    spans = []
-    pos = 0
-    for blk in dom.blocks:
-        spans.append((pos, pos + blk.size))
-        pos += blk.size
-    return spans
-
-
 def _outer_weight(dom: DomainSpec, flat: np.ndarray, skip: tuple[int, ...]) -> float:
     """sum over blocks not in ``skip`` of sum_j (idx+1)/(a p_j)."""
-    spans = _block_slices(dom)
     total = 0.0
-    for k, blk in enumerate(dom.blocks):
+    for k, (blk, (lo, hi)) in enumerate(zip(dom.blocks, dom.spans)):
         if k in skip:
             continue
-        lo, hi = spans[k]
         total += float(np.sum((flat[lo:hi] + 1.0) / np.asarray(blk.p))) / blk.a
     return total
 

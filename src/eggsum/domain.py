@@ -23,11 +23,21 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from . import gammakit
-from .errors import ValidationError, finite_real, integer, is_sequence, parsed_json, sequence
+from .errors import (
+    ValidationError,
+    finite_real,
+    integer,
+    is_sequence,
+    parsed_json,
+    positive_integer,
+    sequence,
+)
 
 __all__ = [
     "BlockSpec",
@@ -88,11 +98,18 @@ class DomainSpec:
 
     @property
     def dimension(self) -> int:
-        return sum(b.size for b in self.blocks)
+        return self.spans[-1][1]
 
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(b.size for b in self.blocks)
+    @cached_property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """Each block's (first, stop) flat columns, in block order."""
+        stops = list(accumulate(b.size for b in self.blocks))
+        return tuple(zip([0] + stops[:-1], stops))
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, float], ...]:
+        """(block, inner exponent) of each flat column."""
+        return tuple((k, p) for k, b in enumerate(self.blocks) for p in b.p)
 
     def flat_position(self, block: int, coord: int) -> int:
         """Flat coordinate column for (block, coord), both 0-based."""
@@ -100,7 +117,7 @@ class DomainSpec:
             raise ValidationError(f"block {block} out of range")
         if not 0 <= coord < self.blocks[block].size:
             raise ValidationError(f"coordinate {coord} out of range in block {block}")
-        return sum(b.size for b in self.blocks[:block]) + coord
+        return self.spans[block][0] + coord
 
     @classmethod
     def single_block(cls, p, a: float = 1.0) -> "DomainSpec":
@@ -134,27 +151,21 @@ def as_multi_index(dom: DomainSpec, entries) -> tuple[tuple[int, ...], ...]:
     length ``dimension(dom)``.
     """
     entries = sequence(entries, "index")
-    sizes = dom.block_sizes
     if entries and not any(is_sequence(e) for e in entries):
-        flat = entries
-        if len(flat) != sum(sizes):
+        if len(entries) != dom.dimension:
             raise ValidationError(
-                f"flat index has length {len(flat)}, domain has dimension {sum(sizes)}"
+                f"flat index has length {len(entries)}, domain has dimension {dom.dimension}"
             )
-        nested = []
-        pos = 0
-        for s in sizes:
-            nested.append(flat[pos : pos + s])
-            pos += s
-        entries = nested
-    if len(entries) != len(sizes):
-        raise ValidationError(f"index has {len(entries)} blocks, domain has {len(sizes)}")
+        entries = [entries[lo:hi] for lo, hi in dom.spans]
+    if len(entries) != len(dom.blocks):
+        raise ValidationError(f"index has {len(entries)} blocks, domain has {len(dom.blocks)}")
     out = []
     for k, part in enumerate(entries):
         part = tuple(integer(v, "index entry") for v in sequence(part, f"block {k} of the index"))
-        if len(part) != sizes[k]:
+        size = dom.blocks[k].size
+        if len(part) != size:
             raise ValidationError(
-                f"block {k} of the index has length {len(part)}, expected {sizes[k]}"
+                f"block {k} of the index has length {len(part)}, expected {size}"
             )
         if any(v < 0 for v in part):
             raise ValidationError("index entries must be nonnegative")
@@ -212,11 +223,9 @@ def log_norm_bulk(dom: DomainSpec, idx_rows: np.ndarray) -> np.ndarray:
         const = d * math.log(math.pi)
         out = np.zeros(rows.shape[0], dtype=np.float64)
         outer_args = []
-        pos = 0
-        for blk in dom.blocks:
+        for blk, (lo, hi) in zip(dom.blocks, dom.spans):
             const -= math.fsum(math.log(v) for v in blk.p) + math.log(blk.a)
-            v = (rows[:, pos : pos + blk.size] + 1.0) / np.asarray(blk.p)
-            pos += blk.size
+            v = (rows[:, lo:hi] + 1.0) / np.asarray(blk.p)
             if blk.size == 1:
                 s = v[:, 0]
                 # single-variable Beta factor is identically 1
@@ -256,9 +265,9 @@ def mc_norm_oracle(
     integrand (2 pi)^d prod r_j^(2 idx_j + 1).  Deterministic for a given
     seed (fixed chunking).  Practical up to d ~ 3.
     """
-    samples = int(samples)
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
+    samples = positive_integer(samples, "samples")
+    if not integer(seed, "seed") >= 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed!r}")
     row = flatten_index(dom, idx)
     d = dom.dimension
     exponents = 2.0 * row.astype(np.float64) + 1.0
@@ -267,11 +276,6 @@ def mc_norm_oracle(
     total = 0.0
     total_sq = 0.0
     done = 0
-    sizes = []
-    pos = 0
-    for blk in dom.blocks:
-        sizes.append((pos, pos + blk.size, 2.0 * np.asarray(blk.p), blk.a))
-        pos += blk.size
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
         # one log per sample; every power is then exp of a linear combination
@@ -279,8 +283,8 @@ def mc_norm_oracle(
         with np.errstate(divide="ignore"):
             logs = np.log(rng.random((m, d)))
         lhs = np.zeros(m)
-        for lo, hi, p2, a in sizes:
-            lhs += np.exp(logs[:, lo:hi] * p2).sum(axis=1) ** a
+        for blk, (lo, hi) in zip(dom.blocks, dom.spans):
+            lhs += np.exp(logs[:, lo:hi] * (2.0 * np.asarray(blk.p))).sum(axis=1) ** blk.a
         # einsum, not a BLAS product, which would wake helper threads
         vals = np.exp(np.einsum("ij,j->i", logs, exponents)) * scale
         vals[lhs >= 1.0] = 0.0

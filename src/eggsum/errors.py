@@ -67,6 +67,15 @@ def positive_integer(value, what: str) -> int:
     return out
 
 
+def last_shell(value) -> int:
+    """``value`` as the last shell N of a tail fit; a ValidationError unless
+    it is an integer of at least 16."""
+    out = integer(value, "N")
+    if out < 16:
+        raise ValidationError("N must be at least 16")
+    return out
+
+
 def parsed_json(text_or_obj, what: str):
     """``text_or_obj`` parsed when it is a string of JSON, else as it is; a
     ValidationError when the string is not JSON."""

@@ -291,7 +291,12 @@ class ExpansionKind:
 
 def _r1_coefficients(a: float, b: float) -> tuple[float, float]:
     c1 = (a - b) * (a + b - 1.0) / 2.0
-    c2 = (a - b) * (a - b - 1.0) * (3.0 * (a + b - 1.0) ** 2 - a + b - 1.0) / 24.0
+    try:
+        square = (a + b - 1.0) ** 2
+    except OverflowError:
+        # a float power raises where a product is inf; the caller checks
+        square = math.inf
+    c2 = (a - b) * (a - b - 1.0) * (3.0 * square - a + b - 1.0) / 24.0
     return c1, c2
 
 
@@ -316,21 +321,25 @@ def r3_quadratic_coefficients(a: float, b: float) -> dict[str, float]:
 
 
 def expansion_coefficients(kind: ExpansionKind, use_printed_r3: bool = False) -> tuple[float, float]:
-    """(c1, c2) of the truncated series 1 + c1/x + c2/x^2 for ``kind``."""
+    """(c1, c2) of the truncated series 1 + c1/x + c2/x^2 for ``kind``; a
+    ValidationError when either is not a finite double."""
     a = kind.a
     if kind.tag == "R1":
-        return _r1_coefficients(a, kind.b)
-    if kind.tag == "R2":
-        return -a * a, a * a * (a * a + 2.0 * a - 1.0) / 2.0
-    if kind.tag == "R3":
-        b = kind.b
-        quad = r3_quadratic_coefficients(a, b)
-        c2 = quad["printed"] if use_printed_r3 else quad["composed"]
-        return a * b, c2
-    if kind.tag == "R4":
-        return 0.0, a * a
-    # R5
-    return 0.0, -a * kind.b
+        coeffs = _r1_coefficients(a, kind.b)
+    elif kind.tag == "R2":
+        coeffs = -a * a, a * a * (a * a + 2.0 * a - 1.0) / 2.0
+    elif kind.tag == "R3":
+        quad = r3_quadratic_coefficients(a, kind.b)
+        coeffs = a * kind.b, quad["printed"] if use_printed_r3 else quad["composed"]
+    elif kind.tag == "R4":
+        coeffs = 0.0, a * a
+    else:  # R5
+        coeffs = 0.0, -a * kind.b
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ValidationError(
+            f"the {kind.tag} expansion coefficients are out of double precision range"
+        )
+    return coeffs
 
 
 def expansion_value(kind: ExpansionKind, x, order: int, use_printed_r3: bool = False):
@@ -425,9 +434,16 @@ def verify_expansion(
         raise ValidationError("xs must be strictly increasing")
     if not np.all(grid >= 1.0):
         raise ValidationError("xs entries must be >= 1")
-    exact = np.asarray(exact_ratio(kind, grid))
-    approx = np.asarray(expansion_value(kind, grid, order, use_printed_r3=use_printed_r3))
-    errs = np.abs(exact - approx)
+    # a ratio or a series term past double range is inf or NaN here and a
+    # ValidationError below, never a numpy warning
+    with np.errstate(all="ignore"):
+        exact = np.asarray(exact_ratio(kind, grid))
+        approx = np.asarray(expansion_value(kind, grid, order, use_printed_r3=use_printed_r3))
+        errs = np.abs(exact - approx)
+    if not np.all(np.isfinite(errs)):
+        raise ValidationError(
+            f"the {kind.tag} ratio or its expansion is out of double precision range on xs"
+        )
     r3_coeffs = r3_quadratic_coefficients(kind.a, kind.b) if kind.tag == "R3" else None
     return ExpansionCheck(
         kind=kind,

@@ -47,7 +47,7 @@ from .commutator import (
     validate_kind,
 )
 from .domain import DomainSpec
-from .errors import BracketError, ResourceCapError, ValidationError, finite_real, integer
+from .errors import BracketError, ResourceCapError, ValidationError, finite_real, last_shell
 from .lattice import range_count, shell_batches
 from .reduction import pairwise_sum
 
@@ -168,13 +168,6 @@ def _power_sums(batch, p: float, out: np.ndarray) -> None:
     out[first : first + offsets.size] = pairwise_sum(terms, offsets)
 
 
-def _checked_N(N) -> int:
-    N = integer(N, "N")
-    if N < 16:
-        raise ValidationError("N must be at least 16")
-    return N
-
-
 def shell_sums(
     dom: DomainSpec,
     kind: CommutatorKind,
@@ -191,7 +184,7 @@ def shell_sums(
     p = finite_real(p, "Schatten exponent p")
     if not p > 0.0:
         raise ValidationError("Schatten exponent p must be positive")
-    N = _checked_N(N)
+    N = last_shell(N)
     _check_budget(dom, kind, range(N + 1), _resolve_cap(dom, cap))
     sums = np.empty(N + 1, dtype=np.float64)
     for batch in _magnitude_batches(dom, kind, range(N + 1)):
@@ -341,7 +334,7 @@ def empirical_threshold(
         raise ValidationError("need 0 < p_lo < p_hi")
     if not finite_real(tol, "tol") >= 0.01:
         raise ValidationError("tol must be at least 0.01")
-    N = default_shells(dom) if N is None else _checked_N(N)
+    N = default_shells(dom) if N is None else last_shell(N)
     cache = _MagnitudeCache(dom, kind, N, window, cap)
     s_lo = cache.slope(p_lo)
     s_hi = cache.slope(p_hi)

@@ -39,7 +39,15 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError, finite_real, integer, parsed_json, sequence
+from .errors import (
+    ResourceCapError,
+    ValidationError,
+    finite_real,
+    integer,
+    last_shell,
+    parsed_json,
+    sequence,
+)
 from .lattice import range_count, shell_batches, singletons
 from .reduction import pairwise_sum
 from .summability import (
@@ -190,20 +198,6 @@ class Family(str, Enum):
     UNKNOWN = "unknown"
 
 
-# For these families the critical bound is sharp (convergence holds for
-# every b above it) whenever the side condition is met.
-_SHARP = {
-    Family.PRODUCT_ONLY,
-    Family.FRESH_GROUP,
-    Family.PAIR_PLUS_ONE,
-    Family.PAIR_PLUS_TWO,
-    Family.TRIPLE_PLUS_ONE,
-    Family.TRIPLE_ABS,
-    Family.TWO_PAIRS,
-    Family.TWO_PAIRS_PLUS_ONE,
-}
-
-
 @dataclass(frozen=True)
 class FamilyMatch:
     family: Family
@@ -211,8 +205,9 @@ class FamilyMatch:
 
     @property
     def sharp(self) -> bool:
-        """True when convergence for b > critical_b is guaranteed."""
-        return self.family in _SHARP and self.family is not Family.UNKNOWN and self.side_ok
+        """True when convergence for b > critical_b is guaranteed: the bound
+        is sharp for every recognized family whose side condition is met."""
+        return self.family is not Family.UNKNOWN and self.side_ok
 
 
 def _two_pair_side_ok(spec: ZetaSeriesSpec) -> bool:
@@ -436,9 +431,7 @@ def brute_shell_sums(
     """Shell sums T_n (n <= N) of the series and the slope-fit verdict."""
     if spec.m > 5:
         raise ValidationError("brute-force summation supports at most 5 variables")
-    N = int(N)
-    if N < 16:
-        raise ValidationError("N must be at least 16")
+    N = last_shell(N)
     if N > max_shells:
         raise ResourceCapError(
             f"N={N} exceeds the configured shell cap {max_shells}; raise max_shells to proceed"

@@ -185,6 +185,20 @@ class TestVerifyGamma:
         assert "quadratic_coefficients" in r3
         assert "printed_variant" in r3
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--a", "1e308"], ["--a", "1e70"], ["--b", "1e300"], ["--doublings", "100000000"],
+         ["--doublings", "1023"], ["--x0", "inf"], ["--x0", "0"]],
+        ids=["a-coefficient", "a-ratio", "b-coefficient", "doublings-huge", "doublings-1023",
+             "x0-infinite", "x0-zero"],
+    )
+    def test_out_of_range_exit_2(self, capsys, args):
+        code = run(["verify-gamma", *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_printed_r3_documented_failure(self, capsys):
         rep = run_json(
             capsys, ["verify-gamma", "--kind", "R3", "--a", "1.0", "--b", "1.0"]
@@ -282,3 +296,61 @@ class TestErrorsAndReplay:
             second = run_json(capsys, ["replay", str(path)])
             assert second["results"] == first["results"]
             assert second["params"] == first["params"]
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["zeta", "--spec", ZSPEC, "--N", "40"], "N", "abc"),
+            (["zeta", "--spec", ZSPEC, "--N", "40"], "spec", None),
+            (["shells", "--domain", DISK, "--p", "1", "--N", "40"], "kind", 0),
+            (["shells", "--domain", DISK, "--p", "1", "--N", "40"], "workers", 0),
+            (["shells", "--domain", DISK, "--p", "1", "--N", "40"], "window", [1]),
+            (["eig", "--domain", DISK, "--degree-max", "3"], "degree_max", 100.5),
+            (["norm", "--domain", DISK, "--index", "[1]", "--mc-samples", "10"],
+             "mc_samples", 1e308),
+            (["norm", "--domain", DISK, "--index", "[1]", "--mc-samples", "10"], "seed", -1),
+            (["verify-gamma"], "doublings", "abc"),
+            (["verify-gamma"], "a", 1e308),
+            (["verify-gamma"], "bogus", 1),
+            (["module-threshold", "--domain", DISK], "dom", DISK),
+        ],
+        ids=["zeta-N-text", "zeta-spec-null", "shells-kind-number", "shells-workers-0",
+             "shells-window-list", "eig-degree-fraction", "norm-samples-huge",
+             "norm-seed-negative", "gamma-doublings-text", "gamma-a-huge", "unknown-key",
+             "abbreviated-key"],
+    )
+    def test_replay_malformed_param_exit_2(self, capsys, argv, key, value):
+        report = run_json(capsys, argv)
+        report["params"][key] = value
+        code = run(["replay", json.dumps(report)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{oops", "[]", '{"command": "replay", "params": {"report": "r.json"}}',
+         '{"command": ["zeta"], "params": {}}', '{"command": "zeta", "params": []}',
+         '{"command": "zeta", "params": {"N": ' + "1" * 5000 + "}}"],
+        ids=["not-json", "not-an-object", "replay-of-replay", "command-not-a-name",
+             "params-not-an-object", "integer-too-long"],
+    )
+    def test_replay_malformed_report_exit_2(self, capsys, text):
+        assert run(["replay", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_replay_null_takes_the_default(self, capsys):
+        argv = ["shells", "--domain", DISK, "--p", "1", "--N", "40", "--window", "0.5"]
+        report = run_json(capsys, argv)
+        report["params"]["window"] = None
+        assert run_json(capsys, ["replay", json.dumps(report)]) == run_json(capsys, argv)
+
+    def test_replay_never_reads_a_path(self, capsys, tmp_path):
+        path = tmp_path / "dom.json"
+        path.write_text(DISK)
+        report = run_json(capsys, ["norm", "--domain", str(path), "--index", "[2]"])
+        report["params"]["domain"] = str(path)
+        assert run(["replay", json.dumps(report)]) == 2
+        assert "malformed JSON" in capsys.readouterr().err

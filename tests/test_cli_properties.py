@@ -4,9 +4,12 @@ exponent and bracket, ``eggsum norm``, ``module-threshold``, ``eig``,
 ``shells``, ``threshold`` and ``zeta`` end with exit 0, 2 or 3, raise nothing
 out of ``run`` (numpy warnings included, which the test configuration turns
 into errors), and a successful report holds no null or NaN among its
-results."""
+results.  The same holds for ``verify-gamma`` at any parameters, and for
+``replay`` of a valid report of each command with one parameter replaced by
+any JSON value."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -99,12 +102,20 @@ def _holes(obj, path="results"):
     return []
 
 
+# the nulls a verify-gamma report documents: the b of a kind that takes
+# none, and the decay exponent of an agreement down to roundoff
+_GAMMA_NULLS = (".b", ".decay_exponent")
+
+
 def _check(argv):
     code, out, err = _run(argv)
     assert code in (0, 2, 3), (code, err)
     if code == 0:
         report = json.loads(out)
-        assert _holes(report["results"]) == [], out
+        holes = _holes(report["results"])
+        if report["command"] == "verify-gamma":
+            holes = [h for h in holes if not h.endswith(_GAMMA_NULLS)]
+        assert holes == [], out
     else:
         assert out == ""
         assert err.startswith(("error: ", "resource cap: "))
@@ -149,3 +160,59 @@ def test_threshold_any_json(domain, kind, N, lo, hi):
     # an absent bracket end takes the default around the predicted cut-off
     ends = [f"--p-{name}={v}" for name, v in (("lo", lo), ("hi", hi)) if v is not None]
     _check(["threshold", f"--domain={json.dumps(domain)}", f"--kind={kind}", f"--N={N}", *ends])
+
+
+@settings(SETTINGS, max_examples=150)
+@given(
+    kind=st.sampled_from(["all", "R1", "R2", "R3", "R4", "R5", "r3"]) | st.text(max_size=3),
+    order=st.integers(-1, 3) | NUMBERS,
+    a=NUMBERS | st.sampled_from(["inf", "nan", "-1", "1e154", "1e70"]),
+    b=NUMBERS | st.sampled_from(["inf", "nan", "-1", "1e154"]),
+    x0=NUMBERS | st.sampled_from(["inf", "nan", "-64", "1e300"]),
+    doublings=st.integers(-3, 1100) | NUMBERS,
+)
+def test_verify_gamma_any_json(kind, order, a, b, x0, doublings):
+    _check(["verify-gamma", f"--kind={kind}", f"--order={order}", f"--a={a}", f"--b={b}",
+            f"--x0={x0}", f"--doublings={doublings}"])
+
+
+DISK = '{"blocks":[{"p":[1.0],"a":1.0}]}'
+BALL = '{"blocks":[{"p":[1.0,1.0],"a":1.0}]}'
+# one small valid command line per command
+VALID = {
+    "norm": ["norm", f"--domain={BALL}", "--index=[1,2]", "--mc-samples=1000", "--seed=3"],
+    "eig": ["eig", f"--domain={BALL}", "--kind=within:0:0:1", "--degree-max=3"],
+    "shells": ["shells", f"--domain={BALL}", "--p=2.0", "--N=24"],
+    "threshold": ["threshold", f"--domain={DISK}", "--N=40"],
+    "module-threshold": ["module-threshold", f"--domain={BALL}"],
+    "zeta": ["zeta", '--spec={"m":2,"powers":[0,0],"b":3.0}', "--N=40"],
+    "verify-gamma": ["verify-gamma", "--kind=R3"],
+}
+# any JSON value, but integers small enough that a valid one (a Monte-Carlo
+# sample count, say) asks for a computation of seconds at most
+REPLACEMENT = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=4,
+) | st.sampled_from(["abc", None, 100.5, [1], {}, -1, 0, True, 1e308, "nan", "-inf", "csv"])
+
+
+@functools.cache
+def _valid_report(command):
+    code, out, err = _run(VALID[command])
+    assert code == 0, err
+    return out
+
+
+@SETTINGS
+@given(data=st.data(), command=st.sampled_from(sorted(VALID)), value=REPLACEMENT)
+def test_replay_any_param(data, command, value):
+    report = json.loads(_valid_report(command))
+    key = data.draw(st.sampled_from(sorted(report["params"]) + ["bogus"]), label="key")
+    report["params"][key] = value
+    _check(["replay", json.dumps(report)])

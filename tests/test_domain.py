@@ -58,6 +58,36 @@ class TestSpecs:
         assert dimension(DomainSpec.single_block([3.0, 1.0])) == 2
 
 
+class TestLayout:
+    def test_examples(self):
+        dom = DomainSpec(blocks=(BlockSpec((1.0, 2.5), 2.0), BlockSpec((0.5,), 1.0)))
+        assert dom.spans == ((0, 2), (2, 3))
+        assert dom.columns == ((0, 1.0), (0, 2.5), (1, 0.5))
+
+    def test_agrees_with_flat_position_and_multi_index(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            dom = random_domain(rng, max_dim=6)
+            assert dom.spans[0][0] == 0 and dom.spans[-1][1] == dom.dimension
+            flat = list(range(dom.dimension))
+            nested = as_multi_index(dom, flat)
+            for k, blk in enumerate(dom.blocks):
+                first, stop = dom.spans[k]
+                assert nested[k] == tuple(range(first, stop))
+                for j in range(blk.size):
+                    col = dom.flat_position(k, j)
+                    assert first <= col < stop
+                    assert dom.columns[col] == (k, blk.p[j])
+
+    def test_not_fields(self):
+        dom = DomainSpec(blocks=(BlockSpec((1.0, 2.5), 2.0), BlockSpec((0.5,), 1.0)))
+        # computed once per domain
+        assert dom.spans is dom.spans and dom.columns is dom.columns
+        fresh = DomainSpec(blocks=dom.blocks)
+        assert dom == fresh and repr(dom) == repr(fresh) and hash(dom) == hash(fresh)
+        assert dom.to_json() == fresh.to_json()
+
+
 class TestMultiIndex:
     def test_flat_and_nested_agree(self):
         dom = DomainSpec(blocks=(BlockSpec((1.0, 1.0), 1.0), BlockSpec((2.0,), 1.0)))
@@ -207,3 +237,8 @@ class TestMonteCarloOracle:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValidationError):
             mc_norm_oracle(DISK, [0], 0, seed=1)
+
+    @pytest.mark.parametrize("samples, seed", [(10.5, 1), (10, -1), (10, 1.5), (10, "1")])
+    def test_rejects_malformed_samples_and_seed(self, samples, seed):
+        with pytest.raises(ValidationError):
+            mc_norm_oracle(DISK, [0], samples, seed=seed)

@@ -159,6 +159,15 @@ class TestBruteForce:
         div = brute_shell_sums(ZetaSeriesSpec(m=2, powers=(0.0, 0.0), b=1.5), 2000)
         assert div.verdict is Verdict.DIVERGES
 
+    @pytest.mark.parametrize("N", [100.7, "300", True, None, 15, -3])
+    def test_rejects_a_shell_count_that_is_not_an_integer_of_at_least_16(self, N):
+        with pytest.raises(ValidationError):
+            brute_shell_sums(ZetaSeriesSpec(m=2, powers=(0.0, 0.0), b=3.0), N)
+
+    def test_integral_float_shell_count(self):
+        spec = ZetaSeriesSpec(m=2, powers=(0.0, 0.0), b=3.0)
+        assert len(brute_shell_sums(spec, 100.0).shell_sums) == 101
+
     def test_triple_abs_above_critical_converges(self):
         spec = ZetaSeriesSpec(
             m=4,
