@@ -38,6 +38,8 @@ from .summability import (
 )
 
 _EIG_ROW_CAP = 100_000
+# criterion 7's 10^7 samples take 0.6 s, so the default allows about 6 s
+_MC_SAMPLE_CAP = 10**8
 _LN_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
@@ -74,17 +76,6 @@ def _parse_kind(text: str) -> commutator.CommutatorKind:
         raise ValidationError(f"bad commutator kind {text!r}: {exc}") from exc
     raise ValidationError(
         f"bad commutator kind {text!r}; use self:K:J, within:K:J:L or between:K:J:K2:L"
-    )
-
-
-def _kind_str(kind: commutator.CommutatorKind) -> str:
-    if isinstance(kind, commutator.SelfAdjoint):
-        return f"self:{kind.block}:{kind.coord}"
-    if isinstance(kind, commutator.CrossWithin):
-        return f"within:{kind.block}:{kind.raised}:{kind.lowered}"
-    return (
-        f"between:{kind.raised_block}:{kind.raised_coord}"
-        f":{kind.lowered_block}:{kind.lowered_coord}"
     )
 
 
@@ -140,10 +131,18 @@ def _cmd_norm(params: dict) -> dict:
     if not value < _LN_DOUBLE_MAX:
         raise ValidationError("the norm is out of double precision range for this domain and index")
     results = {"log_norm": value, "norm": math.exp(value)}
-    if params["mc_samples"]:
-        est, err = mc_norm_oracle(dom, idx, params["mc_samples"], params["seed"])
-        sigmas = abs(est - math.exp(value)) / err if err > 0 else None
-        results["mc"] = {"estimate": est, "stderr": err, "sigmas_from_formula": sigmas}
+    samples = params["mc_samples"]
+    if samples:
+        cap = params["cap"] if params["cap"] is not None else _MC_SAMPLE_CAP
+        if samples > cap:
+            raise ResourceCapError(
+                f"{samples} Monte-Carlo samples exceed the cap of {cap}; raise --cap"
+            )
+        est, err = mc_norm_oracle(dom, idx, samples, params["seed"])
+        results["mc"] = {"estimate": est, "stderr": err}
+        # a zero stderr (one sample, or every sample rejected) gives no scale
+        if err > 0:
+            results["mc"]["sigmas_from_formula"] = abs(est - math.exp(value)) / err
     return _report("norm", params, results)
 
 
@@ -284,10 +283,6 @@ def _cmd_zeta(params: dict) -> dict:
     return _report("zeta", params, results)
 
 
-def _finite_or_none(value: float) -> float | None:
-    return value if math.isfinite(value) else None
-
-
 def _verify_one(tag: str, order: int, a: float, b: float | None, xs) -> dict:
     needs_b = tag in ("R1", "R3", "R5")
     kind = gammakit.ExpansionKind(tag, a, b if needs_b else None)
@@ -296,22 +291,23 @@ def _verify_one(tag: str, order: int, a: float, b: float | None, xs) -> dict:
         "kind": tag,
         "order": order,
         "a": a,
-        "b": b if needs_b else None,
         "xs": check.xs,
         "exact": check.exact,
         "approx": check.approx,
         "abs_error": check.abs_error,
-        # exact agreement has no finite decay exponent: null, flagged below
-        "decay_exponent": _finite_or_none(check.decay_exponent),
         "agreement_exact": math.isinf(check.decay_exponent),
     }
+    if needs_b:
+        entry["b"] = b
+    # exact agreement has no finite decay exponent: the key is left out
+    if not entry["agreement_exact"]:
+        entry["decay_exponent"] = check.decay_exponent
     if tag == "R3":
         printed = gammakit.verify_expansion(kind, order, xs, use_printed_r3=True)
         entry["quadratic_coefficients"] = check.r3_coefficients
-        entry["printed_variant"] = {
-            "abs_error": printed.abs_error,
-            "decay_exponent": _finite_or_none(printed.decay_exponent),
-        }
+        entry["printed_variant"] = {"abs_error": printed.abs_error}
+        if not math.isinf(printed.decay_exponent):
+            entry["printed_variant"]["decay_exponent"] = printed.decay_exponent
     return entry
 
 
@@ -385,8 +381,8 @@ def _csv_rows(report: dict):
                 chk["xs"], chk["exact"], chk["approx"], chk["abs_error"]
             ):
                 rows.append(
-                    [chk["kind"], chk["order"], chk["a"], chk["b"], x, exact, approx, err,
-                     chk["decay_exponent"]]
+                    [chk["kind"], chk["order"], chk["a"], chk.get("b"), x, exact, approx, err,
+                     chk.get("decay_exponent")]
                 )
         return (
             ["kind", "order", "a", "b", "x", "exact", "approx", "abs_error", "decay_exponent"],
@@ -441,14 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    evaluations = (f"eigenvalue evaluations (default {summability.DEFAULT_CAP:,}; "
+                   "dimensions >= 4 need an explicit cap)")
 
-    def common(p, domain=True, kind=False):
+    # counts: the work --cap bounds; a command that counts none takes no --cap
+    def common(p, domain=True, kind=False, counts=None):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--workers", type=_worker_count, default=1,
                        help="worker count, at least 1, echoed in reports; it changes "
                             "nothing (default 1)")
-        p.add_argument("--cap", type=int, default=None,
-                       help="resource cap (eigenvalue evaluations / table rows)")
+        if counts:
+            p.add_argument("--cap", type=int, default=None,
+                           help=f"resource cap on {counts}; exit 3 beyond it")
         if domain:
             p.add_argument("--domain", required=True,
                            help='domain spec: inline JSON or a file path '
@@ -458,26 +458,26 @@ def build_parser() -> argparse.ArgumentParser:
                            help="commutator kind selector (default self:0:0)")
 
     p = sub.add_parser("norm", help="log monomial norm for one index")
-    common(p)
+    common(p, counts=f"Monte-Carlo samples (default {_MC_SAMPLE_CAP:,})")
     p.add_argument("--index", required=True, help="JSON index, flat or per-block nested")
     p.add_argument("--mc-samples", type=int, default=0,
                    help="also run the Monte-Carlo oracle with this many samples")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("eig", help="eigenvalue table over a degree range")
-    common(p, kind=True)
+    common(p, kind=True, counts=f"table rows (default {_EIG_ROW_CAP:,})")
     p.add_argument("--degree-min", type=int, default=0)
     p.add_argument("--degree-max", type=int, default=16)
 
     p = sub.add_parser("shells", help="shell sums + tail slope + verdict")
-    common(p, kind=True)
+    common(p, kind=True, counts=evaluations)
     p.add_argument("--p", type=float, required=True, help="Schatten exponent")
     p.add_argument("--N", type=int, default=None, help="max total degree (default by dimension)")
     p.add_argument("--window", type=float, default=DEFAULT_WINDOW)
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
 
     p = sub.add_parser("threshold", help="predicted vs empirical summability cut-off")
-    common(p, kind=True)
+    common(p, kind=True, counts=evaluations)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--window", type=float, default=DEFAULT_WINDOW)
@@ -490,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("zeta", help="critical exponent, family and brute-force verdict")
-    common(p, domain=False)
+    common(p, domain=False, counts=f"enumerated terms (default {summability.DEFAULT_CAP:,}; "
+           f"an explicit cap also lifts the {zetalab.DEFAULT_ZETA_SHELL_CAP:,}-shell ceiling)")
     p.add_argument("--spec", required=True, help="zeta series spec: inline JSON or file path")
     p.add_argument("--N", type=int, default=5000, help="shells to sum")
     p.add_argument("--window", type=float, default=DEFAULT_WINDOW)

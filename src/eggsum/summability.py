@@ -102,10 +102,6 @@ class SummationReport:
     verdict: Verdict | None
     total: float
 
-    @property
-    def max_degree(self) -> int:
-        return len(self.shell_sums) - 1
-
 
 def default_shells(dom: DomainSpec) -> int:
     d = dom.dimension

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from eggsum import cli
 from eggsum.cli import run
 
 DISK = '{"blocks":[{"p":[1.0],"a":1.0}]}'
@@ -34,6 +35,31 @@ class TestNorm:
         )
         mc = rep["results"]["mc"]
         assert abs(mc["estimate"] - math.pi) <= 4 * mc["stderr"]
+
+    def test_zero_stderr_leaves_sigmas_out(self, capsys):
+        # one sample has no spread: no scale to count sigmas in, and no null
+        rep = run_json(capsys, ["norm", "--domain", DISK, "--index", "[1]", "--mc-samples", "1"])
+        assert rep["results"]["mc"]["stderr"] == 0.0
+        assert "sigmas_from_formula" not in rep["results"]["mc"]
+
+    def test_sample_cap(self, capsys, monkeypatch):
+        argv = ["norm", "--domain", DISK, "--index", "[1]", "--mc-samples", str(10**13)]
+        report = run_json(capsys, argv[:-1] + ["10"])
+        report["params"]["mc_samples"] = 10**13
+
+        def sampling(*args):
+            raise AssertionError("sampling started")
+
+        # refused before any sampling, both directly and from a replayed report
+        monkeypatch.setattr(cli, "mc_norm_oracle", sampling)
+        assert run(argv) == 3
+        assert run(["replay", json.dumps(report)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("resource cap: ")
+        assert run(argv[:-1] + ["3", "--cap", "2"]) == 3
+        monkeypatch.undo()
+        # an explicit cap moves the bound either way
+        assert run_json(capsys, argv[:-1] + ["3", "--cap", "3"])["results"]["mc"]
 
     def test_domain_from_file(self, capsys, tmp_path):
         path = tmp_path / "dom.json"
@@ -184,6 +210,19 @@ class TestVerifyGamma:
         r3 = checks[2]
         assert "quadratic_coefficients" in r3
         assert "printed_variant" in r3
+        # R2 and R4 take no b, and their entries hold none
+        assert ["b" in c for c in checks] == [True, False, True, False, True]
+
+    def test_exact_agreement_leaves_decay_exponent_out(self, capsys):
+        rep = run_json(capsys, ["verify-gamma", "--kind", "R3", "--x0", "1e12"])
+        chk = rep["results"]["checks"][0]
+        assert chk["agreement_exact"] is True
+        assert "decay_exponent" not in chk
+        assert "decay_exponent" not in chk["printed_variant"]
+        # the CSV projection keeps its column, empty
+        assert run(["verify-gamma", "--kind", "R3", "--x0", "1e12", "--format", "csv"]) == 0
+        first = capsys.readouterr().out.splitlines()[1]
+        assert first.startswith("R3,2,1.25,0.75,1000000000000.0,") and first.endswith(",")
 
     @pytest.mark.parametrize(
         "args",
@@ -280,6 +319,33 @@ class TestErrorsAndReplay:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm", "--domain", DISK, "--index", "[1]", "--mc-samples", "2"],
+            ["eig", "--domain", BALL, "--degree-max", "3"],
+            ["shells", "--domain", BALL, "--p", "2", "--N", "24"],
+            ["threshold", "--domain", DISK, "--N", "40"],
+            # overlapping groups take the enumeration path, whose terms the cap counts
+            ["zeta", "--spec",
+             '{"m":3,"powers":[0,0,0],"groups":[{"vars":[0,1],"a":1},{"vars":[1,2],"a":1}],'
+             '"b":6}', "--N", "40"],
+        ],
+        ids=["norm", "eig", "shells", "threshold", "zeta"],
+    )
+    def test_every_cap_is_read(self, capsys, argv):
+        run_json(capsys, argv)
+        assert run([*argv, "--cap", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("resource cap: ")
+
+    @pytest.mark.parametrize("command", ["module-threshold", "verify-gamma"])
+    def test_no_cap_where_nothing_is_counted(self, capsys, command):
+        argv = [command, "--domain", DISK] if command == "module-threshold" else [command]
+        run_json(capsys, argv)
+        assert run([*argv, "--cap", "1"]) == 2
+        assert "--cap" in capsys.readouterr().err
+
     def test_replay_reproduces_bit_for_bit(self, capsys, tmp_path):
         cases = [
             # every row of shells 0..200 of the 2-ball
@@ -313,11 +379,14 @@ class TestErrorsAndReplay:
             (["verify-gamma"], "a", 1e308),
             (["verify-gamma"], "bogus", 1),
             (["module-threshold", "--domain", DISK], "dom", DISK),
+            # reports written while these commands still took --cap
+            (["module-threshold", "--domain", DISK], "cap", None),
+            (["verify-gamma"], "cap", None),
         ],
         ids=["zeta-N-text", "zeta-spec-null", "shells-kind-number", "shells-workers-0",
              "shells-window-list", "eig-degree-fraction", "norm-samples-huge",
              "norm-seed-negative", "gamma-doublings-text", "gamma-a-huge", "unknown-key",
-             "abbreviated-key"],
+             "abbreviated-key", "module-threshold-retired-cap", "gamma-retired-cap"],
     )
     def test_replay_malformed_param_exit_2(self, capsys, argv, key, value):
         report = run_json(capsys, argv)

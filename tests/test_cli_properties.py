@@ -9,15 +9,18 @@ results.  The same holds for ``verify-gamma`` at any parameters, and for
 any JSON value."""
 
 import contextlib
+import dataclasses
 import functools
 import io
 import json
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from eggsum import CrossBetween, CrossWithin, DomainSpec, SelfAdjoint
 from eggsum.cli import run
+from eggsum.commutator import all_kinds
 
 _SCALARS = (
     st.none()
@@ -79,6 +82,39 @@ KIND = st.sampled_from(["self:0:0", "self:1:0", "within:0:0:1", "between:0:0:1:0
     max_size=8
 )
 
+# a valid egg of one or two blocks of one or two coordinates, one of its own
+# kinds, a shell count the commands accept and no bracket or a drawn one:
+# every such command line reaches the bisection
+SMALL_EGG = st.fixed_dictionaries(
+    {
+        "blocks": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "p": st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=2),
+                    "a": st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+                }
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    }
+)
+_PREFIX = {SelfAdjoint: "self", CrossWithin: "within", CrossBetween: "between"}
+
+
+def _selector(kind):
+    """The CLI's kind selector: the prefix, then the fields in order."""
+    return ":".join([_PREFIX[type(kind)], *map(str, dataclasses.astuple(kind))])
+
+
+@st.composite
+def _bisection_case(draw):
+    domain = draw(SMALL_EGG)
+    kind = draw(st.sampled_from(all_kinds(DomainSpec.from_json(domain))))
+    lo, hi = draw(st.none() | st.tuples(NUMBERS, NUMBERS)) or (None, None)
+    return domain, _selector(kind), draw(st.integers(16, 40)), lo, hi
+
+
 SETTINGS = settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -102,29 +138,22 @@ def _holes(obj, path="results"):
     return []
 
 
-# the nulls a verify-gamma report documents: the b of a kind that takes
-# none, and the decay exponent of an agreement down to roundoff
-_GAMMA_NULLS = (".b", ".decay_exponent")
-
-
 def _check(argv):
     code, out, err = _run(argv)
     assert code in (0, 2, 3), (code, err)
+    event(f"exit {code}")
     if code == 0:
-        report = json.loads(out)
-        holes = _holes(report["results"])
-        if report["command"] == "verify-gamma":
-            holes = [h for h in holes if not h.endswith(_GAMMA_NULLS)]
-        assert holes == [], out
+        assert _holes(json.loads(out)["results"]) == [], out
     else:
         assert out == ""
         assert err.startswith(("error: ", "resource cap: "))
 
 
 @SETTINGS
-@given(domain=DOMAIN, index=INDEX)
-def test_norm_any_json(domain, index):
-    _check(["norm", f"--domain={json.dumps(domain)}", f"--index={json.dumps(index)}"])
+@given(domain=DOMAIN, index=INDEX, samples=st.just(1) | st.integers(0, 1000))
+def test_norm_any_json(domain, index, samples):
+    _check(["norm", f"--domain={json.dumps(domain)}", f"--index={json.dumps(index)}",
+            f"--mc-samples={samples}"])
 
 
 @SETTINGS
@@ -154,9 +183,10 @@ def test_zeta_any_json(spec, N):
 
 
 @settings(SETTINGS, max_examples=150)
-@given(domain=DOMAIN | EGG, kind=KIND, N=SHELLS, lo=st.none() | NUMBERS,
-       hi=st.none() | NUMBERS)
-def test_threshold_any_json(domain, kind, N, lo, hi):
+@given(case=st.tuples(DOMAIN | EGG, KIND, SHELLS, st.none() | NUMBERS, st.none() | NUMBERS)
+       | _bisection_case())
+def test_threshold_any_json(case):
+    domain, kind, N, lo, hi = case
     # an absent bracket end takes the default around the predicted cut-off
     ends = [f"--p-{name}={v}" for name, v in (("lo", lo), ("hi", hi)) if v is not None]
     _check(["threshold", f"--domain={json.dumps(domain)}", f"--kind={kind}", f"--N={N}", *ends])

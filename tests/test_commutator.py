@@ -316,6 +316,21 @@ class TestAsymptotics:
             expect = math.sqrt(a1 * b1) / (a1 + b1) ** 2
             assert got == pytest.approx(expect, rel=1e-14)
 
+    @pytest.mark.parametrize("fixed", [(1, 1), (10, 10), (50, 50)])
+    def test_corner_ray_local_exponent(self, fixed):
+        # criterion 5's domain with the raised and lowered entries held and
+        # the third entry c growing alone: a regime no full ray reaches
+        dom = DomainSpec(blocks=(BlockSpec((1.0, 1.0), 4.0), BlockSpec((1.0,), 1.0)))
+        kind = CrossWithin(0, 0, 1)
+
+        def local_exponent(f, c=10**5):
+            ratio = f(dom, kind, [*fixed, 10 * c]) / f(dom, kind, [*fixed, c])
+            return math.log(abs(ratio)) / math.log(10.0)
+
+        exact = local_exponent(eigenvalue)
+        assert exact == pytest.approx(local_exponent(asymptotic_eigenvalue), abs=1e-3)
+        assert exact == pytest.approx(-0.25, abs=1e-4)
+
     def test_cross_branches_require_positive_entries(self):
         with pytest.raises(ValidationError):
             asymptotic_eigenvalue(BALL2, CrossWithin(0, 0, 1), [0, 3])
