@@ -13,7 +13,8 @@ Commutator kinds are spelled
     between:BLOCK:COORD:BLOCK2:COORD2
 
 Exit status: 0 on success, 2 on validation or input errors, 3 on resource
-cap errors, 1 on anything unexpected.
+cap errors, 1 when the reader closes the output pipe early (with nothing
+on stderr) and on anything unexpected.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -125,6 +127,8 @@ def _resolve_shells(dom: DomainSpec, n_arg: int | None) -> int:
 def _cmd_norm(params: dict) -> dict:
     dom = DomainSpec.from_json(params["domain"])
     idx = params["index"]
+    cap = params["cap"] if params["cap"] is not None else _MC_SAMPLE_CAP
+    params = {**params, "cap": cap}
     # log_norm rejects a log-norm beyond double range; its exponential may
     # still overflow
     value = log_norm(dom, idx)
@@ -133,7 +137,6 @@ def _cmd_norm(params: dict) -> dict:
     results = {"log_norm": value, "norm": math.exp(value)}
     samples = params["mc_samples"]
     if samples:
-        cap = params["cap"] if params["cap"] is not None else _MC_SAMPLE_CAP
         if samples > cap:
             raise ResourceCapError(
                 f"{samples} Monte-Carlo samples exceed the cap of {cap}; raise --cap"
@@ -153,6 +156,7 @@ def _cmd_eig(params: dict) -> dict:
     if lo < 0 or hi < lo:
         raise ValidationError("need 0 <= degree-min <= degree-max")
     cap = params["cap"] if params["cap"] is not None else _EIG_ROW_CAP
+    params = {**params, "cap": cap}
     shells = range(lo, hi + 1)
     if range_count(dom.dimension, shells) > cap:
         raise ResourceCapError(
@@ -184,7 +188,6 @@ def _cmd_shells(params: dict) -> dict:
     dom = DomainSpec.from_json(params["domain"])
     kind = _parse_kind(params["kind"])
     N = _resolve_shells(dom, params["N"])
-    params = {**params, "N": N}
     rep = summability.shell_report(
         dom,
         kind,
@@ -195,6 +198,7 @@ def _cmd_shells(params: dict) -> dict:
         cap=params["cap"],
     )
     _require_finite(rep.shell_sums, rep.slope, rep.total, params["window"])
+    params = {**params, "N": N, "cap": summability.resolve_cap(dom, params["cap"])}
     results = {
         "shell_sums": rep.shell_sums,
         "slope": rep.slope,
@@ -213,7 +217,6 @@ def _cmd_threshold(params: dict) -> dict:
     predicted = summability.predicted_threshold(dom, kind)
     p_lo = params["p_lo"] if params["p_lo"] is not None else predicted / 2.0
     p_hi = params["p_hi"] if params["p_hi"] is not None else 1.5 * predicted + 0.5
-    params = {**params, "N": N, "p_lo": p_lo, "p_hi": p_hi}
     empirical = summability.empirical_threshold(
         dom,
         kind,
@@ -224,6 +227,8 @@ def _cmd_threshold(params: dict) -> dict:
         window=params["window"],
         cap=params["cap"],
     )
+    cap = summability.resolve_cap(dom, params["cap"])
+    params = {**params, "N": N, "p_lo": p_lo, "p_hi": p_hi, "cap": cap}
     agreement_tol = max(params["tol"], 0.1 * predicted)
     results = {
         "predicted": predicted,
@@ -259,6 +264,10 @@ def _cmd_zeta(params: dict) -> dict:
             "max_shells": max(params["N"], zetalab.DEFAULT_ZETA_SHELL_CAP),
             "term_cap": params["cap"],
         }
+    else:
+        # a run without a cap has N within the shell ceiling, so the default
+        # term cap, given explicitly, allows the same shells and terms
+        params = {**params, "cap": summability.DEFAULT_CAP}
     rep = zetalab.brute_shell_sums(
         spec,
         params["N"],
@@ -343,37 +352,38 @@ _EXECUTORS = {
 # ------------------------------------------------------------------ output
 
 
+# each command's CSV header, and the notes the help text adds to them
+_CSV_HEADERS = {
+    "norm": ["log_norm", "norm", "mc_estimate", "mc_stderr"],
+    "eig": ["degree", "index", "eigenvalue"],
+    "shells": ["shell", "sum"],
+    "zeta": ["shell", "sum"],
+    "threshold": ["predicted", "empirical", "abs_difference", "agrees"],
+    "module-threshold": ["component", "value"],
+    "verify-gamma": ["kind", "order", "a", "b", "x", "exact", "approx", "abs_error",
+                     "decay_exponent"],
+}
+_CSV_NOTES = {"eig": "(index entries joined by |)"}
+
+
 def _csv_rows(report: dict):
     command = report["command"]
     res = report["results"]
     if command == "norm":
         mc = res.get("mc") or {}
-        return (
-            ["log_norm", "norm", "mc_estimate", "mc_stderr"],
-            [[res["log_norm"], res["norm"], mc.get("estimate"), mc.get("stderr")]],
-        )
+        return [[res["log_norm"], res["norm"], mc.get("estimate"), mc.get("stderr")]]
     if command == "eig":
-        return (
-            ["degree", "index", "eigenvalue"],
-            [
-                [r["degree"], "|".join(str(v) for v in r["index"]), r["eigenvalue"]]
-                for r in res["rows"]
-            ],
-        )
+        return [
+            [r["degree"], "|".join(str(v) for v in r["index"]), r["eigenvalue"]]
+            for r in res["rows"]
+        ]
     if command in ("shells", "zeta"):
-        return (
-            ["shell", "sum"],
-            [[n, s] for n, s in enumerate(res["shell_sums"])],
-        )
+        return [[n, s] for n, s in enumerate(res["shell_sums"])]
     if command == "threshold":
-        return (
-            ["predicted", "empirical", "abs_difference", "agrees"],
-            [[res["predicted"], res["empirical"], res["abs_difference"], res["agrees"]]],
-        )
+        return [[res["predicted"], res["empirical"], res["abs_difference"], res["agrees"]]]
     if command == "module-threshold":
         rows = [["dimension", res["dimension"]], ["module", res["value"]]]
-        rows += [[f"q[{e['block']}]", e["q"]] for e in res["blocks"]]
-        return (["component", "value"], rows)
+        return rows + [[f"q[{e['block']}]", e["q"]] for e in res["blocks"]]
     if command == "verify-gamma":
         rows = []
         for chk in res["checks"]:
@@ -384,10 +394,7 @@ def _csv_rows(report: dict):
                     [chk["kind"], chk["order"], chk["a"], chk.get("b"), x, exact, approx, err,
                      chk.get("decay_exponent")]
                 )
-        return (
-            ["kind", "order", "a", "b", "x", "exact", "approx", "abs_error", "decay_exponent"],
-            rows,
-        )
+        return rows
     raise ValidationError(f"no CSV projection for command {command!r}")
 
 
@@ -395,22 +402,22 @@ def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         _print_json(report)
     else:
-        header, rows = _csv_rows(report)
-        _print_csv(header, rows)
+        _print_csv(_CSV_HEADERS[report["command"]], _csv_rows(report))
 
 
 # ------------------------------------------------------------------ parser
 
 
-_CSV_COLUMNS = """\
-CSV columns per subcommand (--format csv; JSON is the canonical format):
-  norm              log_norm,norm,mc_estimate,mc_stderr
-  eig               degree,index,eigenvalue        (index entries joined by |)
-  shells, zeta      shell,sum
-  threshold         predicted,empirical,abs_difference,agrees
-  module-threshold  component,value
-  verify-gamma      kind,order,a,b,x,exact,approx,abs_error,decay_exponent
-"""
+def _csv_columns() -> str:
+    """The help text's list of ``_CSV_HEADERS``, one line per header."""
+    commands = {}
+    for command, header in _CSV_HEADERS.items():
+        commands.setdefault(",".join(header), []).append(command)
+    lines = ["CSV columns per subcommand (--format csv; JSON is the canonical format):"]
+    for header, names in commands.items():
+        note = _CSV_NOTES.get(names[0], "")
+        lines.append(f"  {', '.join(names):<18}{header:<31}{note}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -433,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="eggsum",
         description=__doc__,
-        epilog=_CSV_COLUMNS,
+        epilog=_csv_columns(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -557,7 +564,16 @@ def run(argv=None) -> int:
         else:
             command, params = args.command, _params_from_args(args)
         _emit(_EXECUTORS[command](params), args.format)
+        # a pipe the reader closed fails here, not in the interpreter's
+        # final flush
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # the reader wants no more output: point stdout at devnull so that
+        # the final flush of what is left cannot fail again, and exit 1
+        # quietly, as a process killed by SIGPIPE would print nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,24 +2,26 @@
 
 Shells are the natural unit of the tail analysis (the series under study
 are organized by total degree), so enumeration is by shell, vectorized,
-and deterministic: rows are produced in lexicographic order.
-``shell_indices`` builds a shell of any dimension from its two-column
-form by splitting the last entry of every row, one ``np.repeat`` per
-column and split, with no Python loop over entries.
+and deterministic: rows are produced in lexicographic order.  One builder
+makes a whole run of consecutive shells in any dimension d >= 1: each
+shell starts as the one row [n], and d - 1 times the last entry of every
+row is split in two, one ``np.repeat`` per column and split, with no
+Python loop over shells or entries.  ``shell_indices`` is its one-shell
+case.
 
-``shell_batches`` is the one walk over a range of shells: it groups
-consecutive shells into runs of about ``BATCH_ROWS`` rows (a larger shell
-is a run of its own), so a caller evaluates and sums a whole run with a
-few numpy calls instead of a few per shell.  Given a partition of the
-columns into groups, it yields one representative row per class of rows
-that differ only inside groups, with the class's size as an exact float
-multiplicity; given every column alone, it yields every row.  Row counts
-of a range come from the closed form ``cumulative_count``, class counts
-from the same form in one variable per group.
+``shell_batches`` is the one walk over a range of shells: it cuts the
+range into runs of the most consecutive shells that fit in ``BATCH_ROWS``
+rows (a larger shell is a run of its own), found by bisection over the
+closed-form count ``range_count``, so a caller evaluates and sums a whole
+run with a few numpy calls.  Given a partition of the columns into groups,
+it yields one representative row per class of rows that differ only
+inside groups, with the class's size as an exact float multiplicity;
+given every column alone, it yields every row.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import comb, prod
 
 import numpy as np
@@ -59,21 +61,28 @@ def shell_indices(d: int, n: int) -> np.ndarray:
         raise ValidationError("dimension must be >= 1")
     if n < 0:
         raise ValidationError("total degree must be >= 0")
-    if d == 1:
-        return np.array([[n]], dtype=np.int32)
-    cols = [np.arange(n + 1, dtype=np.int32)]
-    last = n - cols[0]
-    for _ in range(d - 2):
+    return _shell_rows(d, range(n, n + 1))[0]
+
+
+def _shell_rows(d: int, shells: range) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, offsets) of a nonempty range of shells in d >= 1 variables:
+    the shells' rows one shell after another, and each shell's start."""
+    last = np.arange(shells.start, shells.stop, dtype=np.int32)
+    offsets = np.arange(len(shells))
+    cols = []
+    for _ in range(d - 1):
         # split the last entry L of every row into (x, L - x), x = 0..L:
-        # rows stay in lexicographic order
+        # rows stay in lexicographic order, a shell starts where its first
+        # row's split does
         counts = last + 1
         starts = np.cumsum(counts, dtype=np.int64) - counts
         x = (np.arange(starts[-1] + counts[-1]) - np.repeat(starts, counts)).astype(np.int32)
         cols = [np.repeat(c, counts) for c in cols]
         cols.append(x)
         last = np.repeat(last, counts) - x
+        offsets = starts[offsets]
     cols.append(last)
-    return np.column_stack(cols)
+    return np.column_stack(cols), offsets
 
 
 def singletons(d: int) -> list[list[int]]:
@@ -125,43 +134,33 @@ def shell_batches(groups, shells: range):
                 f"a class of shell {n_max} stands for 2^53 rows or more, beyond exact "
                 "multiplicities; lower N"
             )
-        counts = {
-            m: np.array([comb(t + m - 1, m - 1) for t in range(n_max + 1)], dtype=np.float64)
-            for _, m in merged
-        }
+        # each merged group's index with its counts C(t+m-1, m-1) by degree t
+        merged = [
+            (g, np.array([comb(t + m - 1, m - 1) for t in range(n_max + 1)], dtype=np.float64))
+            for g, m in merged
+        ]
     first = shells.start
     while first < shells.stop:
-        if dim == 1:
-            stop = min(first + BATCH_ROWS, shells.stop)
-            parts = [np.arange(first, stop, dtype=np.int32)[:, np.newaxis]]
-            offsets = np.arange(stop - first)
-        else:
-            stop = first + 1
-            while stop < shells.stop and range_count(dim, range(first, stop + 1)) <= BATCH_ROWS:
-                stop += 1
-            parts = [shell_indices(dim, n) for n in range(first, stop)]
-            offsets = np.cumsum([0] + [part.shape[0] for part in parts[:-1]])
-        # pop a lone part and name no run: the walk keeps no reference to a
-        # yielded run, so the caller can free it as soon as it is done with it
-        if merged:
-            yield (first, offsets, *_representatives(_joined(parts), firsts, d, merged, counts))
-        else:
-            yield first, offsets, _joined(parts), None
+        # the most shells whose classes fit in BATCH_ROWS, and at least one
+        stop = first + max(1, bisect_right(
+            range(first + 1, shells.stop + 1), BATCH_ROWS,
+            key=lambda s: range_count(dim, range(first, s)),
+        ))
+        # name no run: the walk keeps no reference to a yielded run, so the
+        # caller can free it as soon as it is done with it
+        yield _run(range(first, stop), firsts, d, merged)
         first = stop
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if len(parts) > 1 else parts.pop()
-
-
-def _representatives(classes, firsts, d, merged, counts) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, mult) of a run of classes: each group's degree on its first
-    column, and the product over the merged groups (index, size) of their
-    counts C(t+m-1, m-1), looked up by degree in ``counts[m]``."""
+def _run(shells: range, firsts, d, merged):
+    """The batch of ``shell_batches`` for the run of shells ``shells``."""
+    classes, offsets = _shell_rows(len(firsts), shells)
+    if not merged:
+        return shells.start, offsets, classes, None
     rows = np.zeros((classes.shape[0], d), dtype=np.int32)
     rows[:, firsts] = classes
-    (g, m), *rest = merged
-    mult = counts[m][classes[:, g]]
-    for g, m in rest:
-        mult *= counts[m][classes[:, g]]
-    return rows, mult
+    (g, count), *rest = merged
+    mult = count[classes[:, g]]
+    for g, count in rest:
+        mult *= count[classes[:, g]]
+    return shells.start, offsets, rows, mult

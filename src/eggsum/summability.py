@@ -12,16 +12,18 @@ the p where the slope crosses -1 by bisection (the slope is nonincreasing
 in p because the tail eigenvalues are < 1), reusing one set of eigenvalue
 magnitudes for every probe.
 
-Magnitudes are computed over ``lattice.shell_batches``, runs of
-consecutive shells of about 2^14 rows, with one ``eigenvalue_bulk`` call
-per run.  The walk takes ``commutator.column_partition`` of the kind, so a
-run holds one row per class of rows that the kernel cannot tell apart,
-with the class's multiplicity; every T_n of a run then comes from one
-``np.power`` over the run, one product with the multiplicities (none
-where no columns merge) and one segmented pairwise sum
-(``reduction.pairwise_sum``) over its shell offsets.  An evaluation is one
-class, and the cap counts evaluations.  ``shell_sums`` streams the runs;
-the bisection keeps the window's runs for all of its probes.
+Magnitudes come from ``lattice.shell_batches`` over
+``commutator.column_partition`` of the kind: runs of consecutive shells
+of at most 2^14 classes (a larger shell alone), one ``eigenvalue_bulk``
+call per run, where a class is the rows the kernel cannot tell apart and
+carries its exact multiplicity.  Every run reaches the sums in one shape,
+(first shell, shell offsets, magnitudes, multiplicities or None), and one
+routine turns any sequence of runs into T_0..T_N: per run one
+``np.power``, one product with the multiplicities where columns merge and
+one segmented pairwise sum (``reduction.pairwise_sum``) over its shell
+offsets.  ``shell_sums`` streams the runs into it; the bisection keeps a
+list of the window's runs and hands it over once per probe.  An
+evaluation is one class, and the cap counts evaluations.
 
 ``predicted_threshold`` and ``module_threshold`` evaluate the closed-form
 cut-offs; both are built from the same term helpers so the module value
@@ -60,6 +62,7 @@ __all__ = [
     "DEFAULT_CAP",
     "DEFAULT_SHELLS",
     "default_shells",
+    "resolve_cap",
     "evaluation_count",
     "tail_shells",
     "shell_sums",
@@ -112,7 +115,9 @@ def default_shells(dom: DomainSpec) -> int:
     return DEFAULT_SHELLS[d]
 
 
-def _resolve_cap(dom: DomainSpec, cap: int | None) -> int:
+def resolve_cap(dom: DomainSpec, cap: int | None) -> int:
+    """The cap in effect for ``cap`` on ``dom``: the default below dimension
+    4; at 4 and above an explicit cap or a ResourceCapError."""
     if cap is None:
         if dom.dimension >= 4:
             raise ResourceCapError(
@@ -143,25 +148,25 @@ def _check_budget(dom: DomainSpec, kind: CommutatorKind, shells: range, cap: int
 
 
 def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, shells: range):
-    """Yield (first shell, shell offsets, |eigenvalue| array) per run of
-    ``lattice.shell_batches`` over the kind's classes, followed by the
-    run's multiplicities where columns merge.  The eigenvalue of a row does
-    not depend on the rows evaluated with it, so every magnitude is bit for
-    bit what a per-shell call gives."""
+    """Yield (first shell, shell offsets, |eigenvalue| array, mult or None)
+    per run of ``lattice.shell_batches`` over the kind's classes.  The
+    eigenvalue of a row does not depend on the rows evaluated with it, so
+    every magnitude is bit for bit what a per-shell call gives."""
     for first, offsets, rows, mult in shell_batches(column_partition(dom, kind), shells):
-        mags = np.abs(eigenvalue_bulk(dom, kind, rows))
-        yield (first, offsets, mags) if mult is None else (first, offsets, mags, mult)
+        yield first, offsets, np.abs(eigenvalue_bulk(dom, kind, rows)), mult
 
 
-def _power_sums(batch, p: float, out: np.ndarray) -> None:
-    """Write T_n for the shells of one batch into ``out[n]``: one power over
-    the batch, times the multiplicities if it has them, and one segmented
-    sum, pairwise within each shell."""
-    first, offsets, mags, *mult = batch
-    terms = np.power(mags, p)
-    if mult:
-        terms *= mult[0]
-    out[first : first + offsets.size] = pairwise_sum(terms, offsets)
+def _power_sums(batches, p: float, N: int) -> np.ndarray:
+    """T_0..T_N from magnitude batches, 0 on shells no batch covers: per
+    batch one power, times the multiplicities where it has them, and one
+    segmented sum, pairwise within each shell."""
+    sums = np.zeros(N + 1, dtype=np.float64)
+    for first, offsets, mags, mult in batches:
+        terms = np.power(mags, p)
+        if mult is not None:
+            terms *= mult
+        sums[first : first + offsets.size] = pairwise_sum(terms, offsets)
+    return sums
 
 
 def shell_sums(
@@ -181,10 +186,8 @@ def shell_sums(
     if not p > 0.0:
         raise ValidationError("Schatten exponent p must be positive")
     N = last_shell(N)
-    _check_budget(dom, kind, range(N + 1), _resolve_cap(dom, cap))
-    sums = np.empty(N + 1, dtype=np.float64)
-    for batch in _magnitude_batches(dom, kind, range(N + 1)):
-        _power_sums(batch, p, sums)
+    _check_budget(dom, kind, range(N + 1), resolve_cap(dom, cap))
+    sums = _power_sums(_magnitude_batches(dom, kind, range(N + 1)), p, N)
     return SummationReport(
         p=float(p),
         shell_sums=sums,
@@ -289,24 +292,6 @@ def shell_report(
     )
 
 
-class _MagnitudeCache:
-    """Class magnitude batches of the window shells, with their
-    multiplicities, kept for every p probe."""
-
-    def __init__(self, dom, kind, N, window, cap):
-        self.N = N
-        self.window = window
-        shells = tail_shells(N, window)
-        _check_budget(dom, kind, shells, _resolve_cap(dom, cap))
-        self.batches = list(_magnitude_batches(dom, kind, shells))
-
-    def slope(self, p: float) -> float:
-        sums = np.zeros(self.N + 1, dtype=np.float64)
-        for batch in self.batches:
-            _power_sums(batch, p, sums)
-        return fit_tail_slope(sums, self.window)[0]
-
-
 def empirical_threshold(
     dom: DomainSpec,
     kind: CommutatorKind,
@@ -331,9 +316,15 @@ def empirical_threshold(
     if not finite_real(tol, "tol") >= 0.01:
         raise ValidationError("tol must be at least 0.01")
     N = default_shells(dom) if N is None else last_shell(N)
-    cache = _MagnitudeCache(dom, kind, N, window, cap)
-    s_lo = cache.slope(p_lo)
-    s_hi = cache.slope(p_hi)
+    shells = tail_shells(N, window)
+    _check_budget(dom, kind, shells, resolve_cap(dom, cap))
+    batches = list(_magnitude_batches(dom, kind, shells))
+
+    def slope(p: float) -> float:
+        return fit_tail_slope(_power_sums(batches, p, N), window)[0]
+
+    s_lo = slope(p_lo)
+    s_hi = slope(p_hi)
     if not (s_lo > -1.0):
         raise BracketError(
             f"slope at p_lo={p_lo} is {s_lo:.4f}, not above -1: bracket invalid"
@@ -345,7 +336,7 @@ def empirical_threshold(
     lo, hi = p_lo, p_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        s = cache.slope(mid)
+        s = slope(mid)
         if math.isnan(s):
             raise BracketError(f"tail fit became inconclusive at p={mid}")
         if s > -1.0:

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,11 +254,65 @@ class TestVerifyGamma:
         assert chk["quadratic_coefficients"]["printed"] == pytest.approx(-2.0)
 
 
+# one quick successful command line per command
+QUICK = {
+    "norm": ["norm", "--domain", DISK, "--index", "[1]"],
+    "eig": ["eig", "--domain", BALL, "--degree-max", "3"],
+    "shells": ["shells", "--domain", DISK, "--p", "1", "--N", "40"],
+    "threshold": ["threshold", "--domain", DISK, "--N", "40"],
+    "module-threshold": ["module-threshold", "--domain", DISK],
+    "zeta": ["zeta", "--spec", ZSPEC, "--N", "40"],
+    "verify-gamma": ["verify-gamma"],
+}
+
+
 class TestConfig:
     def test_help_documents_csv_columns(self, capsys):
         with pytest.raises(SystemExit):
             run(["--help"])
-        assert "CSV columns per subcommand" in capsys.readouterr().out
+        text = capsys.readouterr().out.split("CSV columns per subcommand")[1]
+        listed = {}
+        for names, header in re.findall(r"^  ([a-z-]+(?:, [a-z-]+)*) +(\S+)", text, re.M):
+            listed.update(dict.fromkeys(names.split(", "), header))
+        assert sorted(listed) == sorted(QUICK)
+        for command, argv in QUICK.items():
+            assert run([*argv, "--format", "csv"]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == listed[command], command
+
+    @pytest.mark.parametrize("command", ["norm", "eig", "shells", "threshold", "zeta"])
+    def test_default_report_echoes_the_cap_in_effect(self, capsys, command):
+        # every optional argument at its default: no null anywhere in the report
+        argv = {
+            "norm": ["norm", "--domain", DISK, "--index", "[1]"],
+            "eig": ["eig", "--domain", BALL],
+            "shells": ["shells", "--domain", DISK, "--p", "1"],
+            "threshold": ["threshold", "--domain", DISK],
+            "zeta": ["zeta", "--spec", '{"m":2,"powers":[0,0],"b":3.0}'],
+        }[command]
+        report = run_json(capsys, argv)
+        assert isinstance(report["params"]["cap"], int)
+        assert "null" not in json.dumps(report)
+        # a report written when the cap was echoed as null replays the same
+        report["params"]["cap"] = None
+        replayed = run_json(capsys, ["replay", json.dumps(report)])
+        assert replayed["results"] == report["results"]
+
+    @pytest.mark.parametrize("argv", [
+        ["eig", "--domain", BALL, "--degree-max", "300", "--cap", "1000000"],
+        ["verify-gamma", "--doublings", "1000"],
+    ], ids=["eig", "verify-gamma"])
+    def test_closed_pipe_exits_1_quietly(self, argv):
+        # CSV output of several times the pipe buffer; the reader takes one line
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen([sys.executable, "-m", "eggsum.cli", *argv, "--format", "csv"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestErrorsAndReplay:

@@ -192,18 +192,32 @@ def test_threshold_any_json(case):
     _check(["threshold", f"--domain={json.dumps(domain)}", f"--kind={kind}", f"--N={N}", *ends])
 
 
-@settings(SETTINGS, max_examples=150)
-@given(
-    kind=st.sampled_from(["all", "R1", "R2", "R3", "R4", "R5", "r3"]) | st.text(max_size=3),
-    order=st.integers(-1, 3) | NUMBERS,
-    a=NUMBERS | st.sampled_from(["inf", "nan", "-1", "1e154", "1e70"]),
-    b=NUMBERS | st.sampled_from(["inf", "nan", "-1", "1e154"]),
-    x0=NUMBERS | st.sampled_from(["inf", "nan", "-64", "1e300"]),
-    doublings=st.integers(-3, 1100) | NUMBERS,
+# (kind, order, a, b, x0, doublings): any values, and valid ones, which
+# reach a successful report
+GAMMA_ANY = st.tuples(
+    st.sampled_from(["all", "R1", "R2", "R3", "R4", "R5", "r3"]) | st.text(max_size=3),
+    st.integers(-1, 3) | NUMBERS,
+    NUMBERS | st.sampled_from(["inf", "nan", "-1", "1e154", "1e70"]),
+    NUMBERS | st.sampled_from(["inf", "nan", "-1", "1e154"]),
+    NUMBERS | st.sampled_from(["inf", "nan", "-64", "1e300"]),
+    st.integers(-3, 1100) | NUMBERS,
 )
-def test_verify_gamma_any_json(kind, order, a, b, x0, doublings):
-    _check(["verify-gamma", f"--kind={kind}", f"--order={order}", f"--a={a}", f"--b={b}",
-            f"--x0={x0}", f"--doublings={doublings}"])
+_GRID = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.25, 2.0, 3.5, 10.0])
+GAMMA_VALID = st.tuples(
+    st.sampled_from(["all", "R1", "R2", "R3", "R4", "R5"]),
+    st.integers(0, 2),
+    _GRID,
+    _GRID,
+    st.floats(min_value=1.0, max_value=1e6),
+    st.integers(2, 8),
+)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(case=GAMMA_ANY | GAMMA_VALID)
+def test_verify_gamma_any_json(case):
+    names = ("kind", "order", "a", "b", "x0", "doublings")
+    _check(["verify-gamma", *(f"--{name}={v}" for name, v in zip(names, case))])
 
 
 DISK = '{"blocks":[{"p":[1.0],"a":1.0}]}'

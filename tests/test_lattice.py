@@ -151,6 +151,24 @@ def test_multiplicity_refused_from_2_53():
         next(shell_batches(groups, range(0, top + 2)))
 
 
+RUN_CASES = [(singletons(d), shells) for d, shells in CASES] + [
+    (column_partition(CRIT4, SelfAdjoint(0, 0)), range(0, 400)),
+    (column_partition(BALL4, CrossWithin(0, 0, 1)), range(0, 120)),
+]
+
+
+@pytest.mark.parametrize("groups, shells", RUN_CASES,
+                         ids=[f"{g}-{s.start}-{s.stop}" for g, s in RUN_CASES])
+def test_each_run_holds_the_most_shells_that_fit(groups, shells):
+    dim = len(groups)
+    runs = [(first, offsets.size) for first, offsets, _, _ in shell_batches(groups, shells)]
+    assert len(runs) > 1
+    for first, size in runs[:-1]:
+        assert size == 1 or range_count(dim, range(first, first + size)) <= BATCH_ROWS
+        assert range_count(dim, range(first, first + size + 1)) > BATCH_ROWS, first
+    assert sum(size for _, size in runs) == len(shells)
+
+
 @pytest.mark.parametrize("sizes", [[2], [3, 2], [2, 5], [4, 4, 3], [2, 2, 2, 6]])
 def test_max_multiplicity_is_the_largest_class(sizes):
     for n in [0, 1, 2, 7, 24, 61]:

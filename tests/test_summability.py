@@ -106,8 +106,8 @@ class TestMagnitudeBatches:
         d = dom.dimension
         got = []
         n = shells.start
-        for first, offsets, mags in _magnitude_batches(dom, kind, shells):
-            assert first == n
+        for first, offsets, mags, mult in _magnitude_batches(dom, kind, shells):
+            assert first == n and mult is None
             bounds = list(offsets) + [mags.size]
             assert mags.size <= BATCH_ROWS or len(offsets) == 1
             for lo, hi in zip(bounds, bounds[1:]):
