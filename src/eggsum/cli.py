@@ -163,8 +163,9 @@ def _cmd_eig(params: dict) -> dict:
             f"eigenvalue table would have more than {cap} rows; raise --cap"
         )
     rows = []
+    kernel = commutator.WalkKernel(dom, kind, shells, range_count(dom.dimension, shells))
     for _, _, idx, _ in shell_batches(singletons(dom.dimension), shells):
-        vals = commutator.eigenvalue_bulk(dom, kind, idx)
+        vals = kernel(idx)
         for n, r, v in zip(idx.sum(axis=1).tolist(), idx.tolist(), vals.tolist()):
             rows.append({"degree": n, "index": r, "eigenvalue": v})
     return _report("eig", params, {"rows": rows})
@@ -188,6 +189,7 @@ def _cmd_shells(params: dict) -> dict:
     dom = DomainSpec.from_json(params["domain"])
     kind = _parse_kind(params["kind"])
     N = _resolve_shells(dom, params["N"])
+    summability.require_fit_window(N, params["window"])
     rep = summability.shell_report(
         dom,
         kind,
@@ -257,6 +259,7 @@ def _cmd_module_threshold(params: dict) -> dict:
 
 def _cmd_zeta(params: dict) -> dict:
     spec = zetalab.ZetaSeriesSpec.from_json(params["spec"])
+    summability.require_fit_window(params["N"], params["window"])
     kwargs = {}
     if params["cap"] is not None:
         # explicit cap lifts both the shell ceiling and the term budget

@@ -33,13 +33,16 @@ log-norm is formed.
 
 Every Gamma and log1p term depends on a row only through an integer key:
 an entry, the degree sums of a block's runs of equal p (which give s_k),
-or the degree sums of the groups of equal p a (which give T, keyed by all
-groups but the last and the row sum).  Each term is evaluated once per
-distinct key of the rows in a call and gathered (``_KeyTable``), or per
-row where the keys are no fewer than the rows (unequal p in a block, three
-or more groups of equal p a, a single row).  Both apply the same
+or the degree sums of the groups of equal p a (which give T).  A walk over
+a range of shells (``lattice.shell_batches``) drives one ``WalkKernel``:
+it evaluates each term once per key that the walk's shells allow, on the
+first run, and every run only gathers and adds up the terms.  A key set
+of three or more degree sums (a block with three or more runs of equal p,
+three or more groups of equal p a), or one with no fewer keys than the
+walk has rows, is evaluated per row instead.  Both apply the same
 elementwise function to the same integer keys, so an eigenvalue does not
-depend on the rows evaluated with it.
+depend on the rows evaluated with it.  ``eigenvalue_bulk`` is the kernel
+of the rows' own shells, called once.
 
 ``asymptotic_eigenvalue`` returns the dominant large-index expression for
 each kind (up to the unknown multiplicative constant), used only for
@@ -48,7 +51,6 @@ ratio-convergence checks along rays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -57,6 +59,7 @@ import numpy as np
 from . import gammakit
 from .domain import DomainSpec, as_multi_index, flatten_index
 from .errors import ValidationError
+from .lattice import range_count, shell_rows
 
 __all__ = [
     "SelfAdjoint",
@@ -173,58 +176,6 @@ def column_partition(dom: DomainSpec, kind: CommutatorKind) -> list[list[int]]:
     return sorted((g for g in groups if g), key=lambda g: g[0])
 
 
-class _KeyTable:
-    """Integer keys of the rows (one or more int64 columns), and the distinct
-    keys when there are fewer of them than rows.
-
-    Each row's key is coded in mixed radix over the span of its columns and
-    marked in a ``present`` mask, whose running count numbers the distinct
-    codes: no sort.  ``keys`` are then the distinct keys and ``inverse``
-    each row's place among them.  When neither the span nor the distinct
-    count is smaller than the row count, ``keys`` are the rows' own and
-    ``inverse`` is None.  A table applies an elementwise function to its
-    keys either way, so a row's value does not depend on the other rows.
-    """
-
-    def __init__(self, columns: list[np.ndarray]):
-        self.keys, self.inverse = tuple(columns), None
-        rows = columns[0].size
-        if rows == 0:
-            return
-        lows = [int(c.min()) for c in columns]
-        widths = [int(c.max()) - lo + 1 for c, lo in zip(columns, lows)]
-        span = math.prod(widths)
-        if span >= rows:
-            return
-        code = columns[0] - lows[0]
-        if len(columns) == 1:
-            # every value of a one-column span is a key of the same kind
-            self.keys, self.inverse = (np.arange(lows[0], lows[0] + span),), code
-            return
-        for c, lo, w in zip(columns[1:], lows[1:], widths[1:]):
-            code *= w
-            code += c
-            code -= lo
-        present = np.zeros(span, dtype=bool)
-        present[code] = True
-        rank = np.cumsum(present)
-        if rank[-1] >= rows:
-            return
-        rank -= 1
-        codes = np.flatnonzero(present)
-        keys = []
-        for lo, w in zip(lows[:0:-1], widths[:0:-1]):
-            codes, digit = np.divmod(codes, w)
-            keys.append(digit + lo)
-        keys.append(codes + lows[0])
-        self.keys, self.inverse = tuple(keys[::-1]), rank[code]
-
-    def __call__(self, fn) -> np.ndarray:
-        """``fn`` of each row's key: once per distinct key, then gathered."""
-        values = fn(*self.keys)
-        return values if self.inverse is None else values[self.inverse]
-
-
 def _weight(degrees, groups) -> np.ndarray:
     """sum over ``groups`` of (degree + size) / weight, in group order, for
     groups (weight, columns) and their integer degree sums."""
@@ -234,66 +185,114 @@ def _weight(degrees, groups) -> np.ndarray:
     return out
 
 
-class _Keyed:
-    """The kernel's Gamma and log1p terms for integer index rows, each
-    evaluated on a ``_KeyTable`` of integer degree sums and gathered per row.
+class _KeySet:
+    """The integer key of one kind of term: the degree sums of the column
+    groups ``groups`` (a single column for an entry), and the term's
+    argument ``argument(degrees)``.
+
+    On a walk the keys are the shells ``totals`` of the groups' degree
+    vectors.  With one or two groups and fewer keys than the walk's
+    ``evaluations``, a term is evaluated once on each key, in the order
+    ``lattice.shell_rows`` enumerates them, and a row finds its key's
+    place from its degrees: the place of the key's total, plus its first
+    degree where there are two groups.  Otherwise a term is evaluated per
+    row.  Either way a term applies the same elementwise function to the
+    same integer key, so a row's value does not depend on the other rows.
+    """
+
+    def __init__(self, groups, argument, totals: range, evaluations: int):
+        self.groups, self.argument, self.totals = groups, argument, totals
+        self.tabulated = len(groups) <= 2 and range_count(len(groups), totals) < evaluations
+        if self.tabulated and len(groups) == 2:
+            self._starts = np.zeros(totals.stop, dtype=np.intp)
+            self._starts[totals.start :] = shell_rows(2, totals)[1]
+
+    def table(self, fn):
+        """``fn`` of the argument on every key, or None per row."""
+        if not self.tabulated:
+            return None
+        keys = shell_rows(len(self.groups), self.totals)[0]
+        return fn(self.argument(list(keys.T)))
+
+    def locate(self, degrees):
+        """Each row's place among the keys for its degree sums, or its
+        argument where the terms are evaluated per row."""
+        if not self.tabulated:
+            return self.argument(degrees)
+        if len(degrees) == 1:
+            first = self.totals.start
+            return degrees[0] - first if first else degrees[0]
+        return self._starts[degrees[0] + degrees[1]] + degrees[0]
+
+
+class _Run:
+    """The kernel's terms for one run of rows i, at j = i - e_lowered (at i
+    where that entry is 0): ``entry``, ``block`` and ``total`` give each
+    row's value of one term, read from its table or evaluated per row.
 
     * ``entry(col, fn)`` -- fn(e) for the entry e of column ``col``;
     * ``block(k, fn)`` -- fn(s_k) for the weight sum of block k: the key is
       the degree sum D of each run of the block's coordinates with equal p,
       and s_k = sum (D + m)/p over the runs, m a run's size;
     * ``total(fn)`` -- fn(T) for the total outer weight: the coordinates are
-      grouped by equal p a, T = sum (G + m)/(p a) over the groups, and the
-      key is the degrees G of all groups but the last together with the row
-      sum, which fixes the last (a shell has O(n) such keys).
+      grouped by equal p a, the key is the degree sum G of each group, and
+      T = sum (G + m)/(p a) over the groups.
 
-    Each key set's table is built once per instance, so the step and mixed
-    terms share it.
+    A kernel's terms come in the same order on every run, so the n-th term
+    of a run is the n-th of the kernel: its table is made the first time
+    it is asked for and kept by the kernel.  Each key set's places are
+    found once per run, so the step and mixed terms share them.
     """
 
-    def __init__(self, dom: DomainSpec, rows: np.ndarray):
+    def __init__(self, kernel: "WalkKernel", rows: np.ndarray, present: np.ndarray):
+        self._kernel = kernel
         self._rows = rows
-        self._tables: dict = {}
-        self._blocks, self._outer = _groups(dom)
+        self._lowered = np.subtract(rows[:, kernel.lowered], present, dtype=np.intp)
+        self._places: dict = {}
+        self._count = 0
+
+    def _column(self, col: int) -> np.ndarray:
+        return self._lowered if col == self._kernel.lowered else self._rows[:, col]
 
     def _degree(self, cols) -> np.ndarray:
-        """Sum of the columns ``cols``, added column by column (a sum along
-        a short row axis costs ten times as much)."""
-        out = self._rows[:, cols[0]]
-        for col in cols[1:]:
-            out = out + self._rows[:, col]
+        """Sum of j's columns ``cols`` in the index dtype, added column by
+        column (a sum along a short row axis costs ten times as much)."""
+        if len(cols) == 1:
+            return np.asarray(self._column(cols[0]), dtype=np.intp)
+        out = np.add(self._column(cols[0]), self._column(cols[1]), dtype=np.intp)
+        for col in cols[2:]:
+            out += self._column(col)
         return out
 
-    def _table(self, name, columns) -> _KeyTable:
-        if name not in self._tables:
-            self._tables[name] = _KeyTable(columns())
-        return self._tables[name]
+    def _term(self, name, groups, argument, fn) -> np.ndarray:
+        keys = self._kernel.key_set(name, groups, argument)
+        if name not in self._places:
+            self._places[name] = keys.locate([self._degree(cols) for cols in keys.groups])
+        place = self._places[name]
+        tables = self._kernel.tables
+        if self._count == len(tables):
+            tables.append((name, keys.table(fn)))
+        table = tables[self._count][1]
+        self._count += 1
+        return fn(place) if table is None else table.take(place)
 
     def entry(self, col: int, fn) -> np.ndarray:
-        return self._table(("entry", col), lambda: [self._rows[:, col]])(fn)
+        return self._term(("entry", col), [[col]], lambda degrees: degrees[0], fn)
 
     def block(self, k: int, fn) -> np.ndarray:
-        runs = self._blocks[k]
-        table = self._table(("block", k), lambda: [self._degree(cols) for _, cols in runs])
-        return table(lambda *degrees: fn(_weight(degrees, runs)))
-
-    def total(self, fn) -> np.ndarray:
-        groups = self._outer
-        table = self._table(
-            "total",
-            lambda: [self._degree(cols) for _, cols in groups[:-1]]
-            + [self._degree(range(self._rows.shape[1]))],
+        runs = self._kernel.runs[k]
+        return self._term(
+            ("block", k), [cols for _, cols in runs], lambda degrees: _weight(degrees, runs), fn
         )
 
-        def of_key(*key):
-            *degrees, row_sum = key
-            degrees.append(row_sum - sum(degrees))
-            return fn(_weight(degrees, groups))
+    def total(self, fn) -> np.ndarray:
+        outer = self._kernel.outer
+        return self._term(
+            "total", [cols for _, cols in outer], lambda degrees: _weight(degrees, outer), fn
+        )
 
-        return table(of_key)
 
-
-def _log_norm_step(dom: DomainSpec, keyed: _Keyed, cols: tuple[int, ...]) -> np.ndarray:
+def _log_norm_step(dom: DomainSpec, keyed: _Run, cols: tuple[int, ...]) -> np.ndarray:
     """Sum over the columns ``cols`` of ln||z^(i+e_c)||^2 - ln||z^i||^2 for
     every row i, as Gamma ratios; the columns share one block and one p.
 
@@ -330,7 +329,7 @@ def _log_norm_step(dom: DomainSpec, keyed: _Keyed, cols: tuple[int, ...]) -> np.
     return out
 
 
-def _log_norm_mixed(dom: DomainSpec, keyed: _Keyed, r: int, l: int) -> np.ndarray:
+def _log_norm_mixed(dom: DomainSpec, keyed: _Run, r: int, l: int) -> np.ndarray:
     """L(j+e_r+e_l) - L(j+e_r) - L(j+e_l) + L(j) for every row j, with L the
     log-norm and r == l allowed.
 
@@ -368,8 +367,83 @@ def _log_norm_mixed(dom: DomainSpec, keyed: _Keyed, r: int, l: int) -> np.ndarra
     return out
 
 
+class WalkKernel:
+    """The eigenvalues of ``kind`` on ``dom`` for the runs of rows of one
+    walk over the shells ``shells``, ``evaluations`` rows in all.
+
+    The walk fixes the keys: an entry or a partial degree sum of
+    j = i - e_lowered lies in 0..max(shells), the row sum of j in
+    min(shells)-1..max(shells).  Each term is evaluated on its key set
+    (``_KeySet``) the first time a run asks for it and kept; a call on a
+    run gathers and adds up the terms in a fixed order.  The rows must be
+    valid: nonnegative integer rows of ``dom.dimension`` columns whose
+    sums lie in ``shells``, as the walk makes them.  The tables go when the
+    kernel does, at the end of the walk.
+    """
+
+    def __init__(self, dom: DomainSpec, kind: CommutatorKind, shells: range, evaluations: int):
+        self.dom = dom
+        self.raised, lowered = _columns(dom, kind)
+        self.crossed = lowered is not None
+        self.lowered = self.raised if lowered is None else lowered
+        self.runs, self.outer = _groups(dom)
+        self.tables: list = []
+        self._key_sets: dict = {}
+        self._shells = shells
+        self._evaluations = evaluations
+
+    def key_set(self, name, groups, argument) -> _KeySet:
+        if name not in self._key_sets:
+            # the row sum of j is one below i's where the lowered entry is
+            # positive; a partial sum may be 0 on any shell
+            top = self._shells.stop
+            whole = sum(len(cols) for cols in groups) == self.dom.dimension
+            totals = range(max(self._shells.start - 1, 0) if whole else 0, top)
+            self._key_sets[name] = _KeySet(groups, argument, totals, self._evaluations)
+        return self._key_sets[name]
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        """Eigenvalue at every row of ``rows`` (shape (n, d))."""
+        dom, r_col, lowered = self.dom, self.raised, self.lowered
+        # Everything is evaluated at j = i - e_lowered (at i where that entry
+        # is 0): with D_c(j) = L(j+e_c) - L(j) and M(j) the mixed second
+        # difference, D_r(j+e_l) = D_r(j) + M(j) and D_l(j+e_r) = D_l(j) + M(j).
+        present = rows[:, lowered] > 0
+        keyed = _Run(self, rows, present)
+        with np.errstate(all="ignore"):
+            mixed = _log_norm_mixed(dom, keyed, r_col, lowered)
+            if not self.crossed:
+                # lam(i) = e^D(j) - e^D(j+e_r) = -e^D(j) expm1(M(j)); only the
+                # raising term -e^D(i) when i_r = 0
+                out = _log_norm_step(dom, keyed, (r_col,))
+                np.exp(out, out=out)
+                np.negative(out, out=out)
+                np.expm1(mixed, out=mixed)
+                np.copyto(mixed, 1.0, where=~present)
+                out *= mixed
+            else:
+                # mu(i) = |e^A - e^B| with A = (D_r(j) + D_l(j))/2 and B =
+                # (D_r(j+e_l) + D_l(j+e_r))/2 = A + M(j); zero when i_l = 0
+                if dom.columns[r_col] == dom.columns[lowered]:
+                    step = _log_norm_step(dom, keyed, (r_col, lowered))
+                else:
+                    step = _log_norm_step(dom, keyed, (r_col,))
+                    step += _log_norm_step(dom, keyed, (lowered,))
+                step *= 0.5
+                out = np.exp(step, out=step)
+                np.expm1(mixed, out=mixed)
+                out *= np.abs(mixed, out=mixed)
+                np.copyto(out, 0.0, where=~present)
+        if not np.all(np.isfinite(out)):
+            raise ValidationError(
+                "an eigenvalue is not a finite double on this domain: a term leaves double range"
+            )
+        return out
+
+
 def eigenvalue_bulk(dom: DomainSpec, kind: CommutatorKind, idx_rows: np.ndarray) -> np.ndarray:
-    """Eigenvalue at every row of ``idx_rows`` (flat indices, shape (n, d)).
+    """Eigenvalue at every row of ``idx_rows`` (flat indices, shape (n, d)):
+    a ``WalkKernel`` over the rows' own shells, called once.
 
     Raises ValidationError when an eigenvalue is not a finite double (an
     inner exponent or outer power so extreme that a Gamma term overflows).
@@ -385,39 +459,13 @@ def eigenvalue_bulk(dom: DomainSpec, kind: CommutatorKind, idx_rows: np.ndarray)
         raise ValidationError("index entries must be nonnegative")
     if rows.dtype.kind not in "iu" and not np.all(rows == np.rint(rows)):
         raise ValidationError("index entries must be integers")
-    # a copy, column-major: the keys are sums of whole columns
-    rows = np.array(rows, dtype=np.int64, order="F")
-    r_col, l_col = _columns(dom, kind)
-    lowered = r_col if l_col is None else l_col
-
-    # Everything is evaluated at j = i - e_lowered (at i where that entry is
-    # 0): with D_c(j) = L(j+e_c) - L(j) and M(j) the mixed second
-    # difference, D_r(j+e_l) = D_r(j) + M(j) and D_l(j+e_r) = D_l(j) + M(j).
-    present = rows[:, lowered] > 0
-    rows[:, lowered] -= present
-    keyed = _Keyed(dom, rows)
-    with np.errstate(all="ignore"):
-        mixed = _log_norm_mixed(dom, keyed, r_col, lowered)
-        if l_col is None:
-            # lam(i) = e^D(j) - e^D(j+e_r) = -e^D(j) expm1(M(j)); only the
-            # raising term -e^D(i) when i_r = 0
-            step = _log_norm_step(dom, keyed, (r_col,))
-            out = -np.exp(step) * np.where(present, np.expm1(mixed), 1.0)
-        else:
-            # mu(i) = |e^A - e^B| with A = (D_r(j) + D_l(j))/2 and B =
-            # (D_r(j+e_l) + D_l(j+e_r))/2 = A + M(j); zero when i_l = 0
-            if dom.columns[r_col] == dom.columns[l_col]:
-                step = _log_norm_step(dom, keyed, (r_col, l_col))
-            else:
-                step = _log_norm_step(dom, keyed, (r_col,))
-                step += _log_norm_step(dom, keyed, (l_col,))
-            step *= 0.5
-            out = np.where(present, np.exp(step) * np.abs(np.expm1(mixed)), 0.0)
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(
-            "an eigenvalue is not a finite double on this domain: a term leaves double range"
-        )
-    return out
+    rows = rows.astype(np.int64, copy=False)
+    # column by column: a sum along a short row axis costs ten times as much
+    sums = rows[:, 0].copy()
+    for col in range(1, rows.shape[1]):
+        sums += rows[:, col]
+    shells = range(int(sums.min()), int(sums.max()) + 1) if sums.size else range(0)
+    return WalkKernel(dom, kind, shells, rows.shape[0])(rows)
 
 
 def eigenvalue(dom: DomainSpec, kind: CommutatorKind, idx) -> float:

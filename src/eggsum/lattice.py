@@ -3,11 +3,12 @@
 Shells are the natural unit of the tail analysis (the series under study
 are organized by total degree), so enumeration is by shell, vectorized,
 and deterministic: rows are produced in lexicographic order.  One builder
-makes a whole run of consecutive shells in any dimension d >= 1: each
-shell starts as the one row [n], and d - 1 times the last entry of every
-row is split in two, one ``np.repeat`` per column and split, with no
-Python loop over shells or entries.  ``shell_indices`` is its one-shell
-case.
+makes a whole run of consecutive shells in any dimension d >= 1
+(``shell_rows``): each shell starts as the one row [n], and d - 1 times
+the last entry of every row is split in two, one ``np.repeat`` per column
+and split, in int32, with no Python loop over shells or entries.
+``shell_indices`` is its one-shell case, and the eigenvalue kernel
+enumerates its keys with it.
 
 ``shell_batches`` is the one walk over a range of shells: it cuts the
 range into runs of the most consecutive shells that fit in ``BATCH_ROWS``
@@ -28,8 +29,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["BATCH_ROWS", "shell_count", "cumulative_count", "range_count", "shell_indices",
-           "singletons", "shell_batches"]
+__all__ = ["BATCH_ROWS", "shell_count", "cumulative_count", "range_count", "shell_rows",
+           "shell_indices", "singletons", "shell_batches"]
 
 # enough rows to amortise the per-call cost of the numpy kernels, few
 # enough that a run's temporaries stay small (2^16-row runs raised the
@@ -61,12 +62,13 @@ def shell_indices(d: int, n: int) -> np.ndarray:
         raise ValidationError("dimension must be >= 1")
     if n < 0:
         raise ValidationError("total degree must be >= 0")
-    return _shell_rows(d, range(n, n + 1))[0]
+    return shell_rows(d, range(n, n + 1))[0]
 
 
-def _shell_rows(d: int, shells: range) -> tuple[np.ndarray, np.ndarray]:
+def shell_rows(d: int, shells: range) -> tuple[np.ndarray, np.ndarray]:
     """(rows, offsets) of a nonempty range of shells in d >= 1 variables:
-    the shells' rows one shell after another, and each shell's start."""
+    the shells' rows one shell after another, int32 and in lexicographic
+    order, and each shell's start (int64)."""
     last = np.arange(shells.start, shells.stop, dtype=np.int32)
     offsets = np.arange(len(shells))
     cols = []
@@ -76,10 +78,17 @@ def _shell_rows(d: int, shells: range) -> tuple[np.ndarray, np.ndarray]:
         # row's split does
         counts = last + 1
         starts = np.cumsum(counts, dtype=np.int64) - counts
-        x = (np.arange(starts[-1] + counts[-1]) - np.repeat(starts, counts)).astype(np.int32)
+        # x is a row's place after its split's start: int32, as the
+        # entries are, unless the run's rows outgrow it
+        size = int(starts[-1] + counts[-1])
+        dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+        x = np.arange(size, dtype=dtype)
+        x -= np.repeat(starts.astype(dtype), counts)
+        x = x.astype(np.int32, copy=False)
         cols = [np.repeat(c, counts) for c in cols]
         cols.append(x)
-        last = np.repeat(last, counts) - x
+        last = np.repeat(last, counts)
+        last -= x
         offsets = starts[offsets]
     cols.append(last)
     return np.column_stack(cols), offsets
@@ -154,7 +163,7 @@ def shell_batches(groups, shells: range):
 
 def _run(shells: range, firsts, d, merged):
     """The batch of ``shell_batches`` for the run of shells ``shells``."""
-    classes, offsets = _shell_rows(len(firsts), shells)
+    classes, offsets = shell_rows(len(firsts), shells)
     if not merged:
         return shells.start, offsets, classes, None
     rows = np.zeros((classes.shape[0], d), dtype=np.int32)

@@ -14,16 +14,19 @@ magnitudes for every probe.
 
 Magnitudes come from ``lattice.shell_batches`` over
 ``commutator.column_partition`` of the kind: runs of consecutive shells
-of at most 2^14 classes (a larger shell alone), one ``eigenvalue_bulk``
-call per run, where a class is the rows the kernel cannot tell apart and
-carries its exact multiplicity.  Every run reaches the sums in one shape,
-(first shell, shell offsets, magnitudes, multiplicities or None), and one
-routine turns any sequence of runs into T_0..T_N: per run one
-``np.power``, one product with the multiplicities where columns merge and
-one segmented pairwise sum (``reduction.pairwise_sum``) over its shell
-offsets.  ``shell_sums`` streams the runs into it; the bisection keeps a
+of at most 2^14 classes (a larger shell alone), where a class is the rows
+the kernel cannot tell apart and carries its exact multiplicity.  One
+``commutator.WalkKernel`` per walk evaluates each Gamma term once per key
+of the walk's shells, and each run by gathering the terms.  Every run
+reaches the sums in one shape, (first shell, shell offsets, magnitudes,
+multiplicities or None), and one routine turns any sequence of runs into
+T_0..T_N: per run one ``np.power``, one product with the multiplicities
+where columns merge and one segmented pairwise sum
+(``reduction.pairwise_sum``) over its shell offsets.  ``shell_sums`` streams the runs into it; the bisection keeps a
 list of the window's runs and hands it over once per probe.  An
-evaluation is one class, and the cap counts evaluations.
+evaluation is one class, and the cap counts evaluations.  A window of
+fewer shells than the fit's ``MIN_FIT_POINTS`` is refused before any
+evaluation (``require_fit_window``).
 
 ``predicted_threshold`` and ``module_threshold`` evaluate the closed-form
 cut-offs; both are built from the same term helpers so the module value
@@ -43,9 +46,9 @@ from .commutator import (
     CrossBetween,
     CrossWithin,
     SelfAdjoint,
+    WalkKernel,
     all_kinds,
     column_partition,
-    eigenvalue_bulk,
     validate_kind,
 )
 from .domain import DomainSpec
@@ -65,6 +68,7 @@ __all__ = [
     "resolve_cap",
     "evaluation_count",
     "tail_shells",
+    "require_fit_window",
     "shell_sums",
     "tail_slope",
     "classify",
@@ -149,11 +153,14 @@ def _check_budget(dom: DomainSpec, kind: CommutatorKind, shells: range, cap: int
 
 def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, shells: range):
     """Yield (first shell, shell offsets, |eigenvalue| array, mult or None)
-    per run of ``lattice.shell_batches`` over the kind's classes.  The
-    eigenvalue of a row does not depend on the rows evaluated with it, so
-    every magnitude is bit for bit what a per-shell call gives."""
-    for first, offsets, rows, mult in shell_batches(column_partition(dom, kind), shells):
-        yield first, offsets, np.abs(eigenvalue_bulk(dom, kind, rows)), mult
+    per run of ``lattice.shell_batches`` over the kind's classes, all runs
+    evaluated by one kernel.  The eigenvalue of a row does not depend on
+    the rows evaluated with it, so every magnitude is bit for bit what a
+    per-shell call gives."""
+    groups = column_partition(dom, kind)
+    kernel = WalkKernel(dom, kind, shells, range_count(len(groups), shells))
+    for first, offsets, rows, mult in shell_batches(groups, shells):
+        yield first, offsets, np.abs(kernel(rows)), mult
 
 
 def _power_sums(batches, p: float, N: int) -> np.ndarray:
@@ -209,6 +216,20 @@ def tail_shells(N: int, window_fraction: float) -> range:
     """The shells of the trailing window of T_0..T_N: the ones the
     bisection evaluates."""
     return range(_window_start(N, window_fraction), N + 1)
+
+
+def require_fit_window(N: int, window_fraction: float) -> range:
+    """The shells of the trailing window of T_0..T_N (``tail_shells``); a
+    ValidationError when they are fewer than the ``MIN_FIT_POINTS`` of the
+    tail fit, which no exponent can then make."""
+    shells = tail_shells(last_shell(N), window_fraction)
+    if len(shells) < MIN_FIT_POINTS:
+        raise ValidationError(
+            f"the fit window {window_fraction} of N = {N} holds {len(shells)} "
+            f"shell(s), {shells.start}..{N}; the tail fit needs {MIN_FIT_POINTS}: "
+            "raise N or the window"
+        )
+    return shells
 
 
 def fit_tail_slope(sums: np.ndarray, window_fraction: float) -> tuple[float, float]:
@@ -316,7 +337,7 @@ def empirical_threshold(
     if not finite_real(tol, "tol") >= 0.01:
         raise ValidationError("tol must be at least 0.01")
     N = default_shells(dom) if N is None else last_shell(N)
-    shells = tail_shells(N, window)
+    shells = require_fit_window(N, window)
     _check_budget(dom, kind, shells, resolve_cap(dom, cap))
     batches = list(_magnitude_batches(dom, kind, shells))
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from eggsum import cli
+from eggsum import cli, commutator
 from eggsum.cli import run
 
 DISK = '{"blocks":[{"p":[1.0],"a":1.0}]}'
@@ -175,6 +175,23 @@ class TestThreshold:
         assert code == 2
         assert "bracket" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("command", [
+        ["threshold", "--domain", BALL, "--kind", "self:0:0"],
+        ["shells", "--domain", BALL, "--kind", "self:0:0", "--p", "2"],
+        ["zeta", "--spec", ZSPEC],
+    ], ids=["threshold", "shells", "zeta"])
+    def test_window_too_small_for_the_fit_exit_2(self, capsys, monkeypatch, command):
+        # the window 0.01 of N = 40 holds shell 40 alone, and the tail fit
+        # needs 8: refused before any eigenvalue, with the same message
+        def unexpected(*args):
+            raise AssertionError("an eigenvalue was evaluated")
+
+        monkeypatch.setattr(commutator.WalkKernel, "__call__", unexpected)
+        assert run(command + ["--N", "40", "--window", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert "the fit window 0.01 of N = 40 holds 1 shell(s), 40..40" in err, err
+        assert "needs 8" in err and "bracket" not in err
 
     @pytest.mark.parametrize("N", ["-3", "5", "15"])
     def test_small_N_exit_2(self, capsys, N):

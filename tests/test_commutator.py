@@ -16,8 +16,8 @@ from eggsum import (
     eigenvalue_bulk,
 )
 from eggsum import gammakit
-from eggsum.commutator import all_kinds, validate_kind
-from eggsum.lattice import shell_indices
+from eggsum.commutator import WalkKernel, all_kinds, column_partition, validate_kind
+from eggsum.lattice import range_count, shell_batches, shell_indices, singletons
 
 from helpers import domain_with_all_kinds
 
@@ -199,6 +199,56 @@ class TestKeyedKernel:
         eigenvalue_bulk(dom, kind, rows)
         assert 0 < sum(elements) <= rows.shape[0] // 8
 
+    @pytest.mark.parametrize(
+        "kind", [CrossWithin(0, 0, 1), CrossBetween(0, 0, 1, 0)],
+        ids=["crit5-within", "crit4-between"],
+    )
+    def test_gamma_work_per_walk(self, monkeypatch, kind):
+        # the bisection window of N = 200: 87 runs, 1 202 001 rows, and each
+        # Gamma term evaluated once for the whole walk
+        dom = CRIT5 if isinstance(kind, CrossWithin) else CRIT4
+        shells = range(100, 201)
+        elements = []
+        for name in ("log_gamma_ratio", "log_gamma_second_difference"):
+            routine = getattr(gammakit, name)
+
+            def counted(x, *args, routine=routine):
+                elements.append(np.size(x))
+                return routine(x, *args)
+
+            monkeypatch.setattr(gammakit, name, counted)
+        groups = column_partition(dom, kind)
+        evaluations = range_count(len(groups), shells)
+        kernel = WalkKernel(dom, kind, shells, evaluations)
+        runs = 0
+        for _, _, rows, _ in shell_batches(groups, shells):
+            kernel(rows)
+            runs += 1
+        assert runs == 87 and evaluations == 1_202_001
+        assert 0 < len(elements) <= len(kernel.tables)
+        assert all(values is not None for _, values in kernel.tables)
+        assert sum(elements) <= sum(values.size for _, values in kernel.tables) < evaluations // 10
+
+    def test_no_table_for_a_per_row_key_set(self, monkeypatch):
+        # three groups of equal p a: the total weight's key set has as many
+        # keys as a 3-D walk has rows, so its terms are evaluated per row and
+        # no table holds them
+        dom = KEYED_DOMAINS[-1]
+        shells = range(20, 40)
+        for kind in all_kinds(dom):
+            groups = column_partition(dom, kind)
+            evaluations = range_count(len(groups), shells)
+            kernel = WalkKernel(dom, kind, shells, evaluations)
+            for _, _, rows, _ in shell_batches(groups, shells):
+                kernel(rows)
+            names = {name for name, _ in kernel.tables}
+            assert "total" in names, kind
+            for name, values in kernel.tables:
+                if name == "total":
+                    assert values is None, kind
+                else:
+                    assert values is not None and values.size < evaluations, (kind, name)
+
 
 def _mp_log_norm(dom, idx):
     """ln ||z^idx||^2 at 50 digits, up to the constant d ln(pi), from the
@@ -243,6 +293,37 @@ def _mp_eigenvalue(dom, r, l, idx):
 CRIT4 = DomainSpec(blocks=(BlockSpec((1.0,), 2.0), BlockSpec((1.0,), 1.0), BlockSpec((1.0,), 1.0)))
 CRIT5 = DomainSpec(blocks=(BlockSpec((1.0, 1.0), 4.0), BlockSpec((1.0,), 1.0)))
 FRACTIONAL = DomainSpec(blocks=(BlockSpec((1 / 3, 1 / 3), 2.5), BlockSpec((0.7,), 1.0)))
+
+
+# a 4-D egg whose block and total terms are all evaluated per row: a block
+# of three runs of equal p, and four groups of equal p a
+PER_ROW_EGG = DomainSpec(blocks=(BlockSpec((1.3, 0.7, 2.2), 2.5), BlockSpec((0.6,), 1.0)))
+
+# per dimension, a range cut into runs of several shells and one whose
+# shells hold more than BATCH_ROWS rows each, a run of their own
+WALK_RANGES = {3: [range(50, 62), range(180, 182)], 4: [range(24, 30), range(44, 46)]}
+
+
+class TestWalkKernel:
+    @pytest.mark.parametrize(
+        "dom", KEYED_DOMAINS + [FRACTIONAL, PER_ROW_EGG],
+        ids=[f"random-{seed}" for seed in range(6)]
+        + ["unequal-p-in-block", "three-pa-groups", "fractional", "per-row-egg"],
+    )
+    def test_walk_matches_per_row_calls_bytewise(self, dom):
+        rng = np.random.default_rng(3)
+        d = dom.dimension
+        for kind in all_kinds(dom):
+            for shells in WALK_RANGES[d]:
+                kernel = WalkKernel(dom, kind, shells, range_count(d, shells))
+                # every key set evaluated per row, whatever the walk's size
+                per_row = WalkKernel(dom, kind, shells, 0)
+                for first, offsets, rows, _ in shell_batches(singletons(d), shells):
+                    got = kernel(rows)
+                    assert got.tobytes() == per_row(rows).tobytes(), (kind, first)
+                    picks = [0, rows.shape[0] - 1, *rng.choice(rows.shape[0], 4, replace=False)]
+                    want = np.concatenate([eigenvalue_bulk(dom, kind, rows[i]) for i in picks])
+                    assert got[picks].tobytes() == want.tobytes(), (kind, first)
 
 
 class TestHighPrecisionOracle:

@@ -30,7 +30,9 @@ from eggsum.summability import (
     classify_slope,
     evaluation_count,
     fit_tail_slope,
+    MIN_FIT_POINTS,
     max_predicted_over_kinds,
+    require_fit_window,
     tail_shells,
 )
 
@@ -193,7 +195,7 @@ class TestClasses:
         def unexpected(*args):
             raise AssertionError("an eigenvalue was evaluated")
 
-        monkeypatch.setattr(summability, "eigenvalue_bulk", unexpected)
+        monkeypatch.setattr(summability.WalkKernel, "__call__", unexpected)
         # the 10-D ball self kind: class (0, 368) of shell 368 stands for
         # C(376, 8) >= 2^53 rows
         with pytest.raises(ValidationError, match="2\\^53"):
@@ -308,6 +310,16 @@ class TestEmpiricalThreshold:
             empirical_threshold(DISK, SELF, 0.8, 2.0, tol=0.1, N=2000)
         with pytest.raises(BracketError):
             empirical_threshold(DISK, SELF, 0.1, 0.3, tol=0.1, N=2000)
+
+    def test_window_too_small_refused_before_any_eigenvalue(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("an eigenvalue was evaluated")
+
+        monkeypatch.setattr(summability.WalkKernel, "__call__", unexpected)
+        # shells 94..100 are 7 points, one short of the fit's 8
+        with pytest.raises(ValidationError, match="holds 7 shell\\(s\\), 94..100; the tail fit needs 8"):
+            empirical_threshold(BALL2, SELF, 1.0, 3.5, N=100, window=0.065)
+        assert len(require_fit_window(100, 0.07)) == MIN_FIT_POINTS
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
