@@ -30,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import commutator, gammakit, summability, zetalab
-from .domain import DomainSpec, log_norm, mc_norm_oracle
+from .domain import DomainSpec, as_multi_index, log_norm, mc_norm_oracle
 from .errors import ResourceCapError, ValidationError, parsed_json, positive_integer
-from .lattice import range_count, shell_batches, singletons
+from .lattice import range_count, shell_rows
 from .summability import (
     DEFAULT_MARGIN,
     DEFAULT_TOL,
@@ -155,20 +155,18 @@ def _cmd_eig(params: dict) -> dict:
     lo, hi = params["degree_min"], params["degree_max"]
     if lo < 0 or hi < lo:
         raise ValidationError("need 0 <= degree-min <= degree-max")
+    # degree-max is the table's largest entry, an index entry like any other
+    as_multi_index(dom, [0] * (dom.dimension - 1) + [hi])
     cap = params["cap"] if params["cap"] is not None else _EIG_ROW_CAP
     params = {**params, "cap": cap}
     shells = range(lo, hi + 1)
     if range_count(dom.dimension, shells) > cap:
-        raise ResourceCapError(
-            f"eigenvalue table would have more than {cap} rows; raise --cap"
-        )
-    rows = []
-    kernel = commutator.WalkKernel(dom, kind, shells, range_count(dom.dimension, shells))
-    for _, _, idx, _ in shell_batches(singletons(dom.dimension), shells):
-        vals = kernel(idx)
-        for n, r, v in zip(idx.sum(axis=1).tolist(), idx.tolist(), vals.tolist()):
-            rows.append({"degree": n, "index": r, "eigenvalue": v})
-    return _report("eig", params, {"rows": rows})
+        raise ResourceCapError(f"eigenvalue table would have more than {cap} rows; raise --cap")
+    idx = shell_rows(dom.dimension, shells)[0]
+    vals = commutator.eigenvalue_bulk(dom, kind, idx)
+    rows = zip(idx.sum(axis=1).tolist(), idx.tolist(), vals.tolist())
+    results = {"rows": [{"degree": n, "index": r, "eigenvalue": v} for n, r, v in rows]}
+    return _report("eig", params, results)
 
 
 def _require_finite(sums, slope: float, total: float, window: float) -> None:

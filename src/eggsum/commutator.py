@@ -31,18 +31,22 @@ At j = i - e_l (l = r for the self kind), lam(i) = -e^D_r(j) expm1(M(j))
 and mu(i) = e^A |expm1(M(j))| with A = (D_r(j) + D_l(j))/2.  No full
 log-norm is formed.
 
-Every Gamma and log1p term depends on a row only through an integer key:
-an entry, the degree sums of a block's runs of equal p (which give s_k),
-or the degree sums of the groups of equal p a (which give T).  A walk over
-a range of shells (``lattice.shell_batches``) drives one ``WalkKernel``:
-it evaluates each term once per key that the walk's shells allow, on the
-first run, and every run only gathers and adds up the terms.  A key set
-of three or more degree sums (a block with three or more runs of equal p,
-three or more groups of equal p a), or one with no fewer keys than the
-walk has rows, is evaluated per row instead.  Both apply the same
-elementwise function to the same integer keys, so an eigenvalue does not
-depend on the rows evaluated with it.  ``eigenvalue_bulk`` is the kernel
-of the rows' own shells, called once.
+Every Gamma and log1p term reads a row through one key set: a tuple of
+(weight, columns) groups, whose key is the row's degree sums D over the
+groups and whose argument is the sum of (D + m)/weight, m a group's size.
+An entry is the one-group set ((p_c, (c,)),), with argument (i_c + 1)/p_c;
+a block's runs of equal p give s_k, the groups of equal p a give T.  A
+``WalkKernel`` declares its terms once, one list per sum, and terms with
+the same groups share a key set (a one-block domain with a = 1 reads its
+block and total terms through one).  A walk over a range of shells
+(``lattice.shell_batches``) drives one kernel: each key set enumerates the
+keys that the walk's shells allow once, on the first run, and evaluates
+each of its terms on them; every run finds each key set's places once and
+adds up the gathered terms.  A key set of three or more groups, or with no
+fewer keys than the walk has rows, is evaluated per row instead.  Both
+apply the same elementwise function to the same integer keys, so an
+eigenvalue does not depend on the rows evaluated with it.
+``eigenvalue_bulk`` is the kernel of the rows' own shells, called once.
 
 ``asymptotic_eigenvalue`` returns the dominant large-index expression for
 each kind (up to the unknown multiplicative constant), used only for
@@ -143,16 +147,18 @@ def all_kinds(dom: DomainSpec) -> list[CommutatorKind]:
     return kinds
 
 
-def _groups(dom: DomainSpec) -> tuple[list[list], list]:
+def _groups(dom: DomainSpec) -> tuple[list[tuple], tuple]:
     """Each block's runs of equal p, and the domain's groups of equal p a,
-    as (weight, columns) pairs in order of first column: the sums through
-    which the kernel reads a row besides its raised and lowered entries."""
-    runs: list[dict[float, list[int]]] = [{} for _ in dom.blocks]
-    outer: dict[float, list[int]] = {}
+    as key sets: tuples of (weight, columns) groups in order of first
+    column, the sums through which the kernel reads a row besides its
+    raised and lowered entries."""
+    runs: list[dict[float, tuple]] = [{} for _ in dom.blocks]
+    outer: dict[float, tuple] = {}
     for col, (k, p) in enumerate(dom.columns):
-        runs[k].setdefault(p, []).append(col)
-        outer.setdefault(p * dom.blocks[k].a, []).append(col)
-    return [list(r.items()) for r in runs], list(outer.items())
+        runs[k][p] = runs[k].get(p, ()) + (col,)
+        pa = p * dom.blocks[k].a
+        outer[pa] = outer.get(pa, ()) + (col,)
+    return [tuple(r.items()) for r in runs], tuple(outer.items())
 
 
 def column_partition(dom: DomainSpec, kind: CommutatorKind) -> list[list[int]]:
@@ -185,116 +191,85 @@ def _weight(degrees, groups) -> np.ndarray:
     return out
 
 
-class _KeySet:
-    """The integer key of one kind of term: the degree sums of the column
-    groups ``groups`` (a single column for an entry), and the term's
-    argument ``argument(degrees)``.
+def _degree(column, cols) -> np.ndarray:
+    """Sum of j's columns ``cols`` (``column(col)``) in the index dtype, added
+    column by column (a sum along a short row axis costs ten times as much)."""
+    if len(cols) == 1:
+        return np.asarray(column(cols[0]), dtype=np.intp)
+    out = np.add(column(cols[0]), column(cols[1]), dtype=np.intp)
+    for col in cols[2:]:
+        out += column(col)
+    return out
 
-    On a walk the keys are the shells ``totals`` of the groups' degree
+
+class _KeySet:
+    """One key set of a walk, ``groups``, and the terms declared on it,
+    ``fns``.  The keys are the shells ``totals`` of the groups' degree
     vectors.  With one or two groups and fewer keys than the walk's
-    ``evaluations``, a term is evaluated once on each key, in the order
-    ``lattice.shell_rows`` enumerates them, and a row finds its key's
-    place from its degrees: the place of the key's total, plus its first
-    degree where there are two groups.  Otherwise a term is evaluated per
-    row.  Either way a term applies the same elementwise function to the
-    same integer key, so a row's value does not depend on the other rows.
+    ``evaluations``, each term is evaluated once on every key, in the order
+    ``lattice.shell_rows`` enumerates them, and a row finds its key's place
+    from its degrees: the place of the key's total, plus its first degree
+    where there are two groups.  Otherwise each term is evaluated per row,
+    on the row's ``_weight``.  Either way a term applies the same
+    elementwise function to the same integer key, so a row's value does not
+    depend on the other rows.
     """
 
-    def __init__(self, groups, argument, totals: range, evaluations: int):
-        self.groups, self.argument, self.totals = groups, argument, totals
+    def __init__(self, groups: tuple, totals: range, evaluations: int):
+        self.groups, self.totals = groups, totals
         self.tabulated = len(groups) <= 2 and range_count(len(groups), totals) < evaluations
         if self.tabulated and len(groups) == 2:
             self._starts = np.zeros(totals.stop, dtype=np.intp)
             self._starts[totals.start :] = shell_rows(2, totals)[1]
+        self.fns: list = []
+        self.tables: dict[int, np.ndarray] = {}
+        self._weights = None
 
-    def table(self, fn):
-        """``fn`` of the argument on every key, or None per row."""
-        if not self.tabulated:
-            return None
-        keys = shell_rows(len(self.groups), self.totals)[0]
-        return fn(self.argument(list(keys.T)))
-
-    def locate(self, degrees):
+    def place(self, degrees) -> np.ndarray:
         """Each row's place among the keys for its degree sums, or its
         argument where the terms are evaluated per row."""
         if not self.tabulated:
-            return self.argument(degrees)
+            return _weight(degrees, self.groups)
         if len(degrees) == 1:
             first = self.totals.start
             return degrees[0] - first if first else degrees[0]
         return self._starts[degrees[0] + degrees[1]] + degrees[0]
 
-
-class _Run:
-    """The kernel's terms for one run of rows i, at j = i - e_lowered (at i
-    where that entry is 0): ``entry``, ``block`` and ``total`` give each
-    row's value of one term, read from its table or evaluated per row.
-
-    * ``entry(col, fn)`` -- fn(e) for the entry e of column ``col``;
-    * ``block(k, fn)`` -- fn(s_k) for the weight sum of block k: the key is
-      the degree sum D of each run of the block's coordinates with equal p,
-      and s_k = sum (D + m)/p over the runs, m a run's size;
-    * ``total(fn)`` -- fn(T) for the total outer weight: the coordinates are
-      grouped by equal p a, the key is the degree sum G of each group, and
-      T = sum (G + m)/(p a) over the groups.
-
-    A kernel's terms come in the same order on every run, so the n-th term
-    of a run is the n-th of the kernel: its table is made the first time
-    it is asked for and kept by the kernel.  Each key set's places are
-    found once per run, so the step and mixed terms share them.
-    """
-
-    def __init__(self, kernel: "WalkKernel", rows: np.ndarray, present: np.ndarray):
-        self._kernel = kernel
-        self._rows = rows
-        self._lowered = np.subtract(rows[:, kernel.lowered], present, dtype=np.intp)
-        self._places: dict = {}
-        self._count = 0
-
-    def _column(self, col: int) -> np.ndarray:
-        return self._lowered if col == self._kernel.lowered else self._rows[:, col]
-
-    def _degree(self, cols) -> np.ndarray:
-        """Sum of j's columns ``cols`` in the index dtype, added column by
-        column (a sum along a short row axis costs ten times as much)."""
-        if len(cols) == 1:
-            return np.asarray(self._column(cols[0]), dtype=np.intp)
-        out = np.add(self._column(cols[0]), self._column(cols[1]), dtype=np.intp)
-        for col in cols[2:]:
-            out += self._column(col)
-        return out
-
-    def _term(self, name, groups, argument, fn) -> np.ndarray:
-        keys = self._kernel.key_set(name, groups, argument)
-        if name not in self._places:
-            self._places[name] = keys.locate([self._degree(cols) for cols in keys.groups])
-        place = self._places[name]
-        tables = self._kernel.tables
-        if self._count == len(tables):
-            tables.append((name, keys.table(fn)))
-        table = tables[self._count][1]
-        self._count += 1
-        return fn(place) if table is None else table.take(place)
-
-    def entry(self, col: int, fn) -> np.ndarray:
-        return self._term(("entry", col), [[col]], lambda degrees: degrees[0], fn)
-
-    def block(self, k: int, fn) -> np.ndarray:
-        runs = self._kernel.runs[k]
-        return self._term(
-            ("block", k), [cols for _, cols in runs], lambda degrees: _weight(degrees, runs), fn
-        )
-
-    def total(self, fn) -> np.ndarray:
-        outer = self._kernel.outer
-        return self._term(
-            "total", [cols for _, cols in outer], lambda degrees: _weight(degrees, outer), fn
-        )
+    def value(self, n: int, place: np.ndarray) -> np.ndarray:
+        """Each row's value of the n-th term: its table is made the first
+        time it is asked for, from the arguments on every key, which the key
+        set enumerates once."""
+        if not self.tabulated:
+            return self.fns[n](place)
+        if n not in self.tables:
+            if self._weights is None:
+                keys = shell_rows(len(self.groups), self.totals)[0]
+                self._weights = _weight(list(keys.T), self.groups)
+            self.tables[n] = self.fns[n](self._weights)
+        return self.tables[n].take(place)
 
 
-def _log_norm_step(dom: DomainSpec, keyed: _Run, cols: tuple[int, ...]) -> np.ndarray:
-    """Sum over the columns ``cols`` of ln||z^(i+e_c)||^2 - ln||z^i||^2 for
-    every row i, as Gamma ratios; the columns share one block and one p.
+def _add(terms, places: dict, column, out=None) -> np.ndarray:
+    """``out`` plus the terms in order (the first term starts the sum when
+    ``out`` is None).  A key set's places are found at its first term, from
+    j's columns ``column(col)``, and kept in ``places``; with the tables
+    made at their first use, a run makes its arrays in the order its terms
+    ask for them (a walk's page faults, a few percent of its time, follow
+    the heap layout that this order leaves)."""
+    for keys, n in terms:
+        if keys not in places:
+            places[keys] = keys.place([_degree(column, cols) for _, cols in keys.groups])
+        value = keys.value(n, places[keys])
+        if out is None:
+            out = value
+        else:
+            out += value
+    return out
+
+
+def _log_norm_step(dom: DomainSpec, kernel: "WalkKernel", cols: tuple[int, ...]):
+    """The terms of the sum over the columns ``cols`` of ln||z^(i+e_c)||^2
+    - ln||z^i||^2, as Gamma ratios; the columns share one block and one p.
 
     With v the weight of column c, h = 1/p its step, s the sum of its block
     k and T the total outer weight, the first difference is
@@ -304,33 +279,35 @@ def _log_norm_step(dom: DomainSpec, keyed: _Run, cols: tuple[int, ...]) -> np.nd
     R(x, h) = ln Gamma(x+h) - ln Gamma(x); the block terms drop for a
     one-coordinate block and the outer ones for a one-block domain.  Only
     R(v, h) (the outer term too, for a one-coordinate block) depends on the
-    column, so the other terms are evaluated once for all of ``cols``.
+    column, so the terms come in two lists: the shared ones, whose sum
+    counts once per column, and one entry term per column.
     """
     k, p = dom.columns[cols[0]]
     blk = dom.blocks[k]
     h = 1.0 / p
     u = h / blk.a
     several = len(dom.blocks) > 1
-    out = keyed.total(lambda t: -np.log1p(u / t))
+    term, block, outer = kernel.term, kernel.runs[k], kernel.outer
+    shared = [term(outer, lambda t: -np.log1p(u / t))]
     if blk.size > 1:
-        out -= keyed.block(k, lambda s: gammakit.log_gamma_ratio(s, h, 0.0))
+        shared.append(term(block, lambda s: -gammakit.log_gamma_ratio(s, h, 0.0)))
         if several:
-            out += keyed.block(k, lambda s: gammakit.log_gamma_ratio(s / blk.a, u, 0.0))
+            shared.append(term(block, lambda s: gammakit.log_gamma_ratio(s / blk.a, u, 0.0)))
     if several:
-        out -= keyed.total(lambda t: gammakit.log_gamma_ratio(t, u, 0.0))
-    out *= len(cols)
+        shared.append(term(outer, lambda t: -gammakit.log_gamma_ratio(t, u, 0.0)))
+    entries = []
     for col in cols:
         if blk.size > 1:
-            out += keyed.entry(col, lambda e: gammakit.log_gamma_ratio((e + 1.0) / p, h, 0.0))
+            entries.append(term(((p, (col,)),), lambda v: gammakit.log_gamma_ratio(v, h, 0.0)))
         elif several:
-            out += keyed.entry(
-                col, lambda e: gammakit.log_gamma_ratio((e + 1.0) / p / blk.a, u, 0.0)
+            entries.append(
+                term(((p, (col,)),), lambda v: gammakit.log_gamma_ratio(v / blk.a, u, 0.0))
             )
-    return out
+    return shared, entries
 
 
-def _log_norm_mixed(dom: DomainSpec, keyed: _Run, r: int, l: int) -> np.ndarray:
-    """L(j+e_r+e_l) - L(j+e_r) - L(j+e_l) + L(j) for every row j, with L the
+def _log_norm_mixed(dom: DomainSpec, kernel: "WalkKernel", r: int, l: int) -> list:
+    """The terms of L(j+e_r+e_l) - L(j+e_r) - L(j+e_l) + L(j), with L the
     log-norm and r == l allowed.
 
     Only the Gamma factors whose argument both steps move survive: the
@@ -344,40 +321,39 @@ def _log_norm_mixed(dom: DomainSpec, keyed: _Run, r: int, l: int) -> np.ndarray:
     hr, hl = 1.0 / pr, 1.0 / pl
     ur, ul = hr / br.a, hl / bl.a
     several = len(dom.blocks) > 1
+    term, block, outer, entry = kernel.term, kernel.runs[kr], kernel.outer, ((pr, (r,)),)
     # two factors in [0, 1): their product neither overflows for a tiny
     # outer power nor turns 0/0 for a huge one
-    out = keyed.total(lambda t: -np.log1p(-(ur / (t + ur)) * (ul / (t + ul))))
+    terms = [term(outer, lambda t: -np.log1p(-(ur / (t + ur)) * (ul / (t + ul))))]
     if kr == kl and br.size > 1:
         if r == l:
-            out += keyed.entry(
-                r, lambda e: gammakit.log_gamma_second_difference((e + 1.0) / pr, hr, hr)
-            )
-        out -= keyed.block(kr, lambda s: gammakit.log_gamma_second_difference(s, hr, hl))
+            terms.append(term(entry, lambda v: gammakit.log_gamma_second_difference(v, hr, hr)))
+        terms.append(term(block, lambda s: -gammakit.log_gamma_second_difference(s, hr, hl)))
         if several:
-            out += keyed.block(
-                kr, lambda s: gammakit.log_gamma_second_difference(s / br.a, ur, ul)
+            terms.append(
+                term(block, lambda s: gammakit.log_gamma_second_difference(s / br.a, ur, ul))
             )
     elif kr == kl and several:
         # a one-coordinate block: its outer weight is the coordinate's own
-        out += keyed.entry(
-            r, lambda e: gammakit.log_gamma_second_difference((e + 1.0) / pr / br.a, ur, ur)
-        )
+        terms.append(term(entry, lambda v: gammakit.log_gamma_second_difference(v / br.a, ur, ur)))
     if several:
-        out -= keyed.total(lambda t: gammakit.log_gamma_second_difference(t, ur, ul))
-    return out
+        terms.append(term(outer, lambda t: -gammakit.log_gamma_second_difference(t, ur, ul)))
+    return terms
 
 
 class WalkKernel:
     """The eigenvalues of ``kind`` on ``dom`` for the runs of rows of one
     walk over the shells ``shells``, ``evaluations`` rows in all.
 
-    The walk fixes the keys: an entry or a partial degree sum of
-    j = i - e_lowered lies in 0..max(shells), the row sum of j in
-    min(shells)-1..max(shells).  Each term is evaluated on its key set
-    (``_KeySet``) the first time a run asks for it and kept; a call on a
-    run gathers and adds up the terms in a fixed order.  The rows must be
-    valid: nonnegative integer rows of ``dom.dimension`` columns whose
-    sums lie in ``shells``, as the walk makes them.  The tables go when the
+    The terms are declared once (``term``): ``mixed`` holds those of M(j)
+    and ``steps`` a (count, shared, entries) triple per first difference
+    (``_log_norm_step``), and ``terms`` all of them.  The walk fixes the
+    keys: an entry or a partial degree sum of j = i - e_lowered lies in
+    0..max(shells), the row sum of j in min(shells)-1..max(shells).  A
+    call finds each key set's places once and adds up the terms in a fixed
+    order; no Gamma is evaluated before the first call.  The rows must be
+    valid: nonnegative integer rows of ``dom.dimension`` columns whose sums
+    lie in ``shells``, as the walk makes them.  The tables go when the
     kernel does, at the end of the walk.
     """
 
@@ -387,36 +363,57 @@ class WalkKernel:
         self.crossed = lowered is not None
         self.lowered = self.raised if lowered is None else lowered
         self.runs, self.outer = _groups(dom)
-        self.tables: list = []
-        self._key_sets: dict = {}
-        self._shells = shells
-        self._evaluations = evaluations
+        self._shells, self._evaluations = shells, evaluations
+        self.key_sets: dict[tuple, _KeySet] = {}
+        self.terms: list = []
+        r, l = self.raised, self.lowered
+        self.mixed = _log_norm_mixed(dom, self, r, l)
+        if not self.crossed:
+            steps = [(r,)]
+        elif dom.columns[r] == dom.columns[l]:
+            steps = [(r, l)]
+        else:
+            steps = [(r,), (l,)]
+        self.steps = [(len(cols), *_log_norm_step(dom, self, cols)) for cols in steps]
 
-    def key_set(self, name, groups, argument) -> _KeySet:
-        if name not in self._key_sets:
+    def term(self, groups: tuple, fn) -> tuple[_KeySet, int]:
+        """Declare the term fn(``_weight`` of the groups (weight, columns)):
+        (its key set, its place among the key set's terms)."""
+        keys = self.key_sets.get(groups)
+        if keys is None:
             # the row sum of j is one below i's where the lowered entry is
             # positive; a partial sum may be 0 on any shell
-            top = self._shells.stop
-            whole = sum(len(cols) for cols in groups) == self.dom.dimension
-            totals = range(max(self._shells.start - 1, 0) if whole else 0, top)
-            self._key_sets[name] = _KeySet(groups, argument, totals, self._evaluations)
-        return self._key_sets[name]
+            whole = sum(len(cols) for _, cols in groups) == self.dom.dimension
+            totals = range(max(self._shells.start - 1, 0) if whole else 0, self._shells.stop)
+            keys = self.key_sets[groups] = _KeySet(groups, totals, self._evaluations)
+        keys.fns.append(fn)
+        self.terms.append((keys, len(keys.fns) - 1))
+        return self.terms[-1]
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         """Eigenvalue at every row of ``rows`` (shape (n, d))."""
-        dom, r_col, lowered = self.dom, self.raised, self.lowered
         # Everything is evaluated at j = i - e_lowered (at i where that entry
         # is 0): with D_c(j) = L(j+e_c) - L(j) and M(j) the mixed second
         # difference, D_r(j+e_l) = D_r(j) + M(j) and D_l(j+e_r) = D_l(j) + M(j).
-        present = rows[:, lowered] > 0
-        keyed = _Run(self, rows, present)
+        present = rows[:, self.lowered] > 0
+        lowered = np.subtract(rows[:, self.lowered], present, dtype=np.intp)
+
+        def column(col: int) -> np.ndarray:
+            return lowered if col == self.lowered else rows[:, col]
+
+        places: dict = {}
         with np.errstate(all="ignore"):
-            mixed = _log_norm_mixed(dom, keyed, r_col, lowered)
+            mixed = _add(self.mixed, places, column)
+            step = None
+            for count, shared, entries in self.steps:
+                part = _add(shared, places, column)
+                part *= count
+                part = _add(entries, places, column, part)
+                step = part if step is None else np.add(step, part, out=step)
             if not self.crossed:
                 # lam(i) = e^D(j) - e^D(j+e_r) = -e^D(j) expm1(M(j)); only the
                 # raising term -e^D(i) when i_r = 0
-                out = _log_norm_step(dom, keyed, (r_col,))
-                np.exp(out, out=out)
+                out = np.exp(step, out=step)
                 np.negative(out, out=out)
                 np.expm1(mixed, out=mixed)
                 np.copyto(mixed, 1.0, where=~present)
@@ -424,11 +421,6 @@ class WalkKernel:
             else:
                 # mu(i) = |e^A - e^B| with A = (D_r(j) + D_l(j))/2 and B =
                 # (D_r(j+e_l) + D_l(j+e_r))/2 = A + M(j); zero when i_l = 0
-                if dom.columns[r_col] == dom.columns[lowered]:
-                    step = _log_norm_step(dom, keyed, (r_col, lowered))
-                else:
-                    step = _log_norm_step(dom, keyed, (r_col,))
-                    step += _log_norm_step(dom, keyed, (lowered,))
                 step *= 0.5
                 out = np.exp(step, out=step)
                 np.expm1(mixed, out=mixed)

@@ -6,7 +6,8 @@ and deterministic: rows are produced in lexicographic order.  One builder
 makes a whole run of consecutive shells in any dimension d >= 1
 (``shell_rows``): each shell starts as the one row [n], and d - 1 times
 the last entry of every row is split in two, one ``np.repeat`` per column
-and split, in int32, with no Python loop over shells or entries.
+and split, in int32 below degree 2^31, with no Python loop over shells or
+entries.
 ``shell_indices`` is its one-shell case, and the eigenvalue kernel
 enumerates its keys with it.
 
@@ -56,7 +57,7 @@ def range_count(d: int, shells: range) -> int:
 def shell_indices(d: int, n: int) -> np.ndarray:
     """All multi-indices of total degree n in d variables, shape (count, d).
 
-    int32 entries; lexicographic row order.
+    int32 entries (int64 from degree 2^31 on); lexicographic row order.
     """
     if d < 1:
         raise ValidationError("dimension must be >= 1")
@@ -67,9 +68,10 @@ def shell_indices(d: int, n: int) -> np.ndarray:
 
 def shell_rows(d: int, shells: range) -> tuple[np.ndarray, np.ndarray]:
     """(rows, offsets) of a nonempty range of shells in d >= 1 variables:
-    the shells' rows one shell after another, int32 and in lexicographic
-    order, and each shell's start (int64)."""
-    last = np.arange(shells.start, shells.stop, dtype=np.int32)
+    the shells' rows one shell after another, in lexicographic order and
+    int32 (int64 from degree 2^31 on), and each shell's start (int64)."""
+    entry = np.int32 if shells.stop <= 2**31 else np.int64
+    last = np.arange(shells.start, shells.stop, dtype=entry)
     offsets = np.arange(len(shells))
     cols = []
     for _ in range(d - 1):
@@ -78,13 +80,13 @@ def shell_rows(d: int, shells: range) -> tuple[np.ndarray, np.ndarray]:
         # row's split does
         counts = last + 1
         starts = np.cumsum(counts, dtype=np.int64) - counts
-        # x is a row's place after its split's start: int32, as the
-        # entries are, unless the run's rows outgrow it
+        # x is a row's place after its split's start: int32 unless the
+        # run's rows outgrow it, then cast to the entries' dtype
         size = int(starts[-1] + counts[-1])
         dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
         x = np.arange(size, dtype=dtype)
         x -= np.repeat(starts.astype(dtype), counts)
-        x = x.astype(np.int32, copy=False)
+        x = x.astype(entry, copy=False)
         cols = [np.repeat(c, counts) for c in cols]
         cols.append(x)
         last = np.repeat(last, counts)
@@ -166,7 +168,7 @@ def _run(shells: range, firsts, d, merged):
     classes, offsets = shell_rows(len(firsts), shells)
     if not merged:
         return shells.start, offsets, classes, None
-    rows = np.zeros((classes.shape[0], d), dtype=np.int32)
+    rows = np.zeros((classes.shape[0], d), dtype=classes.dtype)
     rows[:, firsts] = classes
     (g, count), *rest = merged
     mult = count[classes[:, g]]

@@ -156,7 +156,8 @@ def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, shells: range):
     per run of ``lattice.shell_batches`` over the kind's classes, all runs
     evaluated by one kernel.  The eigenvalue of a row does not depend on
     the rows evaluated with it, so every magnitude is bit for bit what a
-    per-shell call gives."""
+    per-shell call gives.  The kernel evaluates nothing before its first
+    call, so a walk that ``shell_batches`` refuses costs no Gamma work."""
     groups = column_partition(dom, kind)
     kernel = WalkKernel(dom, kind, shells, range_count(len(groups), shells))
     for first, offsets, rows, mult in shell_batches(groups, shells):

@@ -319,8 +319,17 @@ def _power_seq(exponent: float, N: int) -> np.ndarray:
     return out
 
 
-def _convolve_trunc(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
-    return np.convolve(a, b)[: N + 1]
+def _fold(seqs: list[np.ndarray], N: int) -> np.ndarray:
+    """The convolution of ``seqs`` in order, cut to N + 1 terms after each
+    step; [1, 0, ..., 0], the empty product, when there are none."""
+    if not seqs:
+        out = np.zeros(N + 1)
+        out[0] = 1.0
+        return out
+    out = seqs[0]
+    for w in seqs[1:]:
+        out = np.convolve(out, w)[: N + 1]
+    return out
 
 
 def _blocks_of(spec: ZetaSeriesSpec) -> list[tuple[int, ...]] | None:
@@ -354,28 +363,16 @@ def _numerator_by_shell_conv(spec: ZetaSeriesSpec, N: int) -> np.ndarray | None:
     for blk in blocks:
         if spec.abs_factor is not None and blk == (spec.abs_factor.neg,):
             continue
-        w = _power_seq(spec.powers[blk[0]], N)
-        for v in blk[1:]:
-            w = _convolve_trunc(w, _power_seq(spec.powers[v], N), N)
+        w = _fold([_power_seq(spec.powers[v], N) for v in blk], N)
         if blk in group_exp:
             w = w * _power_seq(group_exp[blk], N)
         seqs.append(w)
+    u = _fold(seqs, N)
     if spec.abs_factor is None:
-        total = seqs[0]
-        for w in seqs[1:]:
-            total = _convolve_trunc(total, w, N)
-        return total
+        return u
     neg = spec.abs_factor.neg
-    a_abs = spec.abs_factor.a
     v_seq = _power_seq(spec.powers[neg], N)
-    if seqs:
-        u = seqs[0]
-        for w in seqs[1:]:
-            u = _convolve_trunc(u, w, N)
-    else:
-        u = np.zeros(N + 1)
-        u[0] = 1.0
-    w = _power_seq(a_abs, N)
+    w = _power_seq(spec.abs_factor.a, N)
     # mirrored: mirror[N + k] = |k|^a for k = -N..N
     mirror = np.concatenate([w[:0:-1], w])
     out = np.zeros(N + 1, dtype=np.float64)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from eggsum import cli, commutator
+from eggsum import DomainSpec, SelfAdjoint, ValidationError, cli, commutator, eigenvalue
 from eggsum.cli import run
 
 DISK = '{"blocks":[{"p":[1.0],"a":1.0}]}'
@@ -121,6 +121,25 @@ class TestEig:
         rows = run_json(capsys, argv)["results"]["rows"]
         # all C(13, 3) indices of degree at most 10, each once
         assert len(rows) == len({tuple(r["index"]) for r in rows}) == 286
+
+    def test_degrees_past_int32(self, capsys):
+        # a 1-D table reaches any degree an index may hold: each value is the
+        # one eigenvalue() gives, and past 2^53 the degree is refused alike
+        dom = DomainSpec.from_json(DISK)
+        for n in (2**31, 2**40, 2**53):
+            argv = ["eig", "--domain", DISK, "--kind", "self:0:0",
+                    "--degree-min", str(n), "--degree-max", str(n)]
+            [row] = run_json(capsys, argv)["results"]["rows"]
+            assert row == {"degree": n, "index": [n],
+                           "eigenvalue": eigenvalue(dom, SelfAdjoint(0, 0), [n])}
+        top = str(2**53 + 1)
+        argv = ["eig", "--domain", DISK, "--kind", "self:0:0", "--degree-min", top,
+                "--degree-max", top]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "at most 2^53" in err and "Traceback" not in err
+        with pytest.raises(ValidationError, match="at most 2\\^53"):
+            eigenvalue(dom, SelfAdjoint(0, 0), [2**53 + 1])
 
     @pytest.mark.parametrize("a", ["1e-300", "1e-200", "1e300"])
     def test_one_block_extreme_outer_power(self, capsys, a):

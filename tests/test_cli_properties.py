@@ -163,7 +163,13 @@ def test_module_threshold_any_json(domain):
 
 
 @SETTINGS
-@given(domain=DOMAIN | EGG, kind=KIND, low=st.integers(0, 2), width=st.integers(0, 2))
+@given(
+    domain=DOMAIN | EGG,
+    kind=KIND,
+    # small degrees, and the edges of int32 and of the integers doubles hold
+    low=st.integers(0, 2) | st.sampled_from([2**31 - 1, 2**31, 2**53, 2**53 + 1]),
+    width=st.integers(0, 2),
+)
 def test_eig_any_json(domain, kind, low, width):
     _check(["eig", f"--domain={json.dumps(domain)}", f"--kind={kind}",
             f"--degree-min={low}", f"--degree-max={low + width}"])

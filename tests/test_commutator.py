@@ -225,9 +225,10 @@ class TestKeyedKernel:
             kernel(rows)
             runs += 1
         assert runs == 87 and evaluations == 1_202_001
-        assert 0 < len(elements) <= len(kernel.tables)
-        assert all(values is not None for _, values in kernel.tables)
-        assert sum(elements) <= sum(values.size for _, values in kernel.tables) < evaluations // 10
+        assert 0 < len(elements) <= len(kernel.terms)
+        assert all(n in keys.tables for keys, n in kernel.terms)
+        sizes = [keys.tables[n].size for keys, n in kernel.terms]
+        assert sum(elements) <= sum(sizes) < evaluations // 10
 
     def test_no_table_for_a_per_row_key_set(self, monkeypatch):
         # three groups of equal p a: the total weight's key set has as many
@@ -241,13 +242,29 @@ class TestKeyedKernel:
             kernel = WalkKernel(dom, kind, shells, evaluations)
             for _, _, rows, _ in shell_batches(groups, shells):
                 kernel(rows)
-            names = {name for name, _ in kernel.tables}
-            assert "total" in names, kind
-            for name, values in kernel.tables:
-                if name == "total":
-                    assert values is None, kind
+            assert len(kernel.outer) == 3
+            assert any(keys.groups == kernel.outer for keys, _ in kernel.terms), kind
+            for keys, n in kernel.terms:
+                if keys.groups == kernel.outer:
+                    assert keys.tables == {}, kind
                 else:
-                    assert values is not None and values.size < evaluations, (kind, name)
+                    assert keys.tables[n].size < evaluations, (kind, keys.groups)
+
+    @pytest.mark.parametrize("dom, shared", [
+        (BALL2, True),
+        (DomainSpec.single_block([1.0, 1.0, 2.0]), True),
+        (DomainSpec.single_block([1.0, 1.0, 2.0], 2.0), False),
+    ], ids=["ball2", "egg3", "egg3-a2"])
+    def test_block_and_total_terms_share_a_key_set(self, dom, shared):
+        # with one block and a = 1 the block's runs of equal p are the groups
+        # of equal p a, so its block and total terms read one key set; the
+        # other key sets are single entries
+        entries = {((p, (col,)),) for col, (_, p) in enumerate(dom.columns)}
+        for kind in all_kinds(dom):
+            kernel = WalkKernel(dom, kind, range(0, 30), range_count(dom.dimension, range(0, 30)))
+            sums = {keys.groups for keys, _ in kernel.terms} - entries
+            assert sums == ({kernel.outer} if shared else {kernel.outer, kernel.runs[0]}), kind
+            assert len({id(keys) for keys, _ in kernel.terms if keys.groups == kernel.outer}) == 1
 
 
 def _mp_log_norm(dom, idx):

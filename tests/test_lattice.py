@@ -57,6 +57,13 @@ def test_shell_indices_against_brute_force(d):
         assert [tuple(row) for row in got.tolist()] == want, (d, n)
 
 
+def test_entries_past_int32():
+    # from degree 2^31 on an entry needs int64; below it the rows stay int32
+    [(_, _, rows, _)] = shell_batches(singletons(1), range(2**31 - 1, 2**31 + 2))
+    assert rows.dtype == np.int64 and rows[:, 0].tolist() == [2**31 - 1, 2**31, 2**31 + 1]
+    assert shell_indices(1, 2**31 - 1).dtype == np.int32
+
+
 def test_batches_of_an_empty_range():
     for d in (1, 2, 3):
         assert list(shell_batches(singletons(d), range(5, 5))) == []

@@ -22,7 +22,7 @@ from eggsum import (
     shell_sums,
     tail_slope,
 )
-from eggsum import summability
+from eggsum import gammakit, summability
 from eggsum.commutator import column_partition, eigenvalue_bulk
 from eggsum.lattice import BATCH_ROWS, range_count, shell_batches, shell_count, shell_indices
 from eggsum.summability import (
@@ -37,6 +37,21 @@ from eggsum.summability import (
 )
 
 from helpers import random_domain
+
+
+def _count_gamma_calls(monkeypatch) -> list:
+    """The names of the ``gammakit`` routines called from now on, in order."""
+    calls = []
+    for name in ("log_gamma", "log_gamma_ratio", "log_gamma_second_difference"):
+        routine = getattr(gammakit, name)
+
+        def counted(*args, name=name, routine=routine):
+            calls.append(name)
+            return routine(*args)
+
+        monkeypatch.setattr(gammakit, name, counted)
+    return calls
+
 
 DISK = DomainSpec.single_block([1.0])
 BALL2 = DomainSpec.single_block([1.0, 1.0])
@@ -196,19 +211,23 @@ class TestClasses:
             raise AssertionError("an eigenvalue was evaluated")
 
         monkeypatch.setattr(summability.WalkKernel, "__call__", unexpected)
+        calls = _count_gamma_calls(monkeypatch)
         # the 10-D ball self kind: class (0, 368) of shell 368 stands for
         # C(376, 8) >= 2^53 rows
         with pytest.raises(ValidationError, match="2\\^53"):
             shell_sums(ball(10), SELF, 2.0, 400, cap=10**6)
         with pytest.raises(ValidationError, match="2\\^53"):
             empirical_threshold(ball(10), SELF, 5.0, 15.0, N=400, cap=10**6)
+        assert calls == []
 
-    def test_cap_counts_evaluations(self):
+    def test_cap_counts_evaluations(self, monkeypatch):
         shells = tail_shells(600, 0.5)
         assert evaluation_count(ball(4), SELF, shells) == range_count(2, shells) == 135_751
         assert evaluation_count(CRIT4, CrossBetween(0, 0, 1, 0), shells) == range_count(3, shells)
+        calls = _count_gamma_calls(monkeypatch)
         with pytest.raises(ResourceCapError, match="135751"):
             empirical_threshold(ball(4), SELF, 2.0, 6.5, N=600, cap=135_750)
+        assert calls == []
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_ball_self_cutoff_is_the_dimension(self, d):
@@ -316,9 +335,11 @@ class TestEmpiricalThreshold:
             raise AssertionError("an eigenvalue was evaluated")
 
         monkeypatch.setattr(summability.WalkKernel, "__call__", unexpected)
+        calls = _count_gamma_calls(monkeypatch)
         # shells 94..100 are 7 points, one short of the fit's 8
         with pytest.raises(ValidationError, match="holds 7 shell\\(s\\), 94..100; the tail fit needs 8"):
             empirical_threshold(BALL2, SELF, 1.0, 3.5, N=100, window=0.065)
+        assert calls == []
         assert len(require_fit_window(100, 0.07)) == MIN_FIT_POINTS
 
     def test_parameter_validation(self):
