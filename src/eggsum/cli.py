@@ -21,10 +21,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -81,38 +84,8 @@ def _parse_kind(text: str) -> commutator.CommutatorKind:
     )
 
 
-def _clean(obj):
-    """JSON-safe copy: numpy scalars/arrays to python.  A non-finite float
-    is an error: a report never carries one as a null."""
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if not math.isfinite(v):
-            raise ValidationError("a result is not a finite number for these parameters")
-        return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def _report(command: str, params: dict, results: dict) -> dict:
-    return _clean({"command": command, "params": params, "results": results})
-
-
-def _print_json(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
-
-
-def _print_csv(header: list[str], rows) -> None:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in _clean(list(row))])
+    return {"command": command, "params": params, "results": results}
 
 
 def _resolve_shells(dom: DomainSpec, n_arg: int | None) -> int:
@@ -374,12 +347,10 @@ def _csv_rows(report: dict):
         mc = res.get("mc") or {}
         return [[res["log_norm"], res["norm"], mc.get("estimate"), mc.get("stderr")]]
     if command == "eig":
-        return [
-            [r["degree"], "|".join(str(v) for v in r["index"]), r["eigenvalue"]]
-            for r in res["rows"]
-        ]
+        return ([r["degree"], "|".join(map(str, r["index"])), r["eigenvalue"]] for r in res["rows"])
     if command in ("shells", "zeta"):
-        return [[n, s] for n, s in enumerate(res["shell_sums"])]
+        sums = res["shell_sums"].tolist()
+        return zip(range(len(sums)), sums)
     if command == "threshold":
         return [[res["predicted"], res["empirical"], res["abs_difference"], res["agrees"]]]
     if command == "module-threshold":
@@ -388,22 +359,139 @@ def _csv_rows(report: dict):
     if command == "verify-gamma":
         rows = []
         for chk in res["checks"]:
-            for x, exact, approx, err in zip(
-                chk["xs"], chk["exact"], chk["approx"], chk["abs_error"]
-            ):
-                rows.append(
-                    [chk["kind"], chk["order"], chk["a"], chk.get("b"), x, exact, approx, err,
-                     chk.get("decay_exponent")]
-                )
+            columns = (chk[key].tolist() for key in ("xs", "exact", "approx", "abs_error"))
+            rows.extend(
+                [chk["kind"], chk["order"], chk["a"], chk.get("b"), x, exact, approx, err,
+                 chk.get("decay_exponent")]
+                for x, exact, approx, err in zip(*columns)
+            )
         return rows
     raise ValidationError(f"no CSV projection for command {command!r}")
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        _print_json(report)
+# the JSON text of each plain scalar type, as json.dumps writes it
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+_PLAIN = frozenset(_SCALAR_TEXT)
+_NOT_FINITE = "a result is not a finite number for these parameters"
+
+
+def _check_finite(obj) -> None:
+    """Raise ValidationError if a number anywhere in a container is not
+    finite: a report never carries one as a null.  A float array takes one
+    ``isfinite``, with no walk over its elements."""
+    for value in obj.values() if isinstance(obj, dict) else obj:
+        kind = type(value)
+        if kind is float:
+            if not math.isfinite(value):
+                raise ValidationError(_NOT_FINITE)
+        elif kind in _PLAIN:
+            continue
+        elif isinstance(value, (dict, list, tuple)):
+            _check_finite(value)
+        elif isinstance(value, np.ndarray):
+            if value.dtype.kind == "f" and not np.isfinite(value).all():
+                raise ValidationError(_NOT_FINITE)
+        elif isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise ValidationError(_NOT_FINITE)
+
+
+@functools.lru_cache(maxsize=32)
+def _scalar_list_encoder(inner: str):
+    """The C encoder's ``encode`` for a list of plain scalars whose entries
+    start on lines ``inner``; json.dumps makes a new encoder on every call."""
+    return json.JSONEncoder(separators=("," + inner, ": ")).encode
+
+
+class _Chunks:
+    """Text for stdout, written a chunk of pieces at a time: a text stream's
+    write costs more per call than most pieces of a report take to make."""
+
+    size = 4096
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text: str) -> None:
+        if len(self.pieces) >= self.size:
+            self._write("".join(self.pieces))
+        self.pieces.append(text)
+
+    def _write(self, text: str) -> None:
+        sys.stdout.write(text)
+        self.pieces.clear()
+
+    def close(self) -> None:
+        """Write what is left, the last piece on its own.  A text stream can
+        drop the end of one large write to a closed pipe with no error; the
+        small last piece stays buffered, so the final flush fails instead."""
+        last = self.pieces.pop()
+        self._write("".join(self.pieces))
+        sys.stdout.write(last)
+
+
+def _write_json(obj, write, newline: str) -> None:
+    """Write a dict or list in pieces, as ``json.dumps(obj, indent=2,
+    sort_keys=True)`` spells it; ``newline`` is a line break and the indent
+    of obj's first line."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        keys = sorted(obj)
+        values = [obj[key] for key in keys]
+        heads = [f"{inner}{encode_basestring_ascii(key)}: " for key in keys]
+        brackets = "{}"
     else:
-        _print_csv(_CSV_HEADERS[report["command"]], _csv_rows(report))
+        if not obj:
+            write("[]")
+            return
+        if set(map(type, obj)) <= _PLAIN:
+            text = _scalar_list_encoder(inner)(obj)
+            write("[" + inner)
+            write(text[1:-1])
+            write(newline + "]")
+            return
+        values = obj
+        heads = itertools.repeat(inner)
+        brackets = "[]"
+    sep = brackets[0]
+    for head, value in zip(heads, values):
+        text = _SCALAR_TEXT.get(type(value))
+        if text is not None:
+            write(sep + head + text(value))
+        elif isinstance(value, (dict, list, tuple, np.ndarray)):
+            write(sep + head)
+            _write_json(value.tolist() if isinstance(value, np.ndarray) else value, write, inner)
+        elif isinstance(value, (float, np.floating)):
+            write(sep + head + float.__repr__(float(value)))
+        elif isinstance(value, (int, np.integer)):
+            write(sep + head + int.__repr__(int(value)))
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        sep = ","
+    write(newline + brackets[1])
+
+
+def _emit(report: dict, fmt: str) -> None:
+    """Check the whole report, then write it to stdout in pieces: nothing is
+    written for a report that fails the check."""
+    _check_finite(report)
+    out = _Chunks()
+    if fmt == "json":
+        _write_json(report, out.write, "\n")
+        out.write("\n")
+    else:
+        writer = csv.writer(out)
+        writer.writerow(_CSV_HEADERS[report["command"]])
+        writer.writerows(_csv_rows(report))
+    out.close()
 
 
 # ------------------------------------------------------------------ parser

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eggsum import DomainSpec, SelfAdjoint, ValidationError, cli, commutator, eigenvalue
+from eggsum import gammakit, summability
 from eggsum.cli import run
 
 DISK = '{"blocks":[{"p":[1.0],"a":1.0}]}'
@@ -334,14 +337,16 @@ class TestConfig:
         assert replayed["results"] == report["results"]
 
     @pytest.mark.parametrize("argv", [
-        ["eig", "--domain", BALL, "--degree-max", "300", "--cap", "1000000"],
-        ["verify-gamma", "--doublings", "1000"],
-    ], ids=["eig", "verify-gamma"])
+        ["eig", "--domain", BALL, "--degree-max", "300", "--cap", "1000000", "--format", "csv"],
+        ["verify-gamma", "--doublings", "1000", "--format", "csv"],
+        # the disk's report at the default N: about 2.9 MB of JSON
+        ["shells", "--domain", DISK, "--p", "1.5"],
+    ], ids=["eig", "verify-gamma", "shells-json"])
     def test_closed_pipe_exits_1_quietly(self, argv):
-        # CSV output of several times the pipe buffer; the reader takes one line
+        # output of several times the pipe buffer; the reader takes one line
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.Popen([sys.executable, "-m", "eggsum.cli", *argv, "--format", "csv"],
+        proc = subprocess.Popen([sys.executable, "-m", "eggsum.cli", *argv],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         assert proc.stdout.readline()
         proc.stdout.close()
@@ -518,3 +523,47 @@ class TestErrorsAndReplay:
         report["params"]["domain"] = str(path)
         assert run(["replay", json.dumps(report)]) == 2
         assert "malformed JSON" in capsys.readouterr().err
+
+
+def _nan_at_the_last_shell():
+    # the disk's 100 001 shell sums at the default N, the last one NaN
+    real = summability.shell_report
+
+    def shell_report(dom, kind, p, N, **kwargs):
+        rep = real(dom, kind, p, 100, **kwargs)
+        sums = np.full(N + 1, rep.shell_sums[-1])
+        sums[-1] = math.nan
+        return dataclasses.replace(rep, shell_sums=sums)
+
+    return summability, "shell_report", shell_report
+
+
+def _inf_scalar():
+    return summability, "empirical_threshold", lambda *args, **kwargs: np.float64(math.inf)
+
+
+def _nan_in_a_list():
+    # a plain list of plain floats where verify-gamma reports its nodes
+    real = gammakit.verify_expansion
+
+    def verify_expansion(kind, order, xs, **kwargs):
+        check = real(kind, order, xs, **kwargs)
+        return dataclasses.replace(check, xs=[*check.xs.tolist()[:-1], math.nan])
+
+    return gammakit, "verify_expansion", verify_expansion
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("patch, argv", [
+        (_nan_at_the_last_shell, ["shells", "--domain", DISK, "--p", "1.5"]),
+        (_inf_scalar, ["threshold", "--domain", DISK, "--N", "100"]),
+        (_nan_in_a_list, ["verify-gamma"]),
+    ], ids=["array", "numpy-scalar", "list"])
+    def test_non_finite_value_prints_nothing(self, capsys, monkeypatch, patch, argv, fmt):
+        # the whole report is checked before its first byte: no partial report
+        monkeypatch.setattr(*patch())
+        assert run([*argv, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a result is not a finite number for these parameters\n"

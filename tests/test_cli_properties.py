@@ -6,7 +6,8 @@ out of ``run`` (numpy warnings included, which the test configuration turns
 into errors), and a successful report holds no null or NaN among its
 results.  The same holds for ``verify-gamma`` at any parameters, and for
 ``replay`` of a valid report of each command with one parameter replaced by
-any JSON value."""
+any JSON value.  Whatever a report holds, numpy arrays and scalars included,
+its text is that of ``json.dumps(..., indent=2, sort_keys=True)``."""
 
 import contextlib
 import dataclasses
@@ -15,11 +16,12 @@ import io
 import json
 import math
 
+import numpy as np
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from eggsum import CrossBetween, CrossWithin, DomainSpec, SelfAdjoint
-from eggsum.cli import run
+from eggsum.cli import _emit, run
 from eggsum.commutator import all_kinds
 
 _SCALARS = (
@@ -266,3 +268,51 @@ def test_replay_any_param(data, command, value):
     key = data.draw(st.sampled_from(sorted(report["params"]) + ["bogus"]), label="key")
     report["params"][key] = value
     _check(["replay", json.dumps(report)])
+
+
+# report values paired with the plain JSON value json.dumps writes for each
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e308, -1e308]
+)
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["", "\u00e9t\u00e9", "\u2028", "\ud800", "\U0001f600", '"\\/\b\f\n\r\t\x00\x1f\x7f']
+)
+_LEAF = (
+    (st.none() | st.booleans() | st.integers(-(10**30), 10**30) | _FINITE | _TEXT).map(
+        lambda v: (v, v)
+    )
+    | _FINITE.map(lambda v: (np.float64(v), v))
+    | _INT64.map(lambda v: (np.int64(v), v))
+    | st.lists(_FINITE, max_size=6).map(lambda vs: (np.array(vs, dtype=np.float64), vs))
+    | st.lists(_INT64, max_size=6).map(lambda vs: (np.array(vs, dtype=np.int64), vs))
+)
+
+
+def _unzip_list(pairs):
+    return [value for value, _ in pairs], [plain for _, plain in pairs]
+
+
+def _unzip_dict(pairs):
+    values, plains = _unzip_list(pairs.values())
+    return dict(zip(pairs, values)), dict(zip(pairs, plains))
+
+
+REPORT_VALUE = st.recursive(
+    _LEAF,
+    lambda inner: (
+        st.lists(inner, max_size=5).map(_unzip_list)
+        | st.dictionaries(_TEXT, inner, max_size=4).map(_unzip_dict)
+    ),
+    max_leaves=20,
+)
+
+
+@SETTINGS
+@given(pairs=st.dictionaries(_TEXT, REPORT_VALUE, max_size=4))
+def test_report_text_is_json_dumps(pairs):
+    report, plain = _unzip_dict(pairs)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(report, "json")
+    assert out.getvalue() == json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -208,6 +208,32 @@ class TestGeneralNorms:
             assert val == log_norm(dom, [int(v) for v in row])
 
 
+class TestQuadratureOracle:
+    @pytest.mark.parametrize("blocks, idx", [
+        (((1.3, 2.5), (0.7, 1.0)), (3, 40)),
+        (((0.6, 1.0), (2.2, 1.0)), (25, 0)),
+        (((1.3, 0.7), (0.7, 2.5)), (3, 40)),
+        (((1 / 3, 2.5), (0.7, 1.0)), (99, 7)),
+    ])
+    def test_two_single_coordinate_blocks(self, blocks, idx):
+        # the squared norm integrated over the region, apart from the closed
+        # form: on |z1|^(2 p1 a1) + |z2|^(2 p2 a2) < 1 the inner radial
+        # integral is exact, R(r)^(2 i2 + 2) / (2 i2 + 2) with
+        # R(r) = (1 - r^(2 p1 a1))^(1/(2 p2 a2)), and the outer one is a
+        # 30-digit quadrature
+        mpmath = pytest.importorskip("mpmath")
+        (p1, a1), (p2, a2) = blocks
+        i1, i2 = idx
+        dom = DomainSpec(blocks=(BlockSpec((p1,), a1), BlockSpec((p2,), a2)))
+        with mpmath.workdps(30):
+            e1 = 2 * mpmath.mpf(p1) * a1
+            e2 = 2 * mpmath.mpf(p2) * a2
+            h = 2 * i2 + 2
+            outer = mpmath.quad(lambda r: r ** (2 * i1 + 1) * (1 - r**e1) ** (h / e2), [0, 1])
+            exact = mpmath.log((2 * mpmath.pi) ** 2 * outer / h)
+            assert abs(mpmath.expm1(log_norm(dom, list(idx)) - exact)) <= 1e-12
+
+
 class TestMonteCarloOracle:
     def test_disk_area(self):
         est, err = mc_norm_oracle(DISK, [0], 1_000_000, seed=1)
