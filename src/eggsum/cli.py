@@ -516,12 +516,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-def _worker_count(text: str) -> int:
+def _at_least_one(text: str) -> int:
+    """The argparse type of --workers and --cap: an integer of at least 1."""
     try:
-        return positive_integer(int(text), "workers")
+        return positive_integer(int(text), "the value")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"workers must be an integer of at least 1, got {text!r}"
+            f"must be an integer of at least 1, got {text!r}"
         ) from exc
 
 
@@ -539,11 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
     # counts: the work --cap bounds; a command that counts none takes no --cap
     def common(p, domain=True, kind=False, counts=None):
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=_worker_count, default=1,
+        p.add_argument("--workers", type=_at_least_one, default=1,
                        help="worker count, at least 1, echoed in reports; it changes "
                             "nothing (default 1)")
         if counts:
-            p.add_argument("--cap", type=int, default=None,
+            p.add_argument("--cap", type=_at_least_one, default=None,
                            help=f"resource cap on {counts}; exit 3 beyond it")
         if domain:
             p.add_argument("--domain", required=True,

@@ -452,10 +452,7 @@ def eigenvalue_bulk(dom: DomainSpec, kind: CommutatorKind, idx_rows: np.ndarray)
     if rows.dtype.kind not in "iu" and not np.all(rows == np.rint(rows)):
         raise ValidationError("index entries must be integers")
     rows = rows.astype(np.int64, copy=False)
-    # column by column: a sum along a short row axis costs ten times as much
-    sums = rows[:, 0].copy()
-    for col in range(1, rows.shape[1]):
-        sums += rows[:, col]
+    sums = _degree(lambda col: rows[:, col], range(rows.shape[1]))
     shells = range(int(sums.min()), int(sums.max()) + 1) if sums.size else range(0)
     return WalkKernel(dom, kind, shells, rows.shape[0])(rows)
 

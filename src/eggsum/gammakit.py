@@ -20,7 +20,8 @@ of Gamma functions, so this module provides:
 The three log-Gamma routines have one evaluation path: the Stirling
 series through z^-9 (DLMF 5.11.1), differenced term by term in the
 ratios, after lifting an argument z below 16 by k = ceil(16 - z) unit
-steps with Gamma(z+1) = z Gamma(z) (DLMF 5.5.1).
+steps with Gamma(z+1) = z Gamma(z) (DLMF 5.5.1): one loop over the steps
+j < k, each lifted element folding its recurrence terms into one accumulator.
 
 The quadratic (1/x^2) coefficient of the four-Gamma ratio R3 is derived by
 composing two R1 expansions rather than using a closed form: the obvious
@@ -59,31 +60,41 @@ __all__ = [
 _STIRLING_C = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
 _STIRLING_MIN = 16.0
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# elements per pass of the upward recurrence
-_RECURRENCE_CHUNK = 2048
 
 EXPANSION_TAGS = ("R1", "R2", "R3", "R4", "R5")
 
 
-def _lifted(x: np.ndarray, low: np.ndarray, stirling, recurrence) -> np.ndarray:
+def _lifted(x: np.ndarray, low: np.ndarray, stirling, step, fold=np.add, finish=None):
     """f(x) elementwise, for a sum f of ln Gamma terms whose smallest argument
-    is ``low``: ``stirling(x)`` where low >= 16; below, by the recurrence,
-    ``stirling(x + k) - recurrence(x, k)`` with each element's own
-    k = ceil(16 - low), so that an element's result does not depend on the
-    others.  ``recurrence(x, k)`` sums the k recurrence terms of f at x."""
+    is ``low``: ``stirling(x)`` where low >= 16; below, ``stirling(x + k)``
+    less ``finish`` of the ``fold`` of ``step(x, j)`` over j < k in step order,
+    each element with its own k = ceil(16 - low) and accumulator, so that its
+    result does not depend on the others."""
     small = np.flatnonzero(low < _STIRLING_MIN)
     if not small.size:
         return stirling(x)
-    shift = np.ceil(_STIRLING_MIN - low[small])
+    k = np.ceil(_STIRLING_MIN - low[small])
     lifted = x.copy()
-    lifted[small] += shift
+    lifted[small] += k
     out = stirling(lifted)
-    # the recurrence runs over (step, element) arrays of up to 16 rows: in
-    # chunks, so that its temporaries stay small for long inputs
-    for lo in range(0, small.size, _RECURRENCE_CHUNK):
-        part = small[lo : lo + _RECURRENCE_CHUNK]
-        out[part] -= recurrence(x[part], shift[lo : lo + _RECURRENCE_CHUNK])
+    y = x[small]
+    acc = step(y, 0.0)
+    for j in range(1, int(k.max())):
+        fold(acc, step(y, j), out=acc, where=k > j)
+    out[small] -= acc if finish is None else finish(acc)
     return out
+
+
+def _elementwise(x, low_shift: float, message: str, stirling, step, fold=np.add, finish=None):
+    """``_lifted`` over the float array x, whose smallest ln Gamma argument
+    x + ``low_shift`` must be positive (else a ValidationError with
+    ``message``); scalar in, scalar out, arrays pass through."""
+    arr = np.asarray(x, dtype=np.float64)
+    low = arr.reshape(-1) + low_shift
+    if low.size and not low.min() > 0.0:
+        raise ValidationError(message)
+    out = _lifted(arr.reshape(-1), low, stirling, step, fold, finish)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _stirling_tail(z: np.ndarray) -> np.ndarray:
@@ -110,42 +121,16 @@ def _stirling_log_gamma(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _steps(k: np.ndarray) -> np.ndarray:
-    """The step numbers j = 0 .. max(k)-1 as a column: a recurrence over
-    j < k is one pass over a 2-D (step, element) array."""
-    return np.arange(int(k.max()), dtype=np.float64)[:, np.newaxis]
-
-
-def _fold(terms: np.ndarray, k: np.ndarray, ufunc) -> np.ndarray:
-    """``ufunc`` over the first k rows of each column of the 2-D ``terms``,
-    in row order; the other rows are set to the ufunc's identity, which
-    leaves the result unchanged.  ``accumulate`` is sequential at any shape,
-    where a reduction may regroup a short column, so an element's result
-    does not depend on the others."""
-    terms[_steps(k) >= k] = ufunc.identity
-    return ufunc.accumulate(terms, axis=0)[-1]
-
-
-def _log_rising(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """ln of the rising product x (x+1) ... (x+k-1), taken with one log; the
-    product is exact for integer x."""
-    return np.log(_fold(x + _steps(k), k, np.multiply))
-
-
 def log_gamma(x):
     """ln Gamma(x) for x > 0; scalar in, scalar out, arrays pass through.
 
     The Stirling series, after lifting an argument below 16 by k unit steps
     and subtracting the log of the rising product x (x+1) ... (x+k-1).
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(arr > 0.0):
-        raise ValidationError("log_gamma requires strictly positive arguments")
-    flat = arr.reshape(-1)
-    out = _lifted(flat, flat, _stirling_log_gamma, _log_rising)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _elementwise(
+        x, 0.0, "log_gamma requires strictly positive arguments",
+        _stirling_log_gamma, lambda y, j: y + j, np.multiply, np.log,
+    )
 
 
 def _stirling_ratio(za: np.ndarray, zb: np.ndarray, d: float) -> np.ndarray:
@@ -173,21 +158,11 @@ def log_gamma_ratio(x, a: float, b: float):
     k unit steps first and sum_j log1p(d / (x+b+j)), d = a - b, j < k, is
     subtracted.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    flat = arr.reshape(-1)
-    low = flat + min(a, b)
-    lowest = low.min() if low.size else _STIRLING_MIN
-    if not lowest > 0.0:
-        raise ValidationError("log_gamma_ratio requires x+a > 0 and x+b > 0")
     d = a - b
-
-    def recurrence(y, k):
-        return _fold(np.log1p(d / (y + (b + _steps(k)))), k, np.add)
-
-    out = _lifted(flat, low, lambda y: _stirling_ratio(y + a, y + b, d), recurrence)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _elementwise(
+        x, min(a, b), "log_gamma_ratio requires x+a > 0 and x+b > 0",
+        lambda y: _stirling_ratio(y + a, y + b, d), lambda y, j: np.log1p(d / (y + (b + j))),
+    )
 
 
 def _stirling_second_difference(x: np.ndarray, u: float, w: float) -> np.ndarray:
@@ -230,21 +205,11 @@ def log_gamma_second_difference(x, u: float, w: float):
     absolute.  Where an argument is below 16, x is lifted by k unit steps
     first and sum_j log1p(-u w / ((x+j+u)(x+j+w))), j < k, is subtracted.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    flat = arr.reshape(-1)
-    low = flat + min(0.0, u, w, u + w)
-    lowest = low.min() if low.size else _STIRLING_MIN
-    if not lowest > 0.0:
-        raise ValidationError("log_gamma_second_difference requires all four arguments > 0")
-
-    def recurrence(y, k):
-        z = y + _steps(k)
-        return _fold(np.log1p(-(u * w) / ((z + u) * (z + w))), k, np.add)
-
-    out = _lifted(flat, low, lambda y: _stirling_second_difference(y, u, w), recurrence)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _elementwise(
+        x, min(0.0, u, w, u + w), "log_gamma_second_difference requires all four arguments > 0",
+        lambda y: _stirling_second_difference(y, u, w),
+        lambda y, j: np.log1p(-(u * w) / ((y + j + u) * (y + j + w))),
+    )
 
 
 def log_multibeta(xs) -> float:

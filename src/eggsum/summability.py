@@ -35,6 +35,7 @@ equals the max of the per-kind values exactly, not just within roundoff.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -424,21 +425,16 @@ def module_threshold_breakdown(dom: DomainSpec) -> dict:
     entries = []
     candidates = [float(d)]
     for k, blk in enumerate(dom.blocks):
-        terms = []
+        # a one-coordinate block has no pairs, and outer power 1 no pair terms
         if blk.size == 1:
             case = "single-coordinate block"
-            terms.extend(_self_terms(dom, k, 0))
         elif blk.a == 1.0:
             case = "multi-coordinate block, outer power 1"
-            for j in range(blk.size):
-                terms.extend(_self_terms(dom, k, j))
         else:
             case = "multi-coordinate block, outer power != 1"
-            for j in range(blk.size):
-                terms.extend(_self_terms(dom, k, j))
-            for j in range(blk.size):
-                for l in range(j + 1, blk.size):
-                    terms.extend(_within_terms(dom, k, j, l))
+        terms = [t for j in range(blk.size) for t in _self_terms(dom, k, j)]
+        for j, l in itertools.combinations(range(blk.size), 2):
+            terms.extend(_within_terms(dom, k, j, l))
         q_k = max(terms)
         candidates.append(q_k)
         entries.append({"block": k, "case": case, "q": q_k, "terms": terms})

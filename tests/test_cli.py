@@ -391,12 +391,23 @@ class TestErrorsAndReplay:
             ["zeta", "--spec",
              '{"m":3,"powers":[0,0,0],"groups":[{"vars":[0,1],"a":400},{"vars":[1,2],"a":1}],'
              '"b":3}', "--N", "200"],
+            # a cap below 1 is malformed on every command that takes one
+            ["zeta", "--spec", ZSPEC, "--N", "40", "--cap", "0"],
+            ["zeta", "--spec", ZSPEC, "--N", "40", "--cap", "-5"],
+            ["norm", "--domain", DISK, "--index", "[1]", "--cap", "0"],
+            ["norm", "--domain", DISK, "--index", "[1]", "--mc-samples", "10", "--cap", "-5"],
+            ["eig", "--domain", DISK, "--cap", "0"],
+            ["eig", "--domain", DISK, "--cap", "-5"],
+            ["shells", "--domain", DISK, "--p", "1", "--N", "40", "--cap", "0"],
+            ["threshold", "--domain", DISK, "--N", "40", "--cap", "-5"],
         ],
         ids=["blocks-not-a-list", "p-not-numeric", "p-infinite", "zeta-vars-not-integer",
              "index-not-numeric", "index-not-a-list", "schatten-p-infinite", "tol-infinite",
              "workers-negative", "shells-fit-underflow", "zeta-fit-underflow",
              "norm-overflow", "eig-huge-p", "eig-tiny-p", "zeta-power-overflow",
-             "zeta-group-power-overflow"],
+             "zeta-group-power-overflow", "zeta-cap-0", "zeta-cap-negative", "norm-cap-0",
+             "norm-cap-negative", "eig-cap-0", "eig-cap-negative", "shells-cap-0",
+             "threshold-cap-negative"],
     )
     def test_malformed_values_exit_2(self, capsys, argv):
         code = run(argv)
@@ -468,6 +479,7 @@ class TestErrorsAndReplay:
         [
             (["zeta", "--spec", ZSPEC, "--N", "40"], "N", "abc"),
             (["zeta", "--spec", ZSPEC, "--N", "40"], "spec", None),
+            (["zeta", "--spec", ZSPEC, "--N", "40"], "cap", -5),
             (["shells", "--domain", DISK, "--p", "1", "--N", "40"], "kind", 0),
             (["shells", "--domain", DISK, "--p", "1", "--N", "40"], "workers", 0),
             (["shells", "--domain", DISK, "--p", "1", "--N", "40"], "window", [1]),
@@ -483,8 +495,8 @@ class TestErrorsAndReplay:
             (["module-threshold", "--domain", DISK], "cap", None),
             (["verify-gamma"], "cap", None),
         ],
-        ids=["zeta-N-text", "zeta-spec-null", "shells-kind-number", "shells-workers-0",
-             "shells-window-list", "eig-degree-fraction", "norm-samples-huge",
+        ids=["zeta-N-text", "zeta-spec-null", "zeta-cap-negative", "shells-kind-number",
+             "shells-workers-0", "shells-window-list", "eig-degree-fraction", "norm-samples-huge",
              "norm-seed-negative", "gamma-doublings-text", "gamma-a-huge", "unknown-key",
              "abbreviated-key", "module-threshold-retired-cap", "gamma-retired-cap"],
     )

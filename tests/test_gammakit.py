@@ -23,6 +23,14 @@ LGR_4096 = 13.308816437879136
 
 XS = [50.0 * 2**j for j in range(7)]
 
+# the three routines that lift an argument below 16, at fixed parameters
+LIFTED = (
+    log_gamma,
+    lambda v: log_gamma_ratio(v, 1 / 3, 0.0),
+    lambda v: log_gamma_second_difference(v, 0.25, 1.7),
+)
+LIFTED_IDS = ["log_gamma", "ratio", "second-difference"]
+
 
 class TestLogGamma:
     def test_at_one(self):
@@ -58,18 +66,23 @@ class TestLogGamma:
         assert log_gamma(x).shape == (2, 2)
 
     def test_long_arrays_match_scalar_calls(self):
-        # thousands of arguments below 16, so the upward recurrence runs in
-        # several passes; an element's result must not depend on the others
-        x = np.random.default_rng(9).uniform(1e-3, 20.0, 6000)
-        routines = (
-            log_gamma,
-            lambda v: log_gamma_ratio(v, 1 / 3, 0.0),
-            lambda v: log_gamma_second_difference(v, 0.25, 1.7),
-        )
-        for fn in routines:
+        # thousands of arguments below 16, lifted in one call by step counts
+        # from 1 to 16 (15.5, 14.5, ..., 0.5 take each count once); an
+        # element's result must not depend on the steps the others take
+        lifts = 16.5 - np.arange(1.0, 17.0)
+        assert np.array_equal(np.ceil(16.0 - lifts), np.arange(1.0, 17.0))
+        x = np.concatenate([lifts, np.random.default_rng(9).uniform(1e-3, 20.0, 6000)])
+        for fn in LIFTED:
             whole = fn(x)
-            for i in range(0, x.size, 97):
+            for i in [*range(lifts.size), *range(lifts.size, x.size, 97)]:
                 assert fn(float(x[i])) == whole[i]
+
+    @pytest.mark.parametrize("fn", LIFTED, ids=LIFTED_IDS)
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_array_gives_empty_float_array(self, fn, shape):
+        out = fn(np.empty(shape))
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64 and out.shape == shape
 
 
 class TestLogGammaRatio:

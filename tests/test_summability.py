@@ -394,6 +394,22 @@ class TestModuleThreshold:
         assert br["dimension"] == 3
         assert [e["q"] for e in br["blocks"]] == [2.0, 2.0]
         assert br["value"] == 3.0
+        # one domain per case: the self terms of each coordinate in order,
+        # then the within terms of each pair (j, l), j < l
+        single = DomainSpec(blocks=(BlockSpec((2.0,), 3.0), BlockSpec((1.0,), 1.0)))
+        outer_one = DomainSpec(blocks=(BlockSpec((1.5, 2.0), 1.0), BlockSpec((1.0,), 1.0)))
+        outer_other = DomainSpec(blocks=(BlockSpec((1.0, 2.0, 4.0), 2.0), BlockSpec((1.0,), 1.0)))
+        cases = [
+            (single, "single-coordinate block", [6.0]),
+            (outer_one, "multi-coordinate block, outer power 1", [3.0, 1.5, 4.0, 2.0]),
+            (outer_other, "multi-coordinate block, outer power != 1",
+             [3.0, 2.0, 6.0, 4.0, 12.0, 8.0, 4.0 / 1.5, 4.0 / 1.25, 4.0 / 0.75]),
+        ]
+        for dom, case, terms in cases:
+            first = module_threshold_breakdown(dom)["blocks"][0]
+            assert first["case"] == case
+            assert first["terms"] == terms
+            assert first["q"] == max(terms)
 
     def test_equals_max_over_kinds_on_random_domains(self):
         rng = np.random.default_rng(99)
