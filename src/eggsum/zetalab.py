@@ -19,16 +19,17 @@ empirical verdict.
 exactly -- for disjoint factor groups via sequence convolution, which
 keeps N = 5000 shells cheap in any m <= 5, otherwise by enumerating the
 lattice over ``lattice.shell_batches`` -- and classifies the tail with
-the same slope fit and margin band as the commutator shell sums.  Shell
-sums of the enumeration and the total are numpy's pairwise sums
+the same slope fit and margin band as the commutator shell sums.  Each
+convolution forms only the N + 1 terms it keeps, in blocks (``_fold``).
+Shell sums of the enumeration and the total are numpy's pairwise sums
 (``reduction.pairwise_sum``).
 
 Every power the series takes has an integer base in 0..N, so each comes
 from a table ``_power_seq(e, N)`` built once per exponent: the
 convolution path convolves the tables, its abs factor |n - 2t|^a is a
 stride -2 view of one mirrored table, and the enumeration gathers from
-the tables by integer index.  A power or shell sum past double range is a
-``ValidationError``.
+the tables, shifted to the walk's 0-based entries, by integer index.  A
+power or shell sum past double range is a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ __all__ = [
 ]
 
 DEFAULT_ZETA_SHELL_CAP = 20_000
+
+# terms of the running sequence per block in ``_fold``: each dot product
+# is at most this long and stays in L1 cache (best of 256/512/1024 at
+# N = 300 .. 20 000)
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -320,15 +326,27 @@ def _power_seq(exponent: float, N: int) -> np.ndarray:
 
 
 def _fold(seqs: list[np.ndarray], N: int) -> np.ndarray:
-    """The convolution of ``seqs`` in order, cut to N + 1 terms after each
-    step; [1, 0, ..., 0], the empty product, when there are none."""
+    """The convolution of ``seqs`` (N + 1 terms each) in order, cut to N + 1
+    terms after each step; [1, 0, ..., 0], the empty product, when there
+    are none.
+
+    Each step forms only the N + 1 kept terms: the running sequence is
+    taken ``_BLOCK`` terms at a time, and block i .. i + B adds its
+    convolution's head into terms i .. N, so every term is a sum of dot
+    products of at most B terms each.  Up to N + 1 = B this is one
+    ``np.convolve`` call.  The sequences are non-negative, so the changed
+    summation order keeps each term's relative accuracy.
+    """
     if not seqs:
         out = np.zeros(N + 1)
         out[0] = 1.0
         return out
     out = seqs[0]
     for w in seqs[1:]:
-        out = np.convolve(out, w)[: N + 1]
+        head = np.convolve(out[:_BLOCK], w)[: N + 1]
+        for i in range(_BLOCK, N + 1, _BLOCK):
+            head[i:] += np.convolve(out[i : i + _BLOCK], w[: N + 1 - i])[: N + 1 - i]
+        out = head
     return out
 
 
@@ -397,21 +415,29 @@ def _numerator_by_shell_enum(spec: ZetaSeriesSpec, N: int, term_cap: int) -> np.
             f"enumerating {total_terms} lattice terms exceeds the cap of {term_cap}"
         )
     # tables up to the largest base each factor reaches: one variable is at
-    # most N - m + 1, a group of k variables sums to at most N - m + k
+    # most N - m + 1, a group of k variables sums to at most N - m + k.
+    # Each is shifted to the walk's 0-based entries: a variable's table
+    # starts at base 1, a k-member group's at base k.
     top = N - m + 1
-    var_tables = [_power_seq(e, top) for e in spec.powers]
-    group_tables = [(g.vars, _power_seq(g.a, top + len(g.vars) - 1)) for g in spec.groups]
+    var_tables = [_power_seq(e, top)[1:] for e in spec.powers]
+    group_tables = [
+        (g.vars, _power_seq(g.a, top + len(g.vars) - 1)[len(g.vars) :]) for g in spec.groups
+    ]
     abs_table = None if spec.abs_factor is None else _power_seq(spec.abs_factor.a, N)
     out = np.zeros(N + 1, dtype=np.float64)
     for first, offsets, rows, _ in shell_batches(singletons(m), shells):
-        rows = rows + 1
-        vals = var_tables[0][rows[:, 0]]
+        # column views: a transposed copy of the run would cost its size
+        vals = var_tables[0].take(rows[:, 0])
         for j in range(1, m):
-            vals *= var_tables[j][rows[:, j]]
-        for members, table in group_tables:
-            vals *= table[rows[:, list(members)].sum(axis=1)]
+            vals *= var_tables[j].take(rows[:, j])
+        for (lead, *rest), table in group_tables:
+            vals *= table.take(sum((rows[:, j] for j in rest), rows[:, lead]))
         if abs_table is not None:
-            vals *= abs_table[np.abs(rows.sum(axis=1) - 2 * rows[:, spec.abs_factor.neg])]
+            # |n - 2 i_neg| with n the row's shell and i_neg its entry + 1
+            n = np.repeat(
+                np.arange(first + m, first + m + offsets.size), np.diff(offsets, append=len(rows))
+            )
+            vals *= abs_table.take(np.abs(n - 2 - 2 * rows[:, spec.abs_factor.neg]))
         out[first + m : first + m + offsets.size] = pairwise_sum(vals, offsets)
     return out
 

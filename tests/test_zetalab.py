@@ -20,9 +20,23 @@ from eggsum import (
 )
 from eggsum.lattice import shell_indices
 from eggsum.summability import classify_slope, fit_tail_slope
-from eggsum.zetalab import _numerator_by_shell_conv, _numerator_by_shell_enum
+from eggsum.zetalab import _BLOCK, _fold, _numerator_by_shell_conv, _numerator_by_shell_enum
 
 from helpers import FAMILY_SHAPES, random_family_spec, random_plain_spec, with_offset_b
+
+
+def _shell_fsum(spec, n):
+    """math.fsum of the numerator's terms over the compositions of n into
+    spec.m positive parts."""
+    i = shell_indices(spec.m, n - spec.m).astype(np.float64) + 1.0
+    terms = np.prod(i ** np.array(spec.powers), axis=1)
+    for g in spec.groups:
+        terms *= i[:, list(g.vars)].sum(axis=1) ** g.a
+    if spec.abs_factor is not None:
+        base = np.abs(n - 2.0 * i[:, spec.abs_factor.neg])
+        # a zero base drops the term for any sign of the exponent
+        terms = terms[base > 0.0] * base[base > 0.0] ** spec.abs_factor.a
+    return math.fsum(terms.tolist())
 
 
 class TestCriticalExponent:
@@ -227,24 +241,86 @@ class TestBruteForce:
                 assert abs(conv[n] - want) <= 1e-13 * want, (a_abs, n)
 
     def test_enumeration_sums_match_fsum(self):
-        # shells 3..200 of three variables: many shells per batch at first,
-        # one shell per batch from shell 183 on
-        spec = ZetaSeriesSpec(
-            m=3,
-            powers=(0.5, 0.0, 1.0),
-            groups=(GroupFactor((0, 1), 0.5), GroupFactor((1, 2), -0.5)),
-            abs_factor=AbsFactor(neg=1, a=0.75),
-            b=6.0,
-        )
-        N = 200
-        enum = _numerator_by_shell_enum(spec, N, 10**7)
-        assert np.all(enum[:3] == 0.0)
-        for n in range(3, N + 1):
-            i = shell_indices(3, n - 3).astype(np.float64) + 1.0
-            terms = (i[:, 0] ** 0.5 * i[:, 2] * (i[:, 0] + i[:, 1]) ** 0.5
-                     * (i[:, 1] + i[:, 2]) ** -0.5 * np.abs(n - 2.0 * i[:, 1]) ** 0.75)
-            want = math.fsum(terms.tolist())
-            assert abs(enum[n] - want) <= 1e-14 * want, n
+        cases = [
+            # shells 3..200 of three variables: many shells per batch at
+            # first, one shell per batch from shell 131 on
+            (
+                ZetaSeriesSpec(
+                    m=3,
+                    powers=(0.5, 0.0, 1.0),
+                    groups=(GroupFactor((0, 1), 0.5), GroupFactor((1, 2), -0.5)),
+                    abs_factor=AbsFactor(neg=1, a=0.75),
+                    b=6.0,
+                ),
+                200,
+            ),
+            # five variables, a triple and a pair: 16 shells in the first
+            # batch, one shell per batch from shell 25 on
+            (
+                ZetaSeriesSpec(
+                    m=5,
+                    powers=(0.5, -0.25, 0.0, 1.5, -0.75),
+                    groups=(GroupFactor((0, 2, 3), 0.25), GroupFactor((1, 4), 1.25)),
+                    abs_factor=AbsFactor(neg=2, a=-0.5),
+                    b=9.0,
+                ),
+                36,
+            ),
+            # one variable: |n - 2 i_1| = n on every shell
+            (ZetaSeriesSpec(m=1, powers=(0.75,), abs_factor=AbsFactor(neg=0, a=1.5), b=3.0), 300),
+        ]
+        for spec, N in cases:
+            enum = _numerator_by_shell_enum(spec, N, 10**7)
+            assert np.all(enum[: spec.m] == 0.0)
+            for n in range(spec.m, N + 1):
+                want = _shell_fsum(spec, n)
+                assert abs(enum[n] - want) <= 1e-14 * want, (spec.m, n)
+
+    @pytest.mark.parametrize(
+        "spec, brute",
+        [
+            # middle variable j, the outer two in n - 1 - j ways
+            (
+                ZetaSeriesSpec(m=3, powers=(0.0, 1.0, 0.0)),
+                lambda n: sum(j * (n - 1 - j) for j in range(1, n - 1)),
+            ),
+            # i_1 (i_1 + i_2) summed over i_1 = 1..n-1
+            (
+                ZetaSeriesSpec(m=2, powers=(1.0, 0.0), groups=(GroupFactor((0, 1), 1.0),)),
+                lambda n: sum(j * n for j in range(1, n)),
+            ),
+        ],
+    )
+    def test_convolution_is_exact_on_integers_across_blocks(self, spec, brute):
+        # integer terms with every partial sum below 2^53: any summation
+        # order is exact, so one term lost or doubled at a block edge shows
+        N = 2 * _BLOCK + 76
+        conv = _numerator_by_shell_conv(spec, N)
+        assert conv.tolist() == [float(brute(n)) for n in range(N + 1)]
+
+    @pytest.mark.parametrize("N", [511, 512, 513, 1024, 1025, 2000])
+    def test_convolution_sums_match_fsum_at_block_edges(self, N):
+        specs = [ZetaSeriesSpec(m=2, powers=(0.75, -0.4))]
+        if N <= 1025:
+            specs.append(
+                ZetaSeriesSpec(m=3, powers=(-0.6, 1.3, 0.2), groups=(GroupFactor((0, 2), 0.45),))
+            )
+        for spec in specs:
+            conv = _numerator_by_shell_conv(spec, N)
+            for n in {N - 1, N}:
+                want = _shell_fsum(spec, n)
+                assert abs(conv[n] - want) <= 1e-14 * want, (spec, n)
+
+    @pytest.mark.parametrize("N", [16, 300, _BLOCK - 1, _BLOCK, 2 * _BLOCK, 2000])
+    def test_fold_is_the_cut_convolution(self, N):
+        rng = np.random.default_rng(N)
+        x, w = rng.uniform(0.0, 2.0, (2, N + 1))
+        got, want = _fold([x, w], N), np.convolve(x, w)[: N + 1]
+        if N + 1 <= _BLOCK:
+            # one block: the very same np.convolve call
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_group_on_abs_variable_falls_back_to_enumeration(self):
         spec = ZetaSeriesSpec(
