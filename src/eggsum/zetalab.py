@@ -16,19 +16,18 @@ is necessary only, and the brute-force shell summation supplies the
 empirical verdict.
 
 ``brute_shell_sums`` computes T_n = (shell sum of the numerator) / n^b
-exactly -- for disjoint factor groups via sequence convolution, which
-keeps N = 5000 shells cheap in any m <= 5, otherwise by enumerating the
-lattice over ``lattice.shell_batches`` -- and classifies the tail with
-the same slope fit and margin band as the commutator shell sums.  Each
-convolution forms only the N + 1 terms it keeps, in blocks (``_fold``).
-Shell sums of the enumeration and the total are numpy's pairwise sums
-(``reduction.pairwise_sum``).
+exactly and classifies the tail with the same slope fit and margin band
+as the commutator shell sums.  Where fixing at most one variable leaves
+factor-disjoint blocks, the numerator is a convolution of the blocks,
+once or for each value of the fixed variable, which keeps N = 5000
+shells cheap in any m <= 5; other specs enumerate the lattice over
+``lattice.shell_batches``.  ``method`` names the spec's structure, not
+the loop that sums it.  Shell sums of the enumeration and the total are
+numpy's pairwise sums (``reduction.pairwise_sum``).
 
 Every power the series takes has an integer base in 0..N, so each comes
-from a table ``_power_seq(e, N)`` built once per exponent: the
-convolution path convolves the tables, its abs factor |n - 2t|^a is a
-stride -2 view of one mirrored table, and the enumeration gathers from
-the tables, shifted to the walk's 0-based entries, by integer index.  A
+from a table ``_power_seq`` built once per exponent, which the
+convolutions slice and the enumeration gathers from by integer index.  A
 power or shell sum past double range is a ``ValidationError``.
 """
 
@@ -39,6 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ResourceCapError,
@@ -80,6 +80,10 @@ DEFAULT_ZETA_SHELL_CAP = 20_000
 # is at most this long and stays in L1 cache (best of 256/512/1024 at
 # N = 300 .. 20 000)
 _BLOCK = 512
+
+# values of the fixed variable per part in ``_numerator_by_shell_conv``
+# (best of 16/32/64/128 for the abs factor's tiles at N = 5000)
+_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -309,18 +313,20 @@ class ZetaReport:
     method: str
 
 
-def _power_seq(exponent: float, N: int) -> np.ndarray:
-    """[0, 1^e, 2^e, ..., N^e] -- weight of one positive variable by value.
+def _power_seq(exponent: float, N: int, top: int | None = None) -> np.ndarray:
+    """[0, 1^e, 2^e, ..., top^e, 0, ..., 0] (N + 1 terms; ``top`` is N by
+    default) -- weight of one positive variable by value.
 
     The 0 at base 0 drops a term for any sign of e.  A power that overflows
     is a ValidationError (one that underflows is 0).
     """
+    top = N if top is None else top
     out = np.zeros(N + 1, dtype=np.float64)
     with np.errstate(over="ignore"):
-        out[1:] = np.arange(1, N + 1, dtype=np.float64) ** exponent
+        out[1 : top + 1] = np.arange(1, top + 1, dtype=np.float64) ** exponent
     if not np.all(np.isfinite(out)):
         raise ValidationError(
-            f"the power {N}^{exponent!r} of a series term overflows double range"
+            f"the power {top}^{exponent!r} of a series term overflows double range"
         )
     return out
 
@@ -350,82 +356,170 @@ def _fold(seqs: list[np.ndarray], N: int) -> np.ndarray:
     return out
 
 
-def _blocks_of(spec: ZetaSeriesSpec) -> list[tuple[int, ...]] | None:
-    """Partition variables into factor-disjoint blocks, or None if groups overlap."""
-    grouped: set[int] = set()
-    blocks: list[tuple[int, ...]] = []
-    for g in spec.groups:
-        if grouped & set(g.vars):
-            return None
-        grouped |= set(g.vars)
-        blocks.append(g.vars)
-    for j in range(spec.m):
-        if j not in grouped:
-            blocks.append((j,))
-    return blocks
+def _method(spec: ZetaSeriesSpec) -> str:
+    """``"convolution"`` when the groups are disjoint and the abs variable is
+    in none of them, else ``"enumeration"``: a name for the spec's
+    structure, not for the loop that sums it."""
+    grouped = [j for g in spec.groups for j in g.vars]
+    if len(set(grouped)) == len(grouped) and (
+        spec.abs_factor is None or spec.abs_factor.neg not in grouped
+    ):
+        return "convolution"
+    return "enumeration"
+
+
+def _tables(spec: ZetaSeriesSpec, N: int):
+    """Power tables of the variables, the groups and the abs factor (or
+    None), N + 1 terms each.  A convolution spec's reach base N; an
+    enumeration spec's the largest base a k-variable factor takes, N - m +
+    k, so where a power overflows depends on the method alone."""
+    enumerated = _method(spec) == "enumeration"
+
+    def top(k):
+        return N - spec.m + k if enumerated else N
+
+    var_t = [_power_seq(e, N, top(1)) for e in spec.powers]
+    group_t = [_power_seq(g.a, N, top(len(g.vars))) for g in spec.groups]
+    abs_t = None if spec.abs_factor is None else _power_seq(spec.abs_factor.a, N)
+    return var_t, group_t, abs_t
+
+
+def _blocks_without(spec: ZetaSeriesSpec, v: int | None):
+    """The blocks of the variables other than ``v`` (None: of all), or None
+    when two groups would still share a variable.
+
+    A group without ``v`` makes a block whose sum its table weighs, shared
+    by the groups left with the same variables; left with none it is a
+    scalar, and left with one variable of a larger block it weighs that
+    variable.  Returns the scalar groups, each variable's own groups and
+    the blocks as (variables, groups): those of the groups in order, then
+    the free variables.
+    """
+    by_rest: dict[tuple[int, ...], list[int]] = {}
+    for k, g in enumerate(spec.groups):
+        by_rest.setdefault(tuple(j for j in g.vars if j != v), []).append(k)
+    scalars = by_rest.pop((), [])
+    held: set[int] = set()
+    for rest in by_rest:
+        if len(rest) > 1:
+            if held & set(rest):
+                return None
+            held |= set(rest)
+    own: dict[int, list[int]] = {j: [] for j in range(spec.m) if j != v}
+    blocks = []
+    for rest, ks in by_rest.items():
+        if len(rest) == 1 and rest[0] in held:
+            own[rest[0]] += ks
+        else:
+            blocks.append((rest, ks))
+    blocks += [((j,), []) for j in own if j not in held and (j,) not in by_rest]
+    return scalars, own, blocks
 
 
 def _numerator_by_shell_conv(spec: ZetaSeriesSpec, N: int) -> np.ndarray | None:
-    """Shell sums of the numerator via convolution; None when not applicable."""
-    blocks = _blocks_of(spec)
-    if blocks is None:
+    """Shell sums of the numerator by convolution with at most one variable
+    v fixed: the abs variable, else none if that works, else the first
+    that does.  None when no such v leaves disjoint blocks.
+
+    For each value h of v, a group that holds v reads its table from h on,
+    and the convolution of the blocks, cut to N + 1 - h terms, adds into
+    shells h .. N times v's weight and, with an abs factor, |n - 2h|^a, a
+    slice of one mirrored table (|k|^a for k = -N..N).  Blocks that do not
+    depend on h are folded once.  If none does, the rows of ``_ROWS``
+    values of h are one tile that ``np.einsum`` sums over windows.  Parts
+    of ``_ROWS`` rows are added pairwise.
+    """
+    choices = [None, *range(spec.m)] if spec.abs_factor is None else [spec.abs_factor.neg]
+    for v in choices:
+        plan = _blocks_without(spec, v)
+        if plan is not None:
+            break
+    else:
         return None
-    if spec.abs_factor is not None and any(
-        spec.abs_factor.neg in g.vars for g in spec.groups
-    ):
-        # the neg variable must be a bare free block; a group factor on it
-        # could not be folded into the per-shell abs weight
-        return None
-    group_exp = {g.vars: g.a for g in spec.groups}
-    seqs = []
-    for blk in blocks:
-        if spec.abs_factor is not None and blk == (spec.abs_factor.neg,):
-            continue
-        w = _fold([_power_seq(spec.powers[v], N) for v in blk], N)
-        if blk in group_exp:
-            w = w * _power_seq(group_exp[blk], N)
-        seqs.append(w)
-    u = _fold(seqs, N)
-    if spec.abs_factor is None:
+    scalars, own, blocks = plan
+    var_t, group_t, abs_t = _tables(spec, N)
+
+    shifted = {k for k, g in enumerate(spec.groups) if v in g.vars}
+
+    def read(k, h):
+        # a group that holds v weighs the sum of its other variables plus h
+        return group_t[k][h:] if k in shifted else group_t[k][: N + 1 - h]
+
+    def block_seq(members, ks, h):
+        seqs = []
+        for j in members:
+            w = var_t[j][: N + 1 - h]
+            for k in own[j]:
+                w = w * read(k, h)
+            seqs.append(w)
+        w = _fold(seqs, N - h)
+        for k in ks:
+            w = w * read(k, h)
+        return w
+
+    fixed, moving = [], []
+    for members, ks in blocks:
+        moves = shifted & {*ks, *(k for j in members for k in own[j])}
+        (moving if moves else fixed).append((members, ks))
+    u = _fold([block_seq(*b, 0) for b in fixed], N)
+    if v is None:
         return u
-    neg = spec.abs_factor.neg
-    v_seq = _power_seq(spec.powers[neg], N)
-    w = _power_seq(spec.abs_factor.a, N)
-    # mirrored: mirror[N + k] = |k|^a for k = -N..N
-    mirror = np.concatenate([w[:0:-1], w])
-    out = np.zeros(N + 1, dtype=np.float64)
-    for n in range(1, N + 1):
-        # |n - 2t| for t = 1..n, a stride -2 view of the mirrored table
-        fac = mirror[N - n : N + n - 1 : 2][::-1]
-        out[n] = float(np.dot(v_seq[1 : n + 1] * fac, u[n - 1 :: -1][:n]))
+    c = var_t[v].copy()
+    for k in scalars:
+        c *= group_t[k]
+    if abs_t is not None:
+        mirror = np.concatenate([abs_t[:0:-1], abs_t])
+    if not moving:
+        # then there is an abs factor (else v would not be fixed); the row
+        # of h = start + i reads u and the mirror i and 2i places back
+        u_pad = np.concatenate([np.zeros(_ROWS - 1), u])
+        mirror_pad = np.concatenate([np.zeros(2 * _ROWS - 2), mirror])
+    # parts of ``_ROWS`` rows added pairwise: a shell's sum over h keeps the
+    # accuracy of a pairwise sum
+    last = N - spec.m + 1
+    parts: list[np.ndarray] = []
+    for count, start in enumerate(range(1, last + 1, _ROWS), 1):
+        stop = min(start + _ROWS, last + 1)
+        part = np.zeros(N + 1, dtype=np.float64)
+        if moving:
+            for h in range(start, stop):
+                seqs = [u[: N + 1 - h]] if fixed else []
+                rest = _fold(seqs + [block_seq(*b, h) for b in moving], N - h)
+                if abs_t is not None:
+                    # |n - 2h| for n = h..N
+                    rest = rest * mirror[N - h : 2 * N - 2 * h + 1]
+                part[h:] += c[h] * rest
+        else:
+            r, L, at = stop - start, N + 1 - start, 2 * _ROWS - 2 + N - start
+            rows = sliding_window_view(u_pad, L)[_ROWS - r : _ROWS][::-1]
+            marks = sliding_window_view(mirror_pad, L)[at - 2 * r + 2 : at + 1 : 2][::-1]
+            part[start:] = np.einsum("i,ik,ik->k", c[start:stop], rows, marks)
+        parts.append(part)
+        while count % 2 == 0:
+            part = parts.pop()
+            parts[-1] += part
+            count //= 2
+    out = parts.pop()
+    for part in reversed(parts):
+        out += part
     return out
 
 
-def _numerator_by_shell_enum(spec: ZetaSeriesSpec, N: int, term_cap: int) -> np.ndarray:
-    """Direct lattice enumeration fallback (overlapping groups etc.).
+def _numerator_by_shell_enum(spec: ZetaSeriesSpec, N: int) -> np.ndarray:
+    """Direct lattice enumeration, for specs that no single fixed variable
+    turns into disjoint blocks.
 
     Shell n of the positive lattice is shell n - m of N^m shifted by one in
     every variable; each run of ``shell_batches`` is evaluated at once and
     summed pairwise per shell."""
     m = spec.m
-    shells = range(N - m + 1)
-    total_terms = range_count(m, shells)
-    if total_terms > term_cap:
-        raise ResourceCapError(
-            f"enumerating {total_terms} lattice terms exceeds the cap of {term_cap}"
-        )
-    # tables up to the largest base each factor reaches: one variable is at
-    # most N - m + 1, a group of k variables sums to at most N - m + k.
-    # Each is shifted to the walk's 0-based entries: a variable's table
-    # starts at base 1, a k-member group's at base k.
-    top = N - m + 1
-    var_tables = [_power_seq(e, top)[1:] for e in spec.powers]
-    group_tables = [
-        (g.vars, _power_seq(g.a, top + len(g.vars) - 1)[len(g.vars) :]) for g in spec.groups
-    ]
-    abs_table = None if spec.abs_factor is None else _power_seq(spec.abs_factor.a, N)
+    var_t, group_t, abs_table = _tables(spec, N)
+    # each table shifted to the walk's 0-based entries: a variable's starts
+    # at base 1, a k-member group's at base k
+    var_tables = [t[1:] for t in var_t]
+    group_tables = [(g.vars, t[len(g.vars) :]) for g, t in zip(spec.groups, group_t)]
     out = np.zeros(N + 1, dtype=np.float64)
-    for first, offsets, rows, _ in shell_batches(singletons(m), shells):
+    for first, offsets, rows, _ in shell_batches(singletons(m), range(N - m + 1)):
         # column views: a transposed copy of the run would cost its size
         vals = var_tables[0].take(rows[:, 0])
         for j in range(1, m):
@@ -459,14 +553,19 @@ def brute_shell_sums(
         raise ResourceCapError(
             f"N={N} exceeds the configured shell cap {max_shells}; raise max_shells to proceed"
         )
+    method = _method(spec)
+    if method == "enumeration":
+        total_terms = range_count(spec.m, range(N - spec.m + 1))
+        if total_terms > term_cap:
+            raise ResourceCapError(
+                f"enumerating {total_terms} lattice terms exceeds the cap of {term_cap}"
+            )
     # a product or sum past double range is inf (or inf * 0 = NaN) here and
     # a ValidationError below, never a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         numer = _numerator_by_shell_conv(spec, N)
-        method = "convolution"
         if numer is None:
-            numer = _numerator_by_shell_enum(spec, N, term_cap)
-            method = "enumeration"
+            numer = _numerator_by_shell_enum(spec, N)
         sums = np.zeros(N + 1, dtype=np.float64)
         # n^-b underflows where n^b would overflow
         sums[1:] = numer[1:] * _power_seq(-spec.b, N)[1:]

@@ -114,6 +114,26 @@ def random_family_spec(rng: np.random.Generator, shape: str) -> ZetaSeriesSpec:
     raise ValueError(shape)
 
 
+def random_zeta_spec(rng: np.random.Generator, max_m: int = 5) -> ZetaSeriesSpec:
+    """Any spec of m <= max_m variables: 0-3 groups on random subsets, which
+    may overlap, repeat or hold one variable, and an abs factor in about a
+    third of the draws, on a variable that a group may hold too (b = 0)."""
+    m = int(rng.integers(1, max_m + 1))
+    groups = tuple(
+        GroupFactor(
+            tuple(int(j) for j in rng.choice(m, int(rng.integers(1, m + 1)), replace=False)),
+            _grid(rng),
+        )
+        for _ in range(int(rng.integers(0, 4)))
+    )
+    abs_factor = None
+    if rng.random() < 0.35:
+        abs_factor = AbsFactor(int(rng.integers(0, m)), float(rng.choice([0.25, 1.5, -0.5])))
+    return ZetaSeriesSpec(
+        m=m, powers=tuple(_grid(rng) for _ in range(m)), groups=groups, abs_factor=abs_factor
+    )
+
+
 FAMILY_SHAPES = (
     "product-only",
     "fresh-group",

@@ -18,11 +18,25 @@ from eggsum import (
     family_of,
     reduce_group,
 )
+from eggsum.cli import run
 from eggsum.lattice import shell_indices
 from eggsum.summability import classify_slope, fit_tail_slope
-from eggsum.zetalab import _BLOCK, _fold, _numerator_by_shell_conv, _numerator_by_shell_enum
+from eggsum.zetalab import (
+    _BLOCK,
+    _fold,
+    _method,
+    _numerator_by_shell_conv,
+    _numerator_by_shell_enum,
+    _power_seq,
+)
 
-from helpers import FAMILY_SHAPES, random_family_spec, random_plain_spec, with_offset_b
+from helpers import (
+    FAMILY_SHAPES,
+    random_family_spec,
+    random_plain_spec,
+    random_zeta_spec,
+    with_offset_b,
+)
 
 
 def _shell_fsum(spec, n):
@@ -37,6 +51,15 @@ def _shell_fsum(spec, n):
         # a zero base drops the term for any sign of the exponent
         terms = terms[base > 0.0] * base[base > 0.0] ** spec.abs_factor.a
     return math.fsum(terms.tolist())
+
+
+def _chain_sum(n):
+    """(i_1 + i_2)(i_2 + i_3) summed over the compositions of n, exactly: with
+    i_2 = j and i_1 = t the term is (t + j)(n - t), t = 1 .. n - j - 1."""
+    j = np.arange(1, n - 1, dtype=np.int64)
+    r = n - j
+    s1, s2 = (r - 1) * r // 2, (r - 1) * r * (2 * r - 1) // 6
+    return int(np.sum(n * s1 - s2 + j * n * (r - 1) - j * s1))
 
 
 class TestCriticalExponent:
@@ -210,7 +233,7 @@ class TestBruteForce:
         )
         N = 60
         conv = _numerator_by_shell_conv(spec, N)
-        enum = _numerator_by_shell_enum(spec, N, 10**7)
+        enum = _numerator_by_shell_enum(spec, N)
         assert conv is not None
         np.testing.assert_allclose(conv, enum, rtol=1e-12)
 
@@ -269,12 +292,14 @@ class TestBruteForce:
             # one variable: |n - 2 i_1| = n on every shell
             (ZetaSeriesSpec(m=1, powers=(0.75,), abs_factor=AbsFactor(neg=0, a=1.5), b=3.0), 300),
         ]
+        rng = np.random.default_rng(17)
+        cases += [(random_zeta_spec(rng), 20) for _ in range(8)]
         for spec, N in cases:
-            enum = _numerator_by_shell_enum(spec, N, 10**7)
+            enum = _numerator_by_shell_enum(spec, N)
             assert np.all(enum[: spec.m] == 0.0)
             for n in range(spec.m, N + 1):
                 want = _shell_fsum(spec, n)
-                assert abs(enum[n] - want) <= 1e-14 * want, (spec.m, n)
+                assert abs(enum[n] - want) <= 1e-14 * want, (spec, n)
 
     @pytest.mark.parametrize(
         "spec, brute",
@@ -322,6 +347,131 @@ class TestBruteForce:
         else:
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "m, groups, neg",
+        [
+            (3, [(0, 1), (1, 2)], None),  # chain
+            (4, [(0, 1), (1, 2), (2, 3)], None),  # longer chain: fixes variable 1
+            (3, [(0, 1), (1, 2), (0, 2)], None),  # triangle
+            (3, [(0, 1), (0, 1)], None),  # duplicate groups: one block
+            (4, [(1, 2), (0, 1, 2), (1, 2)], None),  # duplicates once 0 is fixed
+            (3, [(1,), (0, 1), (1, 2), (2,)], None),  # one-variable groups
+            (4, [(0, 1, 2)], 3),  # triple-abs
+            (3, [(0, 2)], 2),  # a group on the abs variable
+            (4, [(2,), (3,), (1, 3), (0, 1, 2)], 3),  # and a scalar group on it
+            (1, [], 0),
+        ],
+    )
+    def test_conditioned_sums_match_fsum(self, m, groups, neg):
+        rng = np.random.default_rng(m * 100 + len(groups))
+        for a_abs in (0.25, 1.5, -0.5) if neg is not None else (None,):
+            spec = ZetaSeriesSpec(
+                m=m,
+                powers=tuple(float(p) for p in rng.choice([-0.75, 0.0, 0.5, 1.25], m)),
+                groups=tuple(GroupFactor(g, float(rng.choice([-0.5, 0.25, 1.0]))) for g in groups),
+                abs_factor=None if neg is None else AbsFactor(neg, a_abs),
+            )
+            N = 28
+            got = _numerator_by_shell_conv(spec, N)
+            assert np.all(got[:m] == 0.0)
+            for n in range(m, N + 1):
+                want = _shell_fsum(spec, n)
+                assert (got[n] == 0.0) == (want == 0.0)
+                assert abs(got[n] - want) <= 1e-13 * want, (spec, n)
+
+    def test_random_conditioned_sums_match_fsum(self):
+        rng = np.random.default_rng(19)
+        conditioned = 0
+        for _ in range(40):
+            spec = random_zeta_spec(rng)
+            N = 24
+            got = _numerator_by_shell_conv(spec, N)
+            if got is None:
+                continue
+            conditioned += 1
+            assert np.all(got[: spec.m] == 0.0)
+            for n in range(spec.m, N + 1):
+                want = _shell_fsum(spec, n)
+                assert (got[n] == 0.0) == (want == 0.0)
+                assert abs(got[n] - want) <= 1e-13 * want, (spec, n)
+        assert conditioned >= 30
+
+    def test_chain_closed_form(self):
+        for n in range(3, 12):
+            terms = [(t + j) * (n - t) for j in range(1, n - 1) for t in range(1, n - j)]
+            assert _chain_sum(n) == sum(terms)
+
+    @pytest.mark.parametrize(
+        "spec, brute",
+        [
+            # one value of i_2 per row, each row its own convolution
+            (
+                ZetaSeriesSpec(
+                    m=3,
+                    powers=(0.0, 0.0, 0.0),
+                    groups=(GroupFactor((0, 1), 1.0), GroupFactor((1, 2), 1.0)),
+                ),
+                _chain_sum,
+            ),
+            # i_1 |n - 2 i_2| summed over i_2 = 1..n-1: every row is a slice
+            # of the same sequences, 64 rows to a tile
+            (
+                ZetaSeriesSpec(m=2, powers=(1.0, 0.0), abs_factor=AbsFactor(neg=1, a=1.0)),
+                lambda n: int(np.sum((n - np.arange(1, n)) * np.abs(n - 2 * np.arange(1, n)))),
+            ),
+        ],
+        ids=["chain", "abs"],
+    )
+    def test_conditioned_sum_is_exact_on_integers_across_blocks(self, spec, brute):
+        # integer terms with every partial sum below 2^53: a row lost or
+        # doubled, at a block, part or tile edge, shows
+        N = 2 * _BLOCK + 76
+        conv = _numerator_by_shell_conv(spec, N)
+        assert conv.tolist() == [0.0] * spec.m + [float(brute(n)) for n in range(spec.m, N + 1)]
+
+    def test_two_fixed_variables_take_the_lattice_walk(self):
+        spec = ZetaSeriesSpec(
+            m=5,
+            powers=(0.5, -0.25, 0.0, 1.25, -0.75),
+            groups=(
+                GroupFactor((0, 1, 2), 0.5),
+                GroupFactor((2, 3, 4), -0.25),
+                GroupFactor((0, 4), 1.0),
+            ),
+            b=8.0,
+        )
+        N = 24
+        assert _numerator_by_shell_conv(spec, N) is None
+        enum = _numerator_by_shell_enum(spec, N)
+        for n in range(spec.m, N + 1):
+            want = _shell_fsum(spec, n)
+            assert abs(enum[n] - want) <= 1e-14 * want, n
+        rep = brute_shell_sums(spec, N)
+        assert rep.method == "enumeration"
+        assert rep.shell_sums[1:].tobytes() == (enum[1:] * _power_seq(-spec.b, N)[1:]).tobytes()
+
+    def test_convolution_family_is_the_fold_of_its_blocks(self):
+        # without an abs factor a convolution spec fixes no variable: its
+        # numerator is, bit for bit, the fold of its blocks -- the groups in
+        # order, then the free variables
+        rng = np.random.default_rng(23)
+        specs = [random_family_spec(rng, shape) for shape in FAMILY_SHAPES if shape != "triple-abs"]
+        specs += [
+            ZetaSeriesSpec(m=4, powers=(0.5, 0.0, -0.25, 1.0), groups=(GroupFactor((3,), 0.75),
+                           GroupFactor((0, 2), -0.5), GroupFactor((1,), 1.5)))
+        ]
+        N = _BLOCK + 88
+        for spec in specs:
+            assert _method(spec) == "convolution" and spec.abs_factor is None
+            grouped = {j for g in spec.groups for j in g.vars}
+            blocks = [(g.vars, g.a) for g in spec.groups]
+            blocks += [((j,), None) for j in range(spec.m) if j not in grouped]
+            seqs = []
+            for members, a in blocks:
+                w = _fold([_power_seq(spec.powers[j], N) for j in members], N)
+                seqs.append(w if a is None else w * _power_seq(a, N))
+            assert _numerator_by_shell_conv(spec, N).tobytes() == _fold(seqs, N).tobytes()
+
     def test_group_on_abs_variable_falls_back_to_enumeration(self):
         spec = ZetaSeriesSpec(
             m=2,
@@ -353,6 +503,45 @@ class TestBruteForce:
             brute_shell_sums(spec, 30_000)
         with pytest.raises(ValidationError):
             brute_shell_sums(ZetaSeriesSpec(m=6, powers=(0.0,) * 6, b=9.0), 100)
+
+    def test_term_cap_comes_before_any_work(self, capsys):
+        # 298^130 overflows double range, so building any table would be a
+        # ValidationError: the cap on the 4.4 M lattice terms is checked first
+        spec = ZetaSeriesSpec(
+            m=3,
+            powers=(130.0, 0.0, 0.0),
+            groups=(GroupFactor((0, 1), 1.0), GroupFactor((1, 2), 1.0)),
+            b=6.0,
+        )
+        with pytest.raises(ResourceCapError):
+            brute_shell_sums(spec, 300, term_cap=10**6)
+        with pytest.raises(ValidationError):
+            brute_shell_sums(spec, 300, term_cap=10**7)
+        argv = ["zeta", "--spec", json.dumps(spec.to_json()), "--N", "300", "--cap"]
+        assert run([*argv, str(10**6)]) == 3
+        assert run([*argv, str(10**7)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_tables_reach_the_largest_base_of_the_method(self):
+        # 19^237 is finite and 20^237 is not.  An enumeration spec of three
+        # variables reaches base N - 2, so it overflows from N = 22 on,
+        # whichever routine sums it; a convolution spec's tables reach N
+        overlapping = ZetaSeriesSpec(
+            m=3,
+            powers=(237.0, 0.0, 0.0),
+            groups=(GroupFactor((0, 1), 0.0), GroupFactor((1, 2), 0.0)),
+        )
+        disjoint = ZetaSeriesSpec(m=3, powers=(237.0, 0.0, 0.0), groups=(GroupFactor((1, 2), 0.0),))
+        assert np.all(np.isfinite(_numerator_by_shell_conv(overlapping, 21)))
+        assert np.all(np.isfinite(_numerator_by_shell_enum(overlapping, 21)))
+        assert np.all(np.isfinite(_numerator_by_shell_conv(disjoint, 19)))
+        for numerator, spec, N in (
+            (_numerator_by_shell_conv, overlapping, 22),
+            (_numerator_by_shell_enum, overlapping, 22),
+            (_numerator_by_shell_conv, disjoint, 20),
+        ):
+            with pytest.raises(ValidationError, match=r"the power 20\^237"):
+                numerator(spec, N)
 
     def test_zero_abs_terms_are_excluded(self):
         # at n = 2t the |n - 2t| base vanishes: positive exponents zero the
