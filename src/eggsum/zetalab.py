@@ -17,18 +17,18 @@ empirical verdict.
 
 ``brute_shell_sums`` computes T_n = (shell sum of the numerator) / n^b
 exactly and classifies the tail with the same slope fit and margin band
-as the commutator shell sums.  Where fixing at most one variable leaves
-factor-disjoint blocks, the numerator is a convolution of the blocks,
-once or for each value of the fixed variable, which keeps N = 5000
-shells cheap in any m <= 5; other specs enumerate the lattice over
-``lattice.shell_batches``.  ``method`` names the spec's structure, not
-the loop that sums it.  Shell sums of the enumeration and the total are
-numpy's pairwise sums (``reduction.pairwise_sum``).
+as the commutator shell sums.  One routine sums every spec: it fixes the
+fewest variables that leave factor-disjoint blocks (none, one or more),
+and the numerator is a convolution of the blocks, once or for each row
+of values of the fixed variables, which keeps N = 5000 shells cheap
+wherever one variable is enough; no lattice is walked.  ``method`` names
+the spec's structure, not the loop that sums it.  The total is numpy's
+pairwise sum (``reduction.pairwise_sum``).
 
 Every power the series takes has an integer base in 0..N, so each comes
 from a table ``_power_seq`` built once per exponent, which the
-convolutions slice and the enumeration gathers from by integer index.  A
-power or shell sum past double range is a ``ValidationError``.
+convolutions slice.  A power or shell sum past double range is a
+``ValidationError``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,7 +50,7 @@ from .errors import (
     parsed_json,
     sequence,
 )
-from .lattice import range_count, shell_batches, singletons
+from .lattice import range_count, shell_rows
 from .reduction import pairwise_sum
 from .summability import (
     DEFAULT_CAP,
@@ -81,7 +82,7 @@ DEFAULT_ZETA_SHELL_CAP = 20_000
 # N = 300 .. 20 000)
 _BLOCK = 512
 
-# values of the fixed variable per part in ``_numerator_by_shell_conv``
+# rows of values of the fixed variables per part in ``_numerator_by_shell_conv``
 # (best of 16/32/64/128 for the abs factor's tiles at N = 5000)
 _ROWS = 64
 
@@ -370,34 +371,28 @@ def _method(spec: ZetaSeriesSpec) -> str:
 
 def _tables(spec: ZetaSeriesSpec, N: int):
     """Power tables of the variables, the groups and the abs factor (or
-    None), N + 1 terms each.  A convolution spec's reach base N; an
-    enumeration spec's the largest base a k-variable factor takes, N - m +
-    k, so where a power overflows depends on the method alone."""
-    enumerated = _method(spec) == "enumeration"
-
-    def top(k):
-        return N - spec.m + k if enumerated else N
-
-    var_t = [_power_seq(e, N, top(1)) for e in spec.powers]
-    group_t = [_power_seq(g.a, N, top(len(g.vars))) for g in spec.groups]
+    None), N + 1 terms each, built to the largest base a term reaches: N -
+    m + k for a k-variable factor, N for the abs factor."""
+    var_t = [_power_seq(e, N, N - spec.m + 1) for e in spec.powers]
+    group_t = [_power_seq(g.a, N, N - spec.m + len(g.vars)) for g in spec.groups]
     abs_t = None if spec.abs_factor is None else _power_seq(spec.abs_factor.a, N)
     return var_t, group_t, abs_t
 
 
-def _blocks_without(spec: ZetaSeriesSpec, v: int | None):
-    """The blocks of the variables other than ``v`` (None: of all), or None
-    when two groups would still share a variable.
+def _blocks_without(spec: ZetaSeriesSpec, fixed: tuple[int, ...]):
+    """The blocks of the variables not in ``fixed``, or None when two groups
+    would still share a variable.
 
-    A group without ``v`` makes a block whose sum its table weighs, shared
-    by the groups left with the same variables; left with none it is a
-    scalar, and left with one variable of a larger block it weighs that
-    variable.  Returns the scalar groups, each variable's own groups and
-    the blocks as (variables, groups): those of the groups in order, then
-    the free variables.
+    A group without the fixed variables makes a block whose sum its table
+    weighs, shared by the groups left with the same variables; left with
+    none it is a scalar, and left with one variable of a larger block it
+    weighs that variable.  Returns the scalar groups, each variable's own
+    groups and the blocks as (variables, groups): those of the groups in
+    order, then the free variables.
     """
     by_rest: dict[tuple[int, ...], list[int]] = {}
     for k, g in enumerate(spec.groups):
-        by_rest.setdefault(tuple(j for j in g.vars if j != v), []).append(k)
+        by_rest.setdefault(tuple(j for j in g.vars if j not in fixed), []).append(k)
     scalars = by_rest.pop((), [])
     held: set[int] = set()
     for rest in by_rest:
@@ -405,7 +400,7 @@ def _blocks_without(spec: ZetaSeriesSpec, v: int | None):
             if held & set(rest):
                 return None
             held |= set(rest)
-    own: dict[int, list[int]] = {j: [] for j in range(spec.m) if j != v}
+    own: dict[int, list[int]] = {j: [] for j in range(spec.m) if j not in fixed}
     blocks = []
     for rest, ks in by_rest.items():
         if len(rest) == 1 and rest[0] in held:
@@ -416,84 +411,91 @@ def _blocks_without(spec: ZetaSeriesSpec, v: int | None):
     return scalars, own, blocks
 
 
-def _numerator_by_shell_conv(spec: ZetaSeriesSpec, N: int) -> np.ndarray | None:
-    """Shell sums of the numerator by convolution with at most one variable
-    v fixed: the abs variable, else none if that works, else the first
-    that does.  None when no such v leaves disjoint blocks.
+def _numerator_by_shell_conv(spec: ZetaSeriesSpec, N: int) -> np.ndarray:
+    """Shell sums of the numerator by convolution with the fewest variables
+    V fixed that leave disjoint blocks: the first such subset by size (in
+    ``itertools.combinations`` order), one that holds the abs variable if
+    there is an abs factor.  All m variables always do.
 
-    For each value h of v, a group that holds v reads its table from h on,
-    and the convolution of the blocks, cut to N + 1 - h terms, adds into
-    shells h .. N times v's weight and, with an abs factor, |n - 2h|^a, a
-    slice of one mirrored table (|k|^a for k = -N..N).  Blocks that do not
-    depend on h are folded once.  If none does, the rows of ``_ROWS``
-    values of h are one tile that ``np.einsum`` sums over windows.  Parts
-    of ``_ROWS`` rows are added pairwise.
+    For each row h of values of V (``lattice.shell_rows`` + 1), with total
+    s, a group reads its table from the sum of its fixed members' values
+    on, and the convolution of the blocks, cut to N + 1 - s terms, adds
+    into shells s .. N times the row's weight c (V's weights and the scalar
+    groups) and, with an abs factor, |n - 2 h_neg|^a, a slice of one
+    mirrored table (|k|^a for k = -N..N).  Blocks that do not depend on h
+    are folded once.  If none does (then V is one variable), the rows of
+    ``_ROWS`` values are one tile that ``np.einsum`` sums over windows.
+    Parts of ``_ROWS`` rows are added pairwise.
     """
-    choices = [None, *range(spec.m)] if spec.abs_factor is None else [spec.abs_factor.neg]
-    for v in choices:
-        plan = _blocks_without(spec, v)
+    need = set() if spec.abs_factor is None else {spec.abs_factor.neg}
+    for V in (sub for k in range(spec.m + 1) for sub in combinations(range(spec.m), k)):
+        plan = _blocks_without(spec, V) if need <= set(V) else None
         if plan is not None:
             break
-    else:
-        return None
     scalars, own, blocks = plan
     var_t, group_t, abs_t = _tables(spec, N)
 
-    shifted = {k for k, g in enumerate(spec.groups) if v in g.vars}
-
-    def read(k, h):
-        # a group that holds v weighs the sum of its other variables plus h
-        return group_t[k][h:] if k in shifted else group_t[k][: N + 1 - h]
-
-    def block_seq(members, ks, h):
+    def block_seq(members, ks, f, s):
+        # a group weighs the sum of its free variables plus f[k], that of
+        # its fixed ones
         seqs = []
         for j in members:
-            w = var_t[j][: N + 1 - h]
+            w = var_t[j][: N + 1 - s]
             for k in own[j]:
-                w = w * read(k, h)
+                w = w * group_t[k][f[k] : f[k] + N + 1 - s]
             seqs.append(w)
-        w = _fold(seqs, N - h)
+        w = _fold(seqs, N - s)
         for k in ks:
-            w = w * read(k, h)
+            w = w * group_t[k][f[k] : f[k] + N + 1 - s]
         return w
 
-    fixed, moving = [], []
+    shifted = {k for k, g in enumerate(spec.groups) if set(g.vars) & set(V)}
+    still, moving = [], []
     for members, ks in blocks:
         moves = shifted & {*ks, *(k for j in members for k in own[j])}
-        (moving if moves else fixed).append((members, ks))
-    u = _fold([block_seq(*b, 0) for b in fixed], N)
-    if v is None:
+        (moving if moves else still).append((members, ks))
+    u = _fold([block_seq(*b, [0] * len(spec.groups), 0) for b in still], N)
+    if not V:
         return u
-    c = var_t[v].copy()
+    rows = shell_rows(len(V), range(N - spec.m + 1))[0] + 1
+    totals = rows.sum(axis=1)
+    # each group's sum of its fixed members, and each row's weight
+    f = rows @ np.array([[j in g.vars for g in spec.groups] for j in V], dtype=int)
+    c = np.ones(len(rows))
+    for i, j in enumerate(V):
+        c *= var_t[j][rows[:, i]]
     for k in scalars:
-        c *= group_t[k]
+        c *= group_t[k][f[:, k]]
     if abs_t is not None:
         mirror = np.concatenate([abs_t[:0:-1], abs_t])
+    # the abs variable's value (without an abs factor, any column: unused)
+    h_neg = rows[:, 0 if abs_t is None else V.index(spec.abs_factor.neg)]
     if not moving:
-        # then there is an abs factor (else v would not be fixed); the row
-        # of h = start + i reads u and the mirror i and 2i places back
+        # then V = (v,) and there is an abs factor (else V would be empty);
+        # the row of h = start + i reads u and the mirror i and 2i places back
         u_pad = np.concatenate([np.zeros(_ROWS - 1), u])
         mirror_pad = np.concatenate([np.zeros(2 * _ROWS - 2), mirror])
-    # parts of ``_ROWS`` rows added pairwise: a shell's sum over h keeps the
-    # accuracy of a pairwise sum
-    last = N - spec.m + 1
+    # parts of ``_ROWS`` rows added pairwise: a shell's sum over the rows
+    # keeps the accuracy of a pairwise sum
     parts: list[np.ndarray] = []
-    for count, start in enumerate(range(1, last + 1, _ROWS), 1):
-        stop = min(start + _ROWS, last + 1)
+    for count, first in enumerate(range(0, len(rows), _ROWS), 1):
+        last = min(first + _ROWS, len(rows))
         part = np.zeros(N + 1, dtype=np.float64)
         if moving:
-            for h in range(start, stop):
-                seqs = [u[: N + 1 - h]] if fixed else []
-                rest = _fold(seqs + [block_seq(*b, h) for b in moving], N - h)
+            for s, f_row, h, c_row in zip(*(a[first:last].tolist() for a in (totals, f, h_neg, c))):
+                seqs = [u[: N + 1 - s]] if still else []
+                rest = _fold(seqs + [block_seq(*b, f_row, s) for b in moving], N - s)
                 if abs_t is not None:
-                    # |n - 2h| for n = h..N
-                    rest = rest * mirror[N - h : 2 * N - 2 * h + 1]
-                part[h:] += c[h] * rest
+                    # |n - 2 h_neg| for n = s..N
+                    rest = rest * mirror[N + s - 2 * h : 2 * N + 1 - 2 * h]
+                part[s:] += c_row * rest
         else:
-            r, L, at = stop - start, N + 1 - start, 2 * _ROWS - 2 + N - start
-            rows = sliding_window_view(u_pad, L)[_ROWS - r : _ROWS][::-1]
-            marks = sliding_window_view(mirror_pad, L)[at - 2 * r + 2 : at + 1 : 2][::-1]
-            part[start:] = np.einsum("i,ik,ik->k", c[start:stop], rows, marks)
+            # row r holds h = r + 1
+            start, size = first + 1, last - first
+            L, at = N + 1 - start, 2 * _ROWS - 2 + N - start
+            tile = sliding_window_view(u_pad, L)[_ROWS - size : _ROWS][::-1]
+            marks = sliding_window_view(mirror_pad, L)[at - 2 * size + 2 : at + 1 : 2][::-1]
+            part[start:] = np.einsum("i,ik,ik->k", c[first:last], tile, marks)
         parts.append(part)
         while count % 2 == 0:
             part = parts.pop()
@@ -502,37 +504,6 @@ def _numerator_by_shell_conv(spec: ZetaSeriesSpec, N: int) -> np.ndarray | None:
     out = parts.pop()
     for part in reversed(parts):
         out += part
-    return out
-
-
-def _numerator_by_shell_enum(spec: ZetaSeriesSpec, N: int) -> np.ndarray:
-    """Direct lattice enumeration, for specs that no single fixed variable
-    turns into disjoint blocks.
-
-    Shell n of the positive lattice is shell n - m of N^m shifted by one in
-    every variable; each run of ``shell_batches`` is evaluated at once and
-    summed pairwise per shell."""
-    m = spec.m
-    var_t, group_t, abs_table = _tables(spec, N)
-    # each table shifted to the walk's 0-based entries: a variable's starts
-    # at base 1, a k-member group's at base k
-    var_tables = [t[1:] for t in var_t]
-    group_tables = [(g.vars, t[len(g.vars) :]) for g, t in zip(spec.groups, group_t)]
-    out = np.zeros(N + 1, dtype=np.float64)
-    for first, offsets, rows, _ in shell_batches(singletons(m), range(N - m + 1)):
-        # column views: a transposed copy of the run would cost its size
-        vals = var_tables[0].take(rows[:, 0])
-        for j in range(1, m):
-            vals *= var_tables[j].take(rows[:, j])
-        for (lead, *rest), table in group_tables:
-            vals *= table.take(sum((rows[:, j] for j in rest), rows[:, lead]))
-        if abs_table is not None:
-            # |n - 2 i_neg| with n the row's shell and i_neg its entry + 1
-            n = np.repeat(
-                np.arange(first + m, first + m + offsets.size), np.diff(offsets, append=len(rows))
-            )
-            vals *= abs_table.take(np.abs(n - 2 - 2 * rows[:, spec.abs_factor.neg]))
-        out[first + m : first + m + offsets.size] = pairwise_sum(vals, offsets)
     return out
 
 
@@ -551,7 +522,8 @@ def brute_shell_sums(
     N = last_shell(N)
     if N > max_shells:
         raise ResourceCapError(
-            f"N={N} exceeds the configured shell cap {max_shells}; raise max_shells to proceed"
+            f"N={N} exceeds the configured shell cap {max_shells}; raise max_shells "
+            "(eggsum zeta: give --cap, which lifts it) to proceed"
         )
     method = _method(spec)
     if method == "enumeration":
@@ -564,8 +536,6 @@ def brute_shell_sums(
     # a ValidationError below, never a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         numer = _numerator_by_shell_conv(spec, N)
-        if numer is None:
-            numer = _numerator_by_shell_enum(spec, N)
         sums = np.zeros(N + 1, dtype=np.float64)
         # n^-b underflows where n^b would overflow
         sums[1:] = numer[1:] * _power_seq(-spec.b, N)[1:]

@@ -245,6 +245,12 @@ class TestZeta:
         assert code == 2
         assert "malformed JSON" in capsys.readouterr().err
 
+    def test_shell_ceiling_names_the_cap_option(self, capsys):
+        code = run(["zeta", "--spec", ZSPEC, "--N", "30000"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "--cap" in captured.err
+
 
 class TestVerifyGamma:
     def test_all_kinds(self, capsys):
@@ -437,7 +443,7 @@ class TestErrorsAndReplay:
             ["eig", "--domain", BALL, "--degree-max", "3"],
             ["shells", "--domain", BALL, "--p", "2", "--N", "24"],
             ["threshold", "--domain", DISK, "--N", "40"],
-            # overlapping groups take the enumeration path, whose terms the cap counts
+            # overlapping groups make an enumeration spec, whose lattice terms the cap counts
             ["zeta", "--spec",
              '{"m":3,"powers":[0,0,0],"groups":[{"vars":[0,1],"a":1},{"vars":[1,2],"a":1}],'
              '"b":6}', "--N", "40"],

@@ -25,8 +25,8 @@ from eggsum.zetalab import (
     _BLOCK,
     _fold,
     _method,
+    _blocks_without,
     _numerator_by_shell_conv,
-    _numerator_by_shell_enum,
     _power_seq,
 )
 
@@ -233,9 +233,8 @@ class TestBruteForce:
         )
         N = 60
         conv = _numerator_by_shell_conv(spec, N)
-        enum = _numerator_by_shell_enum(spec, N)
-        assert conv is not None
-        np.testing.assert_allclose(conv, enum, rtol=1e-12)
+        want = [0.0] * spec.m + [_shell_fsum(spec, n) for n in range(spec.m, N + 1)]
+        np.testing.assert_allclose(conv, want, rtol=1e-12)
 
     def test_abs_factor_path_matches_fsum(self):
         # triple-abs at N = 80: each shell n is the fsum over the compositions
@@ -295,11 +294,11 @@ class TestBruteForce:
         rng = np.random.default_rng(17)
         cases += [(random_zeta_spec(rng), 20) for _ in range(8)]
         for spec, N in cases:
-            enum = _numerator_by_shell_enum(spec, N)
-            assert np.all(enum[: spec.m] == 0.0)
+            got = _numerator_by_shell_conv(spec, N)
+            assert np.all(got[: spec.m] == 0.0)
             for n in range(spec.m, N + 1):
                 want = _shell_fsum(spec, n)
-                assert abs(enum[n] - want) <= 1e-14 * want, (spec, n)
+                assert abs(got[n] - want) <= 1e-14 * want, (spec, n)
 
     @pytest.mark.parametrize(
         "spec, brute",
@@ -381,20 +380,15 @@ class TestBruteForce:
 
     def test_random_conditioned_sums_match_fsum(self):
         rng = np.random.default_rng(19)
-        conditioned = 0
         for _ in range(40):
             spec = random_zeta_spec(rng)
             N = 24
             got = _numerator_by_shell_conv(spec, N)
-            if got is None:
-                continue
-            conditioned += 1
             assert np.all(got[: spec.m] == 0.0)
             for n in range(spec.m, N + 1):
                 want = _shell_fsum(spec, n)
                 assert (got[n] == 0.0) == (want == 0.0)
                 assert abs(got[n] - want) <= 1e-13 * want, (spec, n)
-        assert conditioned >= 30
 
     def test_chain_closed_form(self):
         for n in range(3, 12):
@@ -429,7 +423,7 @@ class TestBruteForce:
         conv = _numerator_by_shell_conv(spec, N)
         assert conv.tolist() == [0.0] * spec.m + [float(brute(n)) for n in range(spec.m, N + 1)]
 
-    def test_two_fixed_variables_take_the_lattice_walk(self):
+    def test_two_fixed_variables_sum_in_the_one_routine(self):
         spec = ZetaSeriesSpec(
             m=5,
             powers=(0.5, -0.25, 0.0, 1.25, -0.75),
@@ -441,14 +435,83 @@ class TestBruteForce:
             b=8.0,
         )
         N = 24
-        assert _numerator_by_shell_conv(spec, N) is None
-        enum = _numerator_by_shell_enum(spec, N)
+        assert all(_blocks_without(spec, (j,)) is None for j in range(spec.m))
+        got = _numerator_by_shell_conv(spec, N)
         for n in range(spec.m, N + 1):
             want = _shell_fsum(spec, n)
-            assert abs(enum[n] - want) <= 1e-14 * want, n
+            assert abs(got[n] - want) <= 1e-14 * want, n
         rep = brute_shell_sums(spec, N)
         assert rep.method == "enumeration"
-        assert rep.shell_sums[1:].tobytes() == (enum[1:] * _power_seq(-spec.b, N)[1:]).tobytes()
+        assert rep.shell_sums[1:].tobytes() == (got[1:] * _power_seq(-spec.b, N)[1:]).tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, N, fixed",
+        [
+            # an abs factor on 0 that needs a second fixed variable: (0, 1)
+            *(
+                (
+                    ZetaSeriesSpec(
+                        m=4,
+                        powers=(0.5, -0.25, 1.0, 0.0),
+                        groups=(
+                            GroupFactor((1, 2), 0.5),
+                            GroupFactor((2, 3), -0.75),
+                            GroupFactor((1, 3), 1.25),
+                        ),
+                        abs_factor=AbsFactor(neg=0, a=a_abs),
+                    ),
+                    30,
+                    2,
+                )
+                for a_abs in (0.75, -0.5)
+            ),
+            # all ten pairs of five variables: (0, 1, 2)
+            (
+                ZetaSeriesSpec(
+                    m=5,
+                    powers=(0.5, -0.25, 0.0, 1.25, -0.75),
+                    groups=tuple(
+                        GroupFactor(pair, a)
+                        for pair, a in zip(
+                            itertools.combinations(range(5), 2), itertools.cycle((0.5, -0.25, 1.0))
+                        )
+                    ),
+                ),
+                20,
+                3,
+            ),
+        ],
+        ids=["abs-positive", "abs-negative", "ten-pairs"],
+    )
+    def test_several_fixed_variables_match_fsum(self, spec, N, fixed):
+        need = set() if spec.abs_factor is None else {spec.abs_factor.neg}
+        for V in itertools.combinations(range(spec.m), fixed - 1):
+            assert not need <= set(V) or _blocks_without(spec, V) is None, V
+        got = _numerator_by_shell_conv(spec, N)
+        assert np.all(got[: spec.m] == 0.0)
+        for n in range(spec.m, N + 1):
+            want = _shell_fsum(spec, n)
+            assert (got[n] == 0.0) == (want == 0.0)
+            assert abs(got[n] - want) <= 1e-14 * want, n
+
+    def test_several_fixed_variables_are_exact_on_integers(self):
+        # a cycle of four pairs fixes (0, 1): at N = 60 that is 1 653 rows of
+        # fixed values, 26 parts of 64; integer terms with every partial sum
+        # below 2^53, so a row lost or doubled shows
+        spec = ZetaSeriesSpec(
+            m=4,
+            powers=(1.0, 0.0, 0.0, 1.0),
+            groups=tuple(GroupFactor(g, 1.0) for g in ((0, 1), (1, 2), (2, 3), (0, 3))),
+        )
+        N = 60
+        want = [0.0] * spec.m
+        for n in range(spec.m, N + 1):
+            i = shell_indices(spec.m, n - spec.m).astype(np.int64) + 1
+            terms = i[:, 0] * i[:, 3]
+            for g in spec.groups:
+                terms *= i[:, list(g.vars)].sum(axis=1)
+            want.append(float(terms.sum()))
+        assert _numerator_by_shell_conv(spec, N).tolist() == want
 
     def test_convolution_family_is_the_fold_of_its_blocks(self):
         # without an abs factor a convolution spec fixes no variable: its
@@ -522,26 +585,20 @@ class TestBruteForce:
         assert run([*argv, str(10**7)]) == 2
         assert capsys.readouterr().out == ""
 
-    def test_tables_reach_the_largest_base_of_the_method(self):
-        # 19^237 is finite and 20^237 is not.  An enumeration spec of three
-        # variables reaches base N - 2, so it overflows from N = 22 on,
-        # whichever routine sums it; a convolution spec's tables reach N
+    def test_tables_reach_the_largest_base_a_term_takes(self):
+        # 19^237 is finite and 20^237 is not.  A variable of three reaches
+        # base N - 2, so either spec, whatever its method, overflows from
+        # N = 22 on
         overlapping = ZetaSeriesSpec(
             m=3,
             powers=(237.0, 0.0, 0.0),
             groups=(GroupFactor((0, 1), 0.0), GroupFactor((1, 2), 0.0)),
         )
         disjoint = ZetaSeriesSpec(m=3, powers=(237.0, 0.0, 0.0), groups=(GroupFactor((1, 2), 0.0),))
-        assert np.all(np.isfinite(_numerator_by_shell_conv(overlapping, 21)))
-        assert np.all(np.isfinite(_numerator_by_shell_enum(overlapping, 21)))
-        assert np.all(np.isfinite(_numerator_by_shell_conv(disjoint, 19)))
-        for numerator, spec, N in (
-            (_numerator_by_shell_conv, overlapping, 22),
-            (_numerator_by_shell_enum, overlapping, 22),
-            (_numerator_by_shell_conv, disjoint, 20),
-        ):
+        for spec in (overlapping, disjoint):
+            assert np.all(np.isfinite(_numerator_by_shell_conv(spec, 21)))
             with pytest.raises(ValidationError, match=r"the power 20\^237"):
-                numerator(spec, N)
+                _numerator_by_shell_conv(spec, 22)
 
     def test_zero_abs_terms_are_excluded(self):
         # at n = 2t the |n - 2t| base vanishes: positive exponents zero the
