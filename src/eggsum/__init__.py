@@ -39,14 +39,11 @@ from .gammakit import (
 from .summability import (
     SummationReport,
     Verdict,
-    classify,
     empirical_threshold,
     module_threshold,
     module_threshold_breakdown,
     predicted_threshold,
     shell_report,
-    shell_sums,
-    tail_slope,
 )
 from .zetalab import (
     AbsFactor,
@@ -87,10 +84,7 @@ __all__ = [
     "verify_expansion",
     "SummationReport",
     "Verdict",
-    "shell_sums",
     "shell_report",
-    "tail_slope",
-    "classify",
     "empirical_threshold",
     "predicted_threshold",
     "module_threshold",

@@ -88,12 +88,6 @@ def _report(command: str, params: dict, results: dict) -> dict:
     return {"command": command, "params": params, "results": results}
 
 
-def _resolve_shells(dom: DomainSpec, n_arg: int | None) -> int:
-    if n_arg is not None:
-        return n_arg
-    return summability.default_shells(dom)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -159,18 +153,17 @@ def _require_finite(sums, slope: float, total: float, window: float) -> None:
 def _cmd_shells(params: dict) -> dict:
     dom = DomainSpec.from_json(params["domain"])
     kind = _parse_kind(params["kind"])
-    N = _resolve_shells(dom, params["N"])
-    summability.require_fit_window(N, params["window"])
     rep = summability.shell_report(
         dom,
         kind,
         params["p"],
-        N,
+        params["N"],
         window=params["window"],
         margin=params["margin"],
         cap=params["cap"],
     )
     _require_finite(rep.shell_sums, rep.slope, rep.total, params["window"])
+    N = rep.shell_sums.size - 1
     params = {**params, "N": N, "cap": summability.resolve_cap(dom, params["cap"])}
     results = {
         "shell_sums": rep.shell_sums,
@@ -186,7 +179,7 @@ def _cmd_shells(params: dict) -> dict:
 def _cmd_threshold(params: dict) -> dict:
     dom = DomainSpec.from_json(params["domain"])
     kind = _parse_kind(params["kind"])
-    N = _resolve_shells(dom, params["N"])
+    N = summability.default_shells(dom) if params["N"] is None else params["N"]
     predicted = summability.predicted_threshold(dom, kind)
     p_lo = params["p_lo"] if params["p_lo"] is not None else predicted / 2.0
     p_hi = params["p_hi"] if params["p_hi"] is not None else 1.5 * predicted + 0.5
@@ -230,7 +223,6 @@ def _cmd_module_threshold(params: dict) -> dict:
 
 def _cmd_zeta(params: dict) -> dict:
     spec = zetalab.ZetaSeriesSpec.from_json(params["spec"])
-    summability.require_fit_window(params["N"], params["window"])
     kwargs = {}
     if params["cap"] is not None:
         # explicit cap lifts both the shell ceiling and the term budget
@@ -578,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--window", type=float, default=DEFAULT_WINDOW)
-    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     p.add_argument("--p-lo", type=float, default=None, help="bracket low end (default predicted/2)")
     p.add_argument("--p-hi", type=float, default=None,
                    help="bracket high end (default 1.5*predicted + 0.5)")
@@ -637,7 +628,9 @@ def _replayed_params(parser: argparse.ArgumentParser, report_arg: str) -> tuple[
         if value is not None:
             text = value if isinstance(value, str) and key not in _JSON_ARGS else json.dumps(value)
             argv.append(f"--{key.replace('_', '-')}={text}")
-    args = parser.parse_args(argv)
+    # a key no option takes is reported by name below, not as an
+    # unrecognized argument
+    args, _ = parser.parse_known_args(argv)
     unknown = sorted(set(params) - set(vars(args)))
     if unknown:
         raise ValidationError(f"unknown parameters {unknown} for {command}")

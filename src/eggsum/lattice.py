@@ -8,8 +8,9 @@ makes a whole run of consecutive shells in any dimension d >= 1
 the last entry of every row is split in two, one ``np.repeat`` per column
 and split, in int32 below degree 2^31, with no Python loop over shells or
 entries.
-``shell_indices`` is its one-shell case, and the eigenvalue kernel
-enumerates its keys with it.
+``shell_indices`` is its one-shell case; the package itself calls
+``shell_rows``, and the benchmark's lattice metrics (``perfbench/``) time
+and count ``shell_indices``.
 
 ``shell_batches`` is the one walk over a range of shells: it cuts the
 range into runs of the most consecutive shells that fit in ``BATCH_ROWS``
@@ -30,8 +31,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["BATCH_ROWS", "shell_count", "cumulative_count", "range_count", "shell_rows",
-           "shell_indices", "singletons", "shell_batches"]
+__all__ = ["BATCH_ROWS", "shell_count", "range_count", "shell_rows", "shell_indices",
+           "shell_batches"]
 
 # enough rows to amortise the per-call cost of the numpy kernels, few
 # enough that a run's temporaries stay small (2^16-row runs raised the
@@ -44,14 +45,11 @@ def shell_count(d: int, n: int) -> int:
     return comb(n + d - 1, d - 1)
 
 
-def cumulative_count(d: int, n_max: int) -> int:
-    """Number of d-tuples with total degree <= n_max (0 for n_max < 0)."""
-    return comb(n_max + d, d) if n_max >= 0 else 0
-
-
 def range_count(d: int, shells: range) -> int:
-    """Number of d-tuples whose total degree lies in ``shells`` (step 1)."""
-    return cumulative_count(d, shells.stop - 1) - cumulative_count(d, shells.start - 1)
+    """Number of d-tuples whose total degree lies in ``shells``, a range of
+    step 1 from a shell >= 0: C(n + d, d) tuples have degree at most n,
+    and none has degree at most -1, C(d - 1, d) = 0."""
+    return comb(shells.stop - 1 + d, d) - comb(shells.start - 1 + d, d)
 
 
 def shell_indices(d: int, n: int) -> np.ndarray:
@@ -94,12 +92,6 @@ def shell_rows(d: int, shells: range) -> tuple[np.ndarray, np.ndarray]:
         offsets = starts[offsets]
     cols.append(last)
     return np.column_stack(cols), offsets
-
-
-def singletons(d: int) -> list[list[int]]:
-    """The partition of d columns with every column alone: ``shell_batches``
-    then yields every row."""
-    return [[col] for col in range(d)]
 
 
 def _max_multiplicity(sizes: list[int], n: int) -> int:

@@ -4,8 +4,9 @@
 with one ``np.add.reduceat`` over the segment offsets; numpy sums a
 contiguous run pairwise in both cases, so the result is fixed for a given
 input and its rounding error grows with log2 of the length, not with the
-length.  Every shell sum (commutator eigenvalues and zeta terms) and
-every total of shell sums comes through here.
+length.  Every commutator shell sum, and every total of shell sums
+(commutator and zeta), comes through here; a zeta shell sum is a
+convolution entry of ``zetalab._fold``, not a pairwise sum.
 
 ``reduce_sum`` is the plain sum behind the older signature with a worker
 count, which it ignores; it stays because the benchmark's isolated and

@@ -7,10 +7,14 @@ eigenvalue sequence is organized by total degree:
 
 The tail of ln T_n against ln n is fitted by least squares; the series
 sum(T_n) converges iff that slope is below -1, so the fitted slope plus a
-margin band yields a three-way verdict.  ``empirical_threshold`` locates
-the p where the slope crosses -1 by bisection (the slope is nonincreasing
-in p because the tail eigenvalues are < 1), reusing one set of eigenvalue
-magnitudes for every probe.
+margin band yields a three-way verdict.  ``shell_report`` gives T_0..T_N
+with that slope and verdict; ``empirical_threshold`` locates the p where
+the slope crosses -1 by bisection (the slope is nonincreasing in p
+because the tail eigenvalues are < 1), reusing one set of eigenvalue
+magnitudes for every probe.  Both check every parameter before the first
+evaluation: a window of fewer shells than the fit's ``MIN_FIT_POINTS``
+(``require_fit_window``) and a margin that is not positive are refused
+before any Gamma work.
 
 Magnitudes come from ``lattice.shell_batches`` over
 ``commutator.column_partition`` of the kind: runs of consecutive shells
@@ -22,11 +26,10 @@ reaches the sums in one shape, (first shell, shell offsets, magnitudes,
 multiplicities or None), and one routine turns any sequence of runs into
 T_0..T_N: per run one ``np.power``, one product with the multiplicities
 where columns merge and one segmented pairwise sum
-(``reduction.pairwise_sum``) over its shell offsets.  ``shell_sums`` streams the runs into it; the bisection keeps a
-list of the window's runs and hands it over once per probe.  An
-evaluation is one class, and the cap counts evaluations.  A window of
-fewer shells than the fit's ``MIN_FIT_POINTS`` is refused before any
-evaluation (``require_fit_window``).
+(``reduction.pairwise_sum``) over its shell offsets.  ``shell_report``
+streams the runs into it; the bisection keeps a list of the window's runs
+and hands it over once per probe.  An evaluation is one class, and the
+cap counts evaluations.
 
 ``predicted_threshold`` and ``module_threshold`` evaluate the closed-form
 cut-offs; both are built from the same term helpers so the module value
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -70,9 +73,7 @@ __all__ = [
     "evaluation_count",
     "tail_shells",
     "require_fit_window",
-    "shell_sums",
-    "tail_slope",
-    "classify",
+    "require_margin",
     "classify_slope",
     "fit_tail_slope",
     "fit_points",
@@ -101,13 +102,15 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SummationReport:
-    """Shell sums for one (domain, kind, p) plus the fitted tail verdict."""
+    """Shell sums T_0..T_N for one (domain, kind, p) and the fitted tail
+    verdict: a slope of NaN, and the verdict Inconclusive, when fewer than
+    ``MIN_FIT_POINTS`` sums in the window are positive."""
 
     p: float
     shell_sums: np.ndarray
-    slope: float | None
-    slope_stderr: float | None
-    verdict: Verdict | None
+    slope: float
+    slope_stderr: float
+    verdict: Verdict
     total: float
 
 
@@ -178,35 +181,6 @@ def _power_sums(batches, p: float, N: int) -> np.ndarray:
     return sums
 
 
-def shell_sums(
-    dom: DomainSpec,
-    kind: CommutatorKind,
-    p: float,
-    N: int,
-    *,
-    cap: int | None = None,
-) -> SummationReport:
-    """T_0..T_N, each a pairwise sum over its shell; verdict left unset.
-
-    The magnitudes are streamed batch by batch and none is kept.
-    """
-    validate_kind(dom, kind)
-    p = finite_real(p, "Schatten exponent p")
-    if not p > 0.0:
-        raise ValidationError("Schatten exponent p must be positive")
-    N = last_shell(N)
-    _check_budget(dom, kind, range(N + 1), resolve_cap(dom, cap))
-    sums = _power_sums(_magnitude_batches(dom, kind, range(N + 1)), p, N)
-    return SummationReport(
-        p=float(p),
-        shell_sums=sums,
-        slope=None,
-        slope_stderr=None,
-        verdict=None,
-        total=pairwise_sum(sums),
-    )
-
-
 def _window_start(N: int, window_fraction: float) -> int:
     """First shell of the trailing window of T_0..T_N."""
     if not 0.0 < window_fraction < 1.0:
@@ -268,14 +242,17 @@ def fit_points(sums: np.ndarray, window_fraction: float) -> int:
     return int(np.count_nonzero(sums[_window_start(len(sums) - 1, window_fraction) :] > 0.0))
 
 
-def tail_slope(report: SummationReport, window_fraction: float = DEFAULT_WINDOW) -> tuple[float, float]:
-    """Fitted tail slope and its regression standard error."""
-    return fit_tail_slope(report.shell_sums, window_fraction)
+def require_margin(margin: float) -> float:
+    """``margin`` as a float; a ValidationError unless it is positive and
+    finite."""
+    margin = finite_real(margin, "margin")
+    if not margin > 0.0:
+        raise ValidationError("margin must be positive")
+    return margin
 
 
 def classify_slope(slope: float, margin: float = DEFAULT_MARGIN) -> Verdict:
-    if not finite_real(margin, "margin") > 0.0:
-        raise ValidationError("margin must be positive")
+    margin = require_margin(margin)
     if math.isnan(slope):
         return Verdict.INCONCLUSIVE
     if slope < -1.0 - margin:
@@ -283,13 +260,6 @@ def classify_slope(slope: float, margin: float = DEFAULT_MARGIN) -> Verdict:
     if slope > -1.0 + margin:
         return Verdict.DIVERGES
     return Verdict.INCONCLUSIVE
-
-
-def classify(report: SummationReport, margin: float = DEFAULT_MARGIN) -> Verdict:
-    """Three-way verdict from the report's fitted slope."""
-    if report.slope is None:
-        raise ValidationError("classify needs a report with tail_slope attached")
-    return classify_slope(report.slope, margin)
 
 
 def shell_report(
@@ -302,16 +272,28 @@ def shell_report(
     margin: float = DEFAULT_MARGIN,
     cap: int | None = None,
 ) -> SummationReport:
-    """shell_sums + tail_slope + classify in one step."""
-    if N is None:
-        N = default_shells(dom)
-    report = shell_sums(dom, kind, p, N, cap=cap)
-    slope, stderr = fit_tail_slope(report.shell_sums, window)
-    return replace(
-        report,
+    """T_0..T_N, each a pairwise sum over its shell, with the tail slope and
+    verdict.  N defaults by dimension (``default_shells``).  Every
+    parameter is checked before the first evaluation, N and the window
+    (``require_fit_window``) first; the magnitudes are streamed batch by
+    batch and none is kept."""
+    N = default_shells(dom) if N is None else last_shell(N)
+    require_fit_window(N, window)
+    validate_kind(dom, kind)
+    p = finite_real(p, "Schatten exponent p")
+    if not p > 0.0:
+        raise ValidationError("Schatten exponent p must be positive")
+    _check_budget(dom, kind, range(N + 1), resolve_cap(dom, cap))
+    require_margin(margin)
+    sums = _power_sums(_magnitude_batches(dom, kind, range(N + 1)), p, N)
+    slope, stderr = fit_tail_slope(sums, window)
+    return SummationReport(
+        p=p,
+        shell_sums=sums,
         slope=slope,
         slope_stderr=stderr,
         verdict=classify_slope(slope, margin),
+        total=pairwise_sum(sums),
     )
 
 

@@ -59,6 +59,8 @@ from .summability import (
     Verdict,
     classify_slope,
     fit_tail_slope,
+    require_fit_window,
+    require_margin,
 )
 
 __all__ = [
@@ -516,10 +518,13 @@ def brute_shell_sums(
     margin: float = DEFAULT_MARGIN,
     term_cap: int = DEFAULT_CAP,
 ) -> ZetaReport:
-    """Shell sums T_n (n <= N) of the series and the slope-fit verdict."""
+    """Shell sums T_n (n <= N) of the series and the slope-fit verdict.
+    Every parameter is checked before the first table, N and the window
+    (``require_fit_window``) first."""
+    N = last_shell(N)
+    require_fit_window(N, window)
     if spec.m > 5:
         raise ValidationError("brute-force summation supports at most 5 variables")
-    N = last_shell(N)
     if N > max_shells:
         raise ResourceCapError(
             f"N={N} exceeds the configured shell cap {max_shells}; raise max_shells "
@@ -532,6 +537,7 @@ def brute_shell_sums(
             raise ResourceCapError(
                 f"enumerating {total_terms} lattice terms exceeds the cap of {term_cap}"
             )
+    require_margin(margin)
     # a product or sum past double range is inf (or inf * 0 = NaN) here and
     # a ValidationError below, never a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,11 +1,35 @@
-"""Seeded random generators shared by the unit and acceptance suites."""
+"""Seeded random generators shared by the unit and acceptance suites, and
+a reference enumeration of lattice shells."""
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from eggsum import BlockSpec, DomainSpec, GroupFactor, AbsFactor, ZetaSeriesSpec
 from eggsum.zetalab import critical_b
+
+def brute_shell(d: int, n: int) -> np.ndarray:
+    """The d-tuples of nonnegative integers summing to n in lexicographic
+    order, shape (count, d), int64: the first entry k runs over 0..n, each
+    followed by the (d - 1)-tuples summing to n - k.  A reference for
+    ``lattice.shell_indices`` built without its split loop."""
+    if d == 1:
+        return np.array([[n]], dtype=np.int64)
+    tails = [_brute_tail(d - 1, n - k) for k in range(n + 1)]
+    heads = np.repeat(np.arange(n + 1, dtype=np.int64), [t.shape[0] for t in tails])
+    return np.column_stack([heads, np.concatenate(tails)])
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_tail(d: int, n: int) -> np.ndarray:
+    """``brute_shell(d, n)``, read-only and built once: the tails of the
+    shells of d + 1 variables."""
+    rows = brute_shell(d, n)
+    rows.setflags(write=False)
+    return rows
+
 
 # power grid for zeta specs: off -1 so no logarithmic boundary layers creep
 # into the randomized verdict suites

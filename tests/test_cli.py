@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from eggsum import DomainSpec, SelfAdjoint, ValidationError, cli, commutator, eigenvalue
-from eggsum import gammakit, summability
+from eggsum import gammakit, summability, zetalab
 from eggsum.cli import run
 
 DISK = '{"blocks":[{"p":[1.0],"a":1.0}]}'
@@ -170,6 +170,27 @@ class TestShells:
         assert rep["params"]["margin"] == 0.15
         assert rep["params"]["window"] == 0.5
 
+    @pytest.mark.parametrize("command", [
+        ["shells", "--domain", '{"blocks":[{"p":[1,1],"a":2},{"p":[1],"a":1}]}',
+         "--kind", "within:0:0:1", "--p", "3"],
+        ["zeta", "--spec", ZSPEC],
+    ], ids=["shells", "zeta"])
+    @pytest.mark.parametrize("margin, message", [
+        ("0", "margin must be positive"),
+        ("-1", "margin must be positive"),
+        ("nan", "margin must be finite, got nan"),
+    ], ids=["margin-0", "margin-negative", "margin-nan"])
+    def test_bad_margin_exit_2_before_any_work(self, capsys, monkeypatch, command, margin,
+                                               message):
+        def unexpected(*args):
+            raise AssertionError("an eigenvalue or a zeta table was evaluated")
+
+        monkeypatch.setattr(summability.WalkKernel, "__call__", unexpected)
+        monkeypatch.setattr(zetalab, "_numerator_by_shell_conv", unexpected)
+        assert run([*command, f"--margin={margin}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_worker_count_is_echoed(self, capsys):
         argv = ["shells", "--domain", BALL, "--kind", "within:0:0:1", "--p", "3.0", "--N", "100"]
         one = run_json(capsys, argv)
@@ -188,6 +209,21 @@ class TestThreshold:
         assert res["predicted"] == 0.5
         assert abs(res["empirical"] - 0.5) <= 0.1
         assert res["agrees"] is True
+
+    def test_margin_is_no_option(self, capsys):
+        # the bisection has no verdict, so it takes no margin band
+        assert run(["threshold", "--domain", DISK, "--N", "40", "--margin", "0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: eggsum: unrecognized arguments: --margin 0.2\n"
+        report = run_json(capsys, ["threshold", "--domain", DISK, "--N", "40"])
+        assert "margin" not in report["params"]
+        # a report written while threshold still took --margin
+        report["params"]["margin"] = 0.15
+        assert run(["replay", json.dumps(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown parameters ['margin'] for threshold\n"
 
     def test_invalid_bracket_exit(self, capsys):
         code = run(
@@ -548,8 +584,9 @@ def _nan_at_the_last_shell():
     real = summability.shell_report
 
     def shell_report(dom, kind, p, N, **kwargs):
+        assert N is None
         rep = real(dom, kind, p, 100, **kwargs)
-        sums = np.full(N + 1, rep.shell_sums[-1])
+        sums = np.full(summability.default_shells(dom) + 1, rep.shell_sums[-1])
         sums[-1] = math.nan
         return dataclasses.replace(rep, shell_sums=sums)
 

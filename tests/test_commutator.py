@@ -17,9 +17,9 @@ from eggsum import (
 )
 from eggsum import gammakit
 from eggsum.commutator import WalkKernel, all_kinds, column_partition, validate_kind
-from eggsum.lattice import range_count, shell_batches, shell_indices, singletons
+from eggsum.lattice import range_count, shell_batches
 
-from helpers import domain_with_all_kinds
+from helpers import brute_shell, domain_with_all_kinds
 
 DISK = DomainSpec.single_block([1.0])
 BALL2 = DomainSpec.single_block([1.0, 1.0])
@@ -121,7 +121,7 @@ class TestEigenvalues:
     def test_overflow_is_a_validation_error(self, dom):
         # a Gamma term leaves double range: a ValidationError, never a NaN or
         # a RuntimeWarning (which the test configuration turns into an error)
-        rows = shell_indices(dom.dimension, 2)
+        rows = brute_shell(dom.dimension, 2)
         with pytest.raises(ValidationError):
             eigenvalue_bulk(dom, SelfAdjoint(0, 0), rows)
 
@@ -131,7 +131,7 @@ class TestEigenvalues:
         # kind agrees with a = 1 on shells 0..30, extreme powers included
         for p in ((1.0, 1.0), (1.0, 2.0, 0.5)):
             dom, ref = DomainSpec.single_block(p, a), DomainSpec.single_block(p)
-            rows = np.concatenate([shell_indices(dom.dimension, n) for n in range(31)])
+            rows = np.concatenate([brute_shell(dom.dimension, n) for n in range(31)])
             for kind in all_kinds(dom):
                 np.testing.assert_allclose(
                     eigenvalue_bulk(dom, kind, rows), eigenvalue_bulk(ref, kind, rows),
@@ -170,7 +170,7 @@ class TestKeyedKernel:
     )
     def test_shell_and_batch_calls_match_single_rows_bitwise(self, dom):
         rng = np.random.default_rng(1)
-        shells = [shell_indices(dom.dimension, n) for n in range(0, 15)]
+        shells = [brute_shell(dom.dimension, n) for n in range(0, 15)]
         batch = np.concatenate(shells)
         for kind in all_kinds(dom):
             whole = eigenvalue_bulk(dom, kind, batch)
@@ -186,7 +186,7 @@ class TestKeyedKernel:
     def test_gamma_work_per_shell(self, monkeypatch, kind):
         # a shell of degree n in d = 3 has ~n^2/2 rows but O(n) distinct keys
         dom = CRIT5 if isinstance(kind, CrossWithin) else CRIT4
-        rows = shell_indices(3, 200)
+        rows = brute_shell(3, 200)
         elements = []
         for name in ("log_gamma_ratio", "log_gamma_second_difference"):
             routine = getattr(gammakit, name)
@@ -335,7 +335,7 @@ class TestWalkKernel:
                 kernel = WalkKernel(dom, kind, shells, range_count(d, shells))
                 # every key set evaluated per row, whatever the walk's size
                 per_row = WalkKernel(dom, kind, shells, 0)
-                for first, offsets, rows, _ in shell_batches(singletons(d), shells):
+                for first, offsets, rows, _ in shell_batches([[col] for col in range(d)], shells):
                     got = kernel(rows)
                     assert got.tobytes() == per_row(rows).tobytes(), (kind, first)
                     picks = [0, rows.shape[0] - 1, *rng.choice(rows.shape[0], 4, replace=False)]
@@ -377,7 +377,7 @@ class TestHighPrecisionOracle:
         # non-integer p and p a: the tables' weights (D + m)/p are rounded
         # apart from the entries' (i + 1)/p
         mpmath = pytest.importorskip("mpmath")
-        rows = shell_indices(FRACTIONAL.dimension, 120)
+        rows = brute_shell(FRACTIONAL.dimension, 120)
         values = eigenvalue_bulk(FRACTIONAL, kind, rows)
         with mpmath.workdps(50):
             for i in (0, 1, 119, 120, 2500, 5000, 7259, rows.shape[0] - 2, rows.shape[0] - 1):

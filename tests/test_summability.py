@@ -13,18 +13,15 @@ from eggsum import (
     SelfAdjoint,
     ValidationError,
     Verdict,
-    classify,
     empirical_threshold,
     module_threshold,
     module_threshold_breakdown,
     predicted_threshold,
     shell_report,
-    shell_sums,
-    tail_slope,
 )
 from eggsum import gammakit, summability
 from eggsum.commutator import column_partition, eigenvalue_bulk
-from eggsum.lattice import BATCH_ROWS, range_count, shell_batches, shell_count, shell_indices
+from eggsum.lattice import BATCH_ROWS, range_count, shell_batches, shell_count
 from eggsum.summability import (
     _magnitude_batches,
     classify_slope,
@@ -36,7 +33,7 @@ from eggsum.summability import (
     tail_shells,
 )
 
-from helpers import random_domain
+from helpers import brute_shell, random_domain
 
 
 def _count_gamma_calls(monkeypatch) -> list:
@@ -67,44 +64,62 @@ def synthetic_report(power: float, N: int = 10_000):
 
 class TestShellSums:
     def test_disk_closed_form(self):
-        rep = shell_sums(DISK, SELF, 1.0, 64)
+        rep = shell_report(DISK, SELF, 1.0, 64)
         n = np.arange(65, dtype=np.float64)
         expect = 1.0 / ((n + 1.0) * (n + 2.0))
         assert np.max(np.abs(rep.shell_sums - expect)) <= 1e-12
-        assert rep.verdict is None
 
     def test_ball_cross_shell_zero_vanishes(self):
-        rep = shell_sums(BALL2, CrossWithin(0, 0, 1), 2.0, 16)
+        rep = shell_report(BALL2, CrossWithin(0, 0, 1), 2.0, 16)
         assert rep.shell_sums[0] == 0.0
         assert rep.shell_sums[1] > 0.0
 
     def test_n16_gives_17_values(self):
-        rep = shell_sums(BALL2, SELF, 1.5, 16)
+        rep = shell_report(BALL2, SELF, 1.5, 16)
         assert len(rep.shell_sums) == 17
         assert np.all(np.isfinite(rep.shell_sums))
 
     def test_preconditions(self):
         with pytest.raises(ValidationError):
-            shell_sums(DISK, SELF, 0.0, 64)
+            shell_report(DISK, SELF, 0.0, 64)
         with pytest.raises(ValidationError):
-            shell_sums(DISK, SELF, math.inf, 64)
+            shell_report(DISK, SELF, math.inf, 64)
         with pytest.raises(ValidationError):
-            shell_sums(DISK, SELF, 1.0, 8)
+            shell_report(DISK, SELF, 1.0, 8)
 
     def test_cap_exceeded_is_loud(self):
         with pytest.raises(ResourceCapError):
-            shell_sums(BALL2, SELF, 1.0, 1000, cap=1000)
+            shell_report(BALL2, SELF, 1.0, 1000, cap=1000)
 
     def test_d4_needs_explicit_cap(self):
         dom = DomainSpec.single_block([1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ResourceCapError):
-            shell_sums(dom, SELF, 1.0, 20)
-        rep = shell_sums(dom, SELF, 1.0, 20, cap=100_000)
+            shell_report(dom, SELF, 1.0, 20)
+        rep = shell_report(dom, SELF, 1.0, 20, cap=100_000)
         assert len(rep.shell_sums) == 21
 
+    @pytest.mark.parametrize("window, margin, message", [
+        (0.5, 0.0, "margin must be positive"),
+        (0.5, -1.0, "margin must be positive"),
+        (0.5, math.nan, "margin must be finite"),
+        # shells 94..100 are 7 points, one short of the fit's 8
+        (0.065, 0.15, "holds 7 shell\\(s\\), 94..100; the tail fit needs 8"),
+    ], ids=["margin-0", "margin-negative", "margin-nan", "window-short"])
+    def test_bad_margin_or_window_refused_before_any_eigenvalue(
+        self, monkeypatch, window, margin, message
+    ):
+        def unexpected(*args):
+            raise AssertionError("an eigenvalue was evaluated")
+
+        monkeypatch.setattr(summability.WalkKernel, "__call__", unexpected)
+        calls = _count_gamma_calls(monkeypatch)
+        with pytest.raises(ValidationError, match=message):
+            shell_report(BALL2, SELF, 2.0, 100, window=window, margin=margin)
+        assert calls == []
+
     def test_worker_count_reproducibility(self):
-        a = shell_sums(BALL2, SELF, 2.0, 200)
-        b = shell_sums(BALL2, SELF, 2.0, 200)
+        a = shell_report(BALL2, SELF, 2.0, 200)
+        b = shell_report(BALL2, SELF, 2.0, 200)
         assert np.array_equal(a.shell_sums, b.shell_sums)
 
 
@@ -133,20 +148,20 @@ class TestMagnitudeBatches:
                 n += 1
         assert n == shells.stop
         for n, mags in zip(shells, got):
-            want = np.abs(eigenvalue_bulk(dom, kind, shell_indices(d, n)))
+            want = np.abs(eigenvalue_bulk(dom, kind, brute_shell(d, n)))
             assert np.array_equal(mags, want), n
 
     def test_ball_sums_match_fsum(self):
         N, p = 600, 2.0
-        rep = shell_sums(BALL2, SELF, p, N)
+        rep = shell_report(BALL2, SELF, p, N)
         for n in range(N + 1):
-            terms = np.power(np.abs(eigenvalue_bulk(BALL2, SELF, shell_indices(2, n))), p)
+            terms = np.power(np.abs(eigenvalue_bulk(BALL2, SELF, brute_shell(2, n))), p)
             want = math.fsum(terms.tolist())
             assert abs(rep.shell_sums[n] - want) <= 1e-14 * want, n
 
     def test_disk_total_matches_fsum(self):
         for p in (0.6, 1.0, 2.0):
-            rep = shell_sums(DISK, SELF, p, 100_000)
+            rep = shell_report(DISK, SELF, p, 100_000)
             want = math.fsum(rep.shell_sums.tolist())
             assert abs(rep.total - want) <= 1e-14 * want, p
 
@@ -180,7 +195,7 @@ class TestClasses:
         firsts = [g[0] for g in groups]
         [(_, _, reps, mult)] = shell_batches(groups, range(n, n + 1))
         assert mult is not None and mult.sum() == shell_count(dom.dimension, n)
-        rows = shell_indices(dom.dimension, n)
+        rows = brute_shell(dom.dimension, n)
         # each row's class: its group degree sums, coded in base n + 1
         radix = (n + 1) ** np.arange(len(groups))
         code = np.column_stack([rows[:, g].sum(axis=1) for g in groups]) @ radix
@@ -200,9 +215,9 @@ class TestClasses:
         (CLASS_CASES[3][1], SELF, 25, 6.0),
     ], ids=["crit4-self", "ball4-self", "ball4-within", "egg5-two-block-self"])
     def test_class_sums_match_fsum_over_rows(self, dom, kind, N, p):
-        rep = shell_sums(dom, kind, p, N, cap=10**6)
+        rep = shell_report(dom, kind, p, N, cap=10**6)
         for n in range(N + 1):
-            terms = np.power(np.abs(eigenvalue_bulk(dom, kind, shell_indices(dom.dimension, n))), p)
+            terms = np.power(np.abs(eigenvalue_bulk(dom, kind, brute_shell(dom.dimension, n))), p)
             want = math.fsum(terms.tolist())
             assert abs(rep.shell_sums[n] - want) <= 1e-14 * want, n
 
@@ -215,7 +230,7 @@ class TestClasses:
         # the 10-D ball self kind: class (0, 368) of shell 368 stands for
         # C(376, 8) >= 2^53 rows
         with pytest.raises(ValidationError, match="2\\^53"):
-            shell_sums(ball(10), SELF, 2.0, 400, cap=10**6)
+            shell_report(ball(10), SELF, 2.0, 400, cap=10**6)
         with pytest.raises(ValidationError, match="2\\^53"):
             empirical_threshold(ball(10), SELF, 5.0, 15.0, N=400, cap=10**6)
         assert calls == []
@@ -246,9 +261,9 @@ class TestTailSlope:
         assert slope == pytest.approx(-1.0, abs=1e-9)
 
     def test_disk_slope(self):
-        rep = shell_sums(DISK, SELF, 1.0, 2000)
-        slope, _ = tail_slope(rep, 0.5)
-        assert slope == pytest.approx(-2.0, abs=0.01)
+        rep = shell_report(DISK, SELF, 1.0, 2000)
+        assert rep.slope == pytest.approx(-2.0, abs=0.01)
+        assert (rep.slope, rep.slope_stderr) == fit_tail_slope(rep.shell_sums, 0.5)
 
     def test_too_few_nonzero_shells_signal_inconclusive(self):
         sums = np.zeros(101)
@@ -275,9 +290,7 @@ class TestClassify:
     def test_report_pipeline(self):
         rep = shell_report(DISK, SELF, 1.0, 2000)
         assert rep.verdict is Verdict.CONVERGES
-        unset = shell_sums(DISK, SELF, 1.0, 64)
-        with pytest.raises(ValidationError):
-            classify(unset)
+        assert rep.verdict is classify_slope(rep.slope)
 
     def test_calibration_on_zeta_tails(self):
         # margin 0.05: the s=0.9 and s=1.2 cases sit inside the default band
@@ -314,8 +327,7 @@ class TestMonotonicity:
         for dom, kind in [(DISK, SELF), (BALL2, SELF), (BALL2, CrossWithin(0, 0, 1))]:
             slopes = []
             for p in (0.5, 1.0, 2.0, 3.0, 4.0):
-                rep = shell_sums(dom, kind, p, 400)
-                slopes.append(fit_tail_slope(rep.shell_sums, 0.5)[0])
+                slopes.append(shell_report(dom, kind, p, 400).slope)
             assert all(s2 <= s1 + 1e-9 for s1, s2 in zip(slopes, slopes[1:]))
 
 

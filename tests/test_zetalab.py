@@ -18,8 +18,8 @@ from eggsum import (
     family_of,
     reduce_group,
 )
+from eggsum import zetalab
 from eggsum.cli import run
-from eggsum.lattice import shell_indices
 from eggsum.summability import classify_slope, fit_tail_slope
 from eggsum.zetalab import (
     _BLOCK,
@@ -32,6 +32,7 @@ from eggsum.zetalab import (
 
 from helpers import (
     FAMILY_SHAPES,
+    brute_shell,
     random_family_spec,
     random_plain_spec,
     random_zeta_spec,
@@ -42,7 +43,7 @@ from helpers import (
 def _shell_fsum(spec, n):
     """math.fsum of the numerator's terms over the compositions of n into
     spec.m positive parts."""
-    i = shell_indices(spec.m, n - spec.m).astype(np.float64) + 1.0
+    i = brute_shell(spec.m, n - spec.m).astype(np.float64) + 1.0
     terms = np.prod(i ** np.array(spec.powers), axis=1)
     for g in spec.groups:
         terms *= i[:, list(g.vars)].sum(axis=1) ** g.a
@@ -506,7 +507,7 @@ class TestBruteForce:
         N = 60
         want = [0.0] * spec.m
         for n in range(spec.m, N + 1):
-            i = shell_indices(spec.m, n - spec.m).astype(np.int64) + 1
+            i = brute_shell(spec.m, n - spec.m).astype(np.int64) + 1
             terms = i[:, 0] * i[:, 3]
             for g in spec.groups:
                 terms *= i[:, list(g.vars)].sum(axis=1)
@@ -566,6 +567,25 @@ class TestBruteForce:
             brute_shell_sums(spec, 30_000)
         with pytest.raises(ValidationError):
             brute_shell_sums(ZetaSeriesSpec(m=6, powers=(0.0,) * 6, b=9.0), 100)
+
+    @pytest.mark.parametrize("window, margin, message", [
+        (0.5, 0.0, "margin must be positive"),
+        (0.5, -1.0, "margin must be positive"),
+        (0.5, math.nan, "margin must be finite"),
+        # shells 94..100 are 7 points, one short of the fit's 8
+        (0.065, 0.15, "holds 7 shell\\(s\\), 94..100; the tail fit needs 8"),
+    ], ids=["margin-0", "margin-negative", "margin-nan", "window-short"])
+    def test_bad_margin_or_window_refused_before_any_table(
+        self, monkeypatch, window, margin, message
+    ):
+        def unexpected(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(zetalab, "_numerator_by_shell_conv", unexpected)
+        monkeypatch.setattr(zetalab, "_power_seq", unexpected)
+        spec = ZetaSeriesSpec(m=2, powers=(0.0, 0.0), b=3.0)
+        with pytest.raises(ValidationError, match=message):
+            brute_shell_sums(spec, 100, window=window, margin=margin)
 
     def test_term_cap_comes_before_any_work(self, capsys):
         # 298^130 overflows double range, so building any table would be a
