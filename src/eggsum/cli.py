@@ -526,8 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    evaluations = (f"eigenvalue evaluations (default {summability.DEFAULT_CAP:,}; "
-                   "dimensions >= 4 need an explicit cap)")
+    evaluations = (f"eigenvalue evaluations, one per class of rows the walk evaluates "
+                   f"(default {summability.DEFAULT_CAP:,}; dimensions >= 4 need an explicit cap)")
+    defaults = ", ".join(f"{n} for d = {d}" for d, n in summability.DEFAULT_SHELLS.items())
+    shells_help = (f"last shell N of the sums T_0..T_N, at least 16 (default by dimension: "
+                   f"{defaults}; dimensions >= 4 need an explicit N)")
+    window_help = (f"trailing fraction of the shells 0..N that the tail fit uses, in (0, 1) "
+                   f"(default {DEFAULT_WINDOW})")
 
     # counts: the work --cap bounds; a command that counts none takes no --cap
     def common(p, domain=True, kind=False, counts=None):
@@ -561,15 +566,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shells", help="shell sums + tail slope + verdict")
     common(p, kind=True, counts=evaluations)
     p.add_argument("--p", type=float, required=True, help="Schatten exponent")
-    p.add_argument("--N", type=int, default=None, help="max total degree (default by dimension)")
-    p.add_argument("--window", type=float, default=DEFAULT_WINDOW)
+    p.add_argument("--N", type=int, default=None, help=shells_help)
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW, help=window_help)
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
 
     p = sub.add_parser("threshold", help="predicted vs empirical summability cut-off")
     common(p, kind=True, counts=evaluations)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--window", type=float, default=DEFAULT_WINDOW)
+    p.add_argument("--N", type=int, default=None, help=shells_help)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="the bisection stops once its bracket is at most this wide, at "
+                        f"least 0.01 (default {DEFAULT_TOL})")
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW, help=window_help)
     p.add_argument("--p-lo", type=float, default=None, help="bracket low end (default predicted/2)")
     p.add_argument("--p-hi", type=float, default=None,
                    help="bracket high end (default 1.5*predicted + 0.5)")
@@ -582,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
            f"an explicit cap also lifts the {zetalab.DEFAULT_ZETA_SHELL_CAP:,}-shell ceiling)")
     p.add_argument("--spec", required=True, help="zeta series spec: inline JSON or file path")
     p.add_argument("--N", type=int, default=5000, help="shells to sum")
-    p.add_argument("--window", type=float, default=DEFAULT_WINDOW)
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW, help=window_help)
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
 
     p = sub.add_parser("verify-gamma", help="expansion error-decay table")

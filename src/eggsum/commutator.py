@@ -38,15 +38,18 @@ An entry is the one-group set ((p_c, (c,)),), with argument (i_c + 1)/p_c;
 a block's runs of equal p give s_k, the groups of equal p a give T.  A
 ``WalkKernel`` declares its terms once, one list per sum, and terms with
 the same groups share a key set (a one-block domain with a = 1 reads its
-block and total terms through one).  A walk over a range of shells
-(``lattice.shell_batches``) drives one kernel: each key set enumerates the
-keys that the walk's shells allow once, on the first run, and evaluates
-each of its terms on them; every run finds each key set's places once and
-adds up the gathered terms.  A key set of three or more groups, or with no
-fewer keys than the walk has rows, is evaluated per row instead.  Both
-apply the same elementwise function to the same integer keys, so an
-eigenvalue does not depend on the rows evaluated with it.
-``eigenvalue_bulk`` is the kernel of the rows' own shells, called once.
+block and total terms through one).
+
+A walk over a range of shells (``lattice.shell_batches``) enumerates
+classes of atom degrees (``atom_partition``) and drives one kernel.  Each
+key set enumerates the keys that the walk's shells allow once, on the
+first run, and evaluates each of its terms on them; every run finds each
+key set's places once and adds up the gathered terms.  A key set of three
+or more groups, or with no fewer keys than the walk has classes, is
+evaluated per class instead.  Both apply the same elementwise function to
+the same integer keys, so an eigenvalue does not depend on the rows
+evaluated with it.  ``eigenvalue_bulk`` is the kernel of the rows' own
+shells with every column alone, called once.
 
 ``asymptotic_eigenvalue`` returns the dominant large-index expression for
 each kind (up to the unknown multiplicative constant), used only for
@@ -75,6 +78,7 @@ __all__ = [
     "eigenvalue",
     "eigenvalue_bulk",
     "column_partition",
+    "atom_partition",
     "asymptotic_eigenvalue",
 ]
 
@@ -161,6 +165,17 @@ def _groups(dom: DomainSpec) -> tuple[list[tuple], tuple]:
     return [tuple(r.items()) for r in runs], tuple(outer.items())
 
 
+def _partition(dom: DomainSpec, alone: set, blocks: set) -> list[list[int]]:
+    """The columns ``alone`` one by one, the other columns of ``blocks`` by
+    their block's runs of equal p, the rest by their groups of equal p a;
+    in order of first column."""
+    runs, outer = _groups(dom)
+    groups = [[col] for col in alone]
+    groups += [[c for c in cols if c not in alone] for k in blocks for _, cols in runs[k]]
+    groups += [[c for c in cols if dom.columns[c][0] not in blocks] for _, cols in outer]
+    return sorted((g for g in groups if g), key=lambda g: g[0])
+
+
 def column_partition(dom: DomainSpec, kind: CommutatorKind) -> list[list[int]]:
     """The flat columns of ``dom`` in groups that the kernel of ``kind``
     cannot tell apart, in order of their first column.
@@ -174,12 +189,27 @@ def column_partition(dom: DomainSpec, kind: CommutatorKind) -> list[list[int]]:
     """
     r_col, l_col = _columns(dom, kind)
     alone = {r_col, r_col if l_col is None else l_col}
-    kind_blocks = {dom.columns[col][0] for col in alone}
-    runs, outer = _groups(dom)
-    groups = [[col] for col in alone]
-    groups += [[c for c in cols if c not in alone] for k in kind_blocks for _, cols in runs[k]]
-    groups += [[c for c in cols if dom.columns[c][0] not in kind_blocks] for _, cols in outer]
-    return sorted((g for g in groups if g), key=lambda g: g[0])
+    return _partition(dom, alone, {dom.columns[col][0] for col in alone})
+
+
+def atom_partition(dom: DomainSpec, kind: CommutatorKind) -> list[list[int]]:
+    """The flat columns of ``dom`` in atoms, in order of their first column:
+    groups that every term of the kernel of ``kind`` reads only through
+    their sum, once the raised and lowered entry terms of a cross kind are
+    set aside.
+
+    The self kind's M(j) reads the raised entry's own term, so its atoms
+    are ``column_partition``.  A cross kind reads its raised and lowered
+    entries only through one entry term each in its first differences; its
+    other terms read the runs of equal p of the kind's blocks of two or
+    more columns and the groups of equal p a, so its atoms are those runs
+    and, outside those blocks, the groups of equal p a.
+    """
+    r_col, l_col = _columns(dom, kind)
+    if l_col is None:
+        return column_partition(dom, kind)
+    blocks = {dom.columns[col][0] for col in (r_col, l_col)}
+    return _partition(dom, set(), {k for k in blocks if dom.blocks[k].size > 1})
 
 
 def _weight(degrees, groups) -> np.ndarray:
@@ -249,16 +279,16 @@ class _KeySet:
         return self.tables[n].take(place)
 
 
-def _add(terms, places: dict, column, out=None) -> np.ndarray:
+def _add(terms, places: dict, degree, out=None) -> np.ndarray:
     """``out`` plus the terms in order (the first term starts the sum when
     ``out`` is None).  A key set's places are found at its first term, from
-    j's columns ``column(col)``, and kept in ``places``; with the tables
-    made at their first use, a run makes its arrays in the order its terms
-    ask for them (a walk's page faults, a few percent of its time, follow
-    the heap layout that this order leaves)."""
+    the degree sums ``degree(cols)`` of its groups, and kept in ``places``;
+    with the tables made at their first use, a run makes its arrays in the
+    order its terms ask for them (a walk's page faults, a few percent of
+    its time, follow the heap layout that this order leaves)."""
     for keys, n in terms:
         if keys not in places:
-            places[keys] = keys.place([_degree(column, cols) for _, cols in keys.groups])
+            places[keys] = keys.place([degree(cols) for _, cols in keys.groups])
         value = keys.value(n, places[keys])
         if out is None:
             out = value
@@ -342,27 +372,44 @@ def _log_norm_mixed(dom: DomainSpec, kernel: "WalkKernel", r: int, l: int) -> li
 
 
 class WalkKernel:
-    """The eigenvalues of ``kind`` on ``dom`` for the runs of rows of one
-    walk over the shells ``shells``, ``evaluations`` rows in all.
+    """The eigenvalues of ``kind`` on ``dom`` for the runs of classes of one
+    walk over the shells ``shells``, ``evaluations`` classes in all.
+
+    A class is a row of the degrees of ``atoms``, a partition of the
+    columns no coarser than ``atom_partition`` (every column alone gives
+    the rows themselves).  The self kind is evaluated at the rows i; a
+    cross kind at j = i - e_lowered, the only rows where it is not 0.
 
     The terms are declared once (``term``): ``mixed`` holds those of M(j)
     and ``steps`` a (count, shared, entries) triple per first difference
-    (``_log_norm_step``), and ``terms`` all of them.  The walk fixes the
-    keys: an entry or a partial degree sum of j = i - e_lowered lies in
-    0..max(shells), the row sum of j in min(shells)-1..max(shells).  A
-    call finds each key set's places once and adds up the terms in a fixed
-    order; no Gamma is evaluated before the first call.  The rows must be
-    valid: nonnegative integer rows of ``dom.dimension`` columns whose sums
-    lie in ``shells``, as the walk makes them.  The tables go when the
-    kernel does, at the end of the walk.
+    (``_log_norm_step``), and ``terms`` all of them.  A cross kind's entry
+    terms read their share of their atom's degree: all of it, or with both
+    entries in one atom the upper half for the raised and the lower half
+    for the lowered.  A class's value is then the eigenvalue at its
+    representative row, whose atoms' other columns are 0, where the entry
+    factors e^(E/2) are largest (E is increasing and concave); the other
+    terms read only atom sums.  Where an entry's atom holds other columns
+    (``weighed``), the class's rows differ only in the entry terms, which
+    ``entry_logs`` gives apart for the caller to weigh the rows.
+
+    The walk fixes the keys: an entry or a partial degree sum of j lies in
+    0..max(shells), the row sum of j in min(shells)-1..max(shells) for the
+    self kind and in ``shells`` for a cross one.  A call finds each key
+    set's places once and adds up the terms in a fixed order; no Gamma is
+    evaluated before the first call or ``entry_logs``.  The classes must
+    be valid: nonnegative integer rows, one column per atom, whose sums lie
+    in ``shells``, as the walk makes them.  The tables go when the kernel
+    does, at the end of the walk.
     """
 
-    def __init__(self, dom: DomainSpec, kind: CommutatorKind, shells: range, evaluations: int):
+    def __init__(self, dom: DomainSpec, kind: CommutatorKind, atoms, shells: range,
+                 evaluations: int):
         self.dom = dom
         self.raised, lowered = _columns(dom, kind)
         self.crossed = lowered is not None
         self.lowered = self.raised if lowered is None else lowered
         self.runs, self.outer = _groups(dom)
+        self._atom = {col: k for k, cols in enumerate(atoms) for col in cols}
         self._shells, self._evaluations = shells, evaluations
         self.key_sets: dict[tuple, _KeySet] = {}
         self.terms: list = []
@@ -374,41 +421,88 @@ class WalkKernel:
             steps = [(r, l)]
         else:
             steps = [(r,), (l,)]
-        self.steps = [(len(cols), *_log_norm_step(dom, self, cols)) for cols in steps]
+        self.steps = []
+        self._entries = {}
+        for cols in steps:
+            shared, entries = _log_norm_step(dom, self, cols)
+            self._entries.update(zip(cols, entries))
+            self.steps.append((len(cols), shared, entries))
+        # each entry's share of its atom's degree, (atom, 0) for all of it,
+        # (atom, 1) for the upper half and (atom, 2) for the lower; and the
+        # entries' atoms that hold other columns, with their entries, the
+        # raised first.  A run or p a group of one entry column alone is
+        # that entry's atom, whose share is all of it
+        entries: dict[int, list[int]] = {}
+        if self.crossed:
+            for col in (r, l):
+                entries.setdefault(self._atom[col], []).append(col)
+        self._shares = {(col,): (k, n + 1 if len(cols) > 1 else 0)
+                        for k, cols in entries.items() for n, col in enumerate(cols)}
+        self.weighed = {k: cols for k, cols in entries.items() if len(atoms[k]) > 1}
 
     def term(self, groups: tuple, fn) -> tuple[_KeySet, int]:
         """Declare the term fn(``_weight`` of the groups (weight, columns)):
         (its key set, its place among the key set's terms)."""
         keys = self.key_sets.get(groups)
         if keys is None:
-            # the row sum of j is one below i's where the lowered entry is
-            # positive; a partial sum may be 0 on any shell
+            # the self kind's row sum of j is one below i's where its entry
+            # is positive; a partial sum may be 0 on any shell
             whole = sum(len(cols) for _, cols in groups) == self.dom.dimension
-            totals = range(max(self._shells.start - 1, 0) if whole else 0, self._shells.stop)
+            first = max(self._shells.start - (not self.crossed), 0) if whole else 0
+            totals = range(first, self._shells.stop)
             keys = self.key_sets[groups] = _KeySet(groups, totals, self._evaluations)
         keys.fns.append(fn)
         self.terms.append((keys, len(keys.fns) - 1))
         return self.terms[-1]
 
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        """Eigenvalue at every row of ``rows`` (shape (n, d))."""
-        # Everything is evaluated at j = i - e_lowered (at i where that entry
-        # is 0): with D_c(j) = L(j+e_c) - L(j) and M(j) the mixed second
-        # difference, D_r(j+e_l) = D_r(j) + M(j) and D_l(j+e_r) = D_l(j) + M(j).
-        present = rows[:, self.lowered] > 0
-        lowered = np.subtract(rows[:, self.lowered], present, dtype=np.intp)
+    def entry_logs(self) -> dict[int, list[np.ndarray]]:
+        """Per atom of ``weighed``: E(a)/2 for a = 0..max(shells), the log
+        of the factor e^(E(a)/2) that an entry a gives the eigenvalue, for
+        each of its entries, the raised first."""
+        a = np.arange(max(self._shells.stop, 1))
+        out = {}
+        for k, cols in self.weighed.items():
+            out[k] = []
+            for col in cols:
+                keys, n = self._entries[col]
+                out[k].append(0.5 * keys.value(n, keys.place([a])))
+        return out
 
-        def column(col: int) -> np.ndarray:
-            return lowered if col == self.lowered else rows[:, col]
+    def __call__(self, classes: np.ndarray) -> np.ndarray:
+        """Eigenvalue at every class of ``classes`` (shape (n, atoms)): at
+        its representative row, for a cross kind at j."""
+        if self.crossed:
+            def column(k: int) -> np.ndarray:
+                return classes[:, k]
+        else:
+            # Everything is evaluated at j = i - e_r (at i where that entry
+            # is 0), the raised column being alone in its atom
+            k_r = self._atom[self.raised]
+            present = classes[:, k_r] > 0
+            lowered = np.subtract(classes[:, k_r], present, dtype=np.intp)
+
+            def column(k: int) -> np.ndarray:
+                return lowered if k == k_r else classes[:, k]
+
+        def degree(cols) -> np.ndarray:
+            share = self._shares.get(cols)
+            if share is None:
+                return _degree(column, sorted({self._atom[col] for col in cols}))
+            z = _degree(column, [share[0]])
+            if share[1] == 0:
+                return z
+            return z - z // 2 if share[1] == 1 else z // 2
 
         places: dict = {}
         with np.errstate(all="ignore"):
-            mixed = _add(self.mixed, places, column)
+            # with D_c(j) = L(j+e_c) - L(j) and M(j) the mixed second
+            # difference, D_r(j+e_l) = D_r(j) + M(j) and D_l(j+e_r) = D_l(j) + M(j)
+            mixed = _add(self.mixed, places, degree)
             step = None
             for count, shared, entries in self.steps:
-                part = _add(shared, places, column)
+                part = _add(shared, places, degree)
                 part *= count
-                part = _add(entries, places, column, part)
+                part = _add(entries, places, degree, part)
                 step = part if step is None else np.add(step, part, out=step)
             if not self.crossed:
                 # lam(i) = e^D(j) - e^D(j+e_r) = -e^D(j) expm1(M(j)); only the
@@ -420,12 +514,11 @@ class WalkKernel:
                 out *= mixed
             else:
                 # mu(i) = |e^A - e^B| with A = (D_r(j) + D_l(j))/2 and B =
-                # (D_r(j+e_l) + D_l(j+e_r))/2 = A + M(j); zero when i_l = 0
+                # (D_r(j+e_l) + D_l(j+e_r))/2 = A + M(j)
                 step *= 0.5
                 out = np.exp(step, out=step)
                 np.expm1(mixed, out=mixed)
                 out *= np.abs(mixed, out=mixed)
-                np.copyto(out, 0.0, where=~present)
         if not np.all(np.isfinite(out)):
             raise ValidationError(
                 "an eigenvalue is not a finite double on this domain: a term leaves double range"
@@ -433,9 +526,20 @@ class WalkKernel:
         return out
 
 
+def _rows_kernel(dom: DomainSpec, kind: CommutatorKind, rows: np.ndarray) -> np.ndarray:
+    """A ``WalkKernel`` with every column alone over the rows' own shells,
+    called once on them."""
+    sums = _degree(lambda col: rows[:, col], range(rows.shape[1]))
+    shells = range(int(sums.min()), int(sums.max()) + 1) if sums.size else range(0)
+    atoms = [[col] for col in range(rows.shape[1])]
+    return WalkKernel(dom, kind, atoms, shells, rows.shape[0])(rows)
+
+
 def eigenvalue_bulk(dom: DomainSpec, kind: CommutatorKind, idx_rows: np.ndarray) -> np.ndarray:
     """Eigenvalue at every row of ``idx_rows`` (flat indices, shape (n, d)):
-    a ``WalkKernel`` over the rows' own shells, called once.
+    a ``WalkKernel`` with every column alone over the rows' own shells,
+    called once, at the rows themselves for the self kind and at j = i -
+    e_lowered for a cross kind, which is 0 where that entry is.
 
     Raises ValidationError when an eigenvalue is not a finite double (an
     inner exponent or outer power so extreme that a Gamma term overflows).
@@ -452,9 +556,16 @@ def eigenvalue_bulk(dom: DomainSpec, kind: CommutatorKind, idx_rows: np.ndarray)
     if rows.dtype.kind not in "iu" and not np.all(rows == np.rint(rows)):
         raise ValidationError("index entries must be integers")
     rows = rows.astype(np.int64, copy=False)
-    sums = _degree(lambda col: rows[:, col], range(rows.shape[1]))
-    shells = range(int(sums.min()), int(sums.max()) + 1) if sums.size else range(0)
-    return WalkKernel(dom, kind, shells, rows.shape[0])(rows)
+    _, lowered = _columns(dom, kind)
+    if lowered is None:
+        return _rows_kernel(dom, kind, rows)
+    present = rows[:, lowered] > 0
+    out = np.zeros(rows.shape[0])
+    if np.any(present):
+        j = rows[present]
+        j[:, lowered] -= 1
+        out[present] = _rows_kernel(dom, kind, j)
+    return out
 
 
 def eigenvalue(dom: DomainSpec, kind: CommutatorKind, idx) -> float:

@@ -14,10 +14,10 @@ and count ``shell_indices``.
 
 ``shell_batches`` is the one walk over a range of shells: it cuts the
 range into runs of the most consecutive shells that fit in ``BATCH_ROWS``
-rows (a larger shell is a run of its own), found by bisection over the
+classes (a larger shell is a run of its own), found by bisection over the
 closed-form count ``range_count``, so a caller evaluates and sums a whole
-run with a few numpy calls.  Given a partition of the columns into groups,
-it yields one representative row per class of rows that differ only
+run with a few numpy calls.  Given the sizes of groups of columns, it
+yields the groups' degrees, one row per class of rows that differ only
 inside groups, with the class's size as an exact float multiplicity;
 given every column alone, it yields every row.
 """
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = ["BATCH_ROWS", "shell_count", "range_count", "shell_rows", "shell_indices",
-           "shell_batches"]
+           "shell_batches", "stars_and_bars"]
 
 # enough rows to amortise the per-call cost of the numpy kernels, few
 # enough that a run's temporaries stay small (2^16-row runs raised the
@@ -107,28 +107,27 @@ def _max_multiplicity(sizes: list[int], n: int) -> int:
     return prod(comb(t + m - 1, m - 1) for t, m in zip(degrees, sizes))
 
 
-def shell_batches(groups, shells: range):
-    """Yield (first shell, shell offsets, rows, mult) for runs of
-    consecutive shells, one row per class of rows.
+def shell_batches(sizes, shells: range):
+    """The runs of consecutive shells of a walk over groups of columns, as
+    an iterator of (first shell, shell offsets, classes, mult), one row of
+    ``classes`` per class of rows.
 
-    ``groups`` partitions the columns 0..d-1 into lists, in order of their
-    first column.  The walk enumerates the shells in one variable per group
-    and puts a group's degree t on its first column: that row stands for
-    the C(t+m-1, m-1) rows (stars and bars) that spread t over the group's
-    m columns, and ``mult`` is the product of those counts over the groups,
-    float64 and exact.  Where every group is a single column, ``mult`` is
-    None and the rows are the shells' rows as ``shell_indices`` gives them.
-    ``offsets`` are the start of each shell inside ``rows``, so
-    ``first + k`` is the shell starting at ``offsets[k]``.  A run holds at
-    most ``BATCH_ROWS`` rows unless it is a single shell.
+    ``sizes`` gives each group's number of columns, m >= 1.  The walk
+    enumerates the shells in one variable per group: a row of ``classes``
+    holds each group's degree t and stands for the C(t+m-1, m-1) ways
+    (stars and bars) to spread t over the group's m columns, and ``mult``
+    is the product of those counts over the groups, float64 and exact.
+    Where every group has one column, ``mult`` is None and the classes are
+    the shells' rows as ``shell_indices`` gives them.  ``offsets`` are the
+    start of each shell inside ``classes``, so ``first + k`` is the shell
+    starting at ``offsets[k]``.  A run holds at most ``BATCH_ROWS`` classes
+    unless it is a single shell.
 
-    Raises ValidationError, before the first run, when a multiplicity in
-    the range reaches 2^53 and would no longer be exact (the largest one
-    lies on the last shell).
+    Raises ValidationError, on the call and before any run, when a
+    multiplicity in the range reaches 2^53 and would no longer be exact
+    (the largest one lies on the last shell).
     """
-    sizes = [len(group) for group in groups]
-    firsts = [group[0] for group in groups]
-    d, dim = sum(sizes), len(groups)
+    dim = len(sizes)
     merged = [(g, m) for g, m in enumerate(sizes) if m > 1]
     if merged and shells.stop > shells.start:
         n_max = shells.stop - 1
@@ -138,10 +137,18 @@ def shell_batches(groups, shells: range):
                 "multiplicities; lower N"
             )
         # each merged group's index with its counts C(t+m-1, m-1) by degree t
-        merged = [
-            (g, np.array([comb(t + m - 1, m - 1) for t in range(n_max + 1)], dtype=np.float64))
-            for g, m in merged
-        ]
+        merged = [(g, stars_and_bars(m, n_max)) for g, m in merged]
+    return _runs(dim, shells, merged)
+
+
+def stars_and_bars(m: int, n: int) -> np.ndarray:
+    """C(t+m-1, m-1) for t = 0..n, the ways to spread degree t over m
+    columns, as float64 (exact below 2^53)."""
+    return np.array([comb(t + m - 1, m - 1) for t in range(n + 1)], dtype=np.float64)
+
+
+def _runs(dim: int, shells: range, merged):
+    """The runs of ``shell_batches``."""
     first = shells.start
     while first < shells.stop:
         # the most shells whose classes fit in BATCH_ROWS, and at least one
@@ -151,19 +158,17 @@ def shell_batches(groups, shells: range):
         ))
         # name no run: the walk keeps no reference to a yielded run, so the
         # caller can free it as soon as it is done with it
-        yield _run(range(first, stop), firsts, d, merged)
+        yield _run(range(first, stop), dim, merged)
         first = stop
 
 
-def _run(shells: range, firsts, d, merged):
+def _run(shells: range, dim: int, merged):
     """The batch of ``shell_batches`` for the run of shells ``shells``."""
-    classes, offsets = shell_rows(len(firsts), shells)
+    classes, offsets = shell_rows(dim, shells)
     if not merged:
         return shells.start, offsets, classes, None
-    rows = np.zeros((classes.shape[0], d), dtype=classes.dtype)
-    rows[:, firsts] = classes
     (g, count), *rest = merged
     mult = count[classes[:, g]]
     for g, count in rest:
         mult *= count[classes[:, g]]
-    return shells.start, offsets, rows, mult
+    return shells.start, offsets, classes, mult

@@ -16,20 +16,21 @@ evaluation: a window of fewer shells than the fit's ``MIN_FIT_POINTS``
 (``require_fit_window``) and a margin that is not positive are refused
 before any Gamma work.
 
-Magnitudes come from ``lattice.shell_batches`` over
-``commutator.column_partition`` of the kind: runs of consecutive shells
-of at most 2^14 classes (a larger shell alone), where a class is the rows
-the kernel cannot tell apart and carries its exact multiplicity.  One
-``commutator.WalkKernel`` per walk evaluates each Gamma term once per key
-of the walk's shells, and each run by gathering the terms.  Every run
-reaches the sums in one shape, (first shell, shell offsets, magnitudes,
-multiplicities or None), and one routine turns any sequence of runs into
-T_0..T_N: per run one ``np.power``, one product with the multiplicities
-where columns merge and one segmented pairwise sum
+The sums come from one walk of ``lattice.shell_batches`` over classes of
+the kind's atoms (``commutator.atom_partition``), runs of consecutive
+shells of at most 2^14 classes (a larger shell alone), for a cross kind at
+j = i - e_lowered on the shells one below.  One ``commutator.WalkKernel``
+per walk evaluates each Gamma term once per key of the walk's shells, and
+each run by gathering the terms.  A class carries the exact multiplicity
+of its atoms without an entry and, per probe, a weight for each atom that
+holds a cross kind's entry and other columns (``_entry_folds``).  Every
+run reaches the sums in one shape, and one routine turns any sequence of
+runs into T_0..T_N: per run one ``np.power``, one product with the
+multiplicities and weights and one segmented pairwise sum
 (``reduction.pairwise_sum``) over its shell offsets.  ``shell_report``
 streams the runs into it; the bisection keeps a list of the window's runs
-and hands it over once per probe.  An evaluation is one class, and the
-cap counts evaluations.
+and hands it over once per probe.  An evaluation is one class, and the cap
+counts evaluations.
 
 ``predicted_threshold`` and ``module_threshold`` evaluate the closed-form
 cut-offs; both are built from the same term helpers so the module value
@@ -52,12 +53,12 @@ from .commutator import (
     SelfAdjoint,
     WalkKernel,
     all_kinds,
-    column_partition,
+    atom_partition,
     validate_kind,
 )
 from .domain import DomainSpec
 from .errors import BracketError, ResourceCapError, ValidationError, finite_real, last_shell
-from .lattice import range_count, shell_batches
+from .lattice import range_count, shell_batches, stars_and_bars
 from .reduction import pairwise_sum
 
 __all__ = [
@@ -118,7 +119,7 @@ def default_shells(dom: DomainSpec) -> int:
     d = dom.dimension
     if d not in DEFAULT_SHELLS:
         raise ValidationError(
-            f"no default shell count for dimension {d}; pass N explicitly"
+            f"no default shell count for dimension {d}; pass --N (N= from Python)"
         )
     return DEFAULT_SHELLS[d]
 
@@ -130,7 +131,7 @@ def resolve_cap(dom: DomainSpec, cap: int | None) -> int:
         if dom.dimension >= 4:
             raise ResourceCapError(
                 "domains of dimension >= 4 need an explicit resource cap; "
-                "pass cap= (eigenvalue evaluations) to opt in"
+                "pass --cap (cap= from Python), a count of eigenvalue evaluations, to opt in"
             )
         return DEFAULT_CAP
     cap = int(cap)
@@ -139,11 +140,21 @@ def resolve_cap(dom: DomainSpec, cap: int | None) -> int:
     return cap
 
 
+def _walk_shells(kind: CommutatorKind, shells: range) -> range:
+    """The shells of the walk that gives T_n for n in ``shells``: the
+    shells themselves for the self kind, and for a cross kind the shells of
+    j = i - e_lowered, one below (its eigenvalue is 0 where i_lowered = 0,
+    so T_0 = 0)."""
+    if isinstance(kind, SelfAdjoint):
+        return shells
+    return range(max(shells.start - 1, 0), shells.stop - 1)
+
+
 def evaluation_count(dom: DomainSpec, kind: CommutatorKind, shells: range) -> int:
-    """Eigenvalues evaluated for the shells ``shells``: one per class of
-    rows, the rows of a shell in one variable per group of
-    ``column_partition``."""
-    return range_count(len(column_partition(dom, kind)), shells)
+    """Eigenvalues evaluated for the shells ``shells``: one per class the
+    walk goes over, a row of degrees of the kind's atoms
+    (``atom_partition``) on the walk's shells (``_walk_shells``)."""
+    return range_count(len(atom_partition(dom, kind)), _walk_shells(kind, shells))
 
 
 def _check_budget(dom: DomainSpec, kind: CommutatorKind, shells: range, cap: int) -> None:
@@ -151,32 +162,128 @@ def _check_budget(dom: DomainSpec, kind: CommutatorKind, shells: range, cap: int
     if total > cap:
         raise ResourceCapError(
             f"shell sums would evaluate {total} eigenvalues, above the cap of {cap}; "
-            "raise cap= explicitly to proceed"
+            "raise --cap (cap= from Python) to proceed"
         )
 
 
 def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, shells: range):
-    """Yield (first shell, shell offsets, |eigenvalue| array, mult or None)
-    per run of ``lattice.shell_batches`` over the kind's classes, all runs
-    evaluated by one kernel.  The eigenvalue of a row does not depend on
-    the rows evaluated with it, so every magnitude is bit for bit what a
-    per-shell call gives.  The kernel evaluates nothing before its first
-    call, so a walk that ``shell_batches`` refuses costs no Gamma work."""
-    groups = column_partition(dom, kind)
-    kernel = WalkKernel(dom, kind, shells, range_count(len(groups), shells))
-    for first, offsets, rows, mult in shell_batches(groups, shells):
-        yield first, offsets, np.abs(kernel(rows)), mult
+    """(batches, weights) of the walk that gives T_n for n in ``shells``.
+
+    ``batches`` yields (first shell, shell offsets, magnitudes, mult or
+    None, degrees of the weighed atoms) per run: a magnitude is the
+    eigenvalue at the class's representative row, mult the exact
+    multiplicity of its atoms that hold no entry.  ``weights(p)`` gives
+    each weighed atom (``WalkKernel.weighed``) its weight by degree at the
+    Schatten exponent p.  A class's term is its magnitude to the p, times
+    mult and its weighed atoms' weights.  ``shell_batches`` refuses a walk
+    on the call and the kernel evaluates nothing before it is used, so a
+    refused walk costs no Gamma work."""
+    atoms = atom_partition(dom, kind)
+    walk = _walk_shells(kind, shells)
+    kernel = WalkKernel(dom, kind, atoms, walk, range_count(len(atoms), walk))
+    weighed = kernel.weighed
+    # a weighed atom's rows are summed in its weight, not counted in mult
+    runs = shell_batches([1 if k in weighed else len(cols) for k, cols in enumerate(atoms)], walk)
+    shift = 0 if isinstance(kind, SelfAdjoint) else 1
+    folds = []
+
+    def batches():
+        for first, offsets, classes, mult in runs:
+            yield (first + shift, offsets, np.abs(kernel(classes)), mult,
+                   [classes[:, k] for k in weighed])
+
+    def weights(p: float) -> list[np.ndarray]:
+        if not folds and weighed:
+            # an atom's degree is the walk's shell where it is the only atom
+            degrees = range(walk.start if len(atoms) == 1 else 0, max(walk.stop, 1))
+            logs = kernel.entry_logs()
+            folds.extend(_entry_folds(logs[k], len(atoms[k]) - len(logs[k]), degrees)
+                         for k in weighed)
+        return [_entry_weights(atom_folds, p) for atom_folds in folds]
+
+    return batches(), weights
 
 
-def _power_sums(batches, p: float, N: int) -> np.ndarray:
+def _pairs(rows: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y, z, row starts) over the pairs 0 <= y <= z, z in ``rows``, row by
+    row in z."""
+    z = np.arange(rows.start, rows.stop)
+    sizes = z + 1
+    starts = np.cumsum(sizes) - sizes
+    z = np.repeat(z, sizes)
+    return np.arange(z.size) - starts[z - rows.start], z, starts
+
+
+def _entry_folds(logs: list[np.ndarray], plain: int, degrees: range) -> list:
+    """The folds that make a weighed atom's weight, p aside, for the
+    degrees ``degrees`` that its classes take.
+
+    The atom holds one or two entries with logs x = E(a)/2 (a = 0..top,
+    the last degree) and ``plain`` other columns.  Its weight at degree z
+    is the sum over its rows of degree z of e^(p (x(a) + x'(b) - s(z)))
+    C(t + m - 1, m - 1), with a, b the entries, t the rest spread over the
+    m = ``plain`` other columns, and s(z) the representative's log: x(z)
+    for one entry, x(z - z//2) + x'(z//2) for two.  That is one or two
+    folds, sums over pairs y <= z of e^(p delta(z, y)) v(y) c(z - y): the
+    two entries (v = c = 1), then the other columns (v the entries' sums,
+    c the counts C(z - y + m - 1, m - 1)).  Each delta is a sum of
+    differences of x at nearby degrees where the terms are largest, exact
+    there, and never above 0: a weight is at least 1 and at most the
+    class's size, whatever p.
+
+    A fold is (delta, y where v is the last fold's sums else None, c or
+    None, row starts, first row): all rows for a fold that feeds another,
+    the rows of ``degrees`` for the last.
+    """
+    folds = []
+    if len(logs) == 2:
+        x, x2 = logs
+        z = np.arange(degrees.stop)
+        up, low = x[z - z // 2], x2[z // 2]
+        rows = range(0, degrees.stop) if plain else degrees
+        y, z, starts = _pairs(rows)
+        folds.append(((x[y] - up[z]) + (x2[z - y] - low[z]), None, None, starts, rows.start))
+        x = up + low
+    else:
+        (x,) = logs
+    if plain:
+        y, z, starts = _pairs(degrees)
+        counts = stars_and_bars(plain, degrees.stop - 1)[z - y] if plain > 1 else None
+        folds.append((x[y] - x[z], y if folds else None, counts, starts, degrees.start))
+    return [(delta, chained, c, starts, first, np.empty_like(delta))
+            for delta, chained, c, starts, first in folds]
+
+
+def _entry_weights(folds: list, p: float) -> np.ndarray:
+    """A weighed atom's weight by degree at the Schatten exponent p, 0
+    below the degrees its classes take, from its ``_entry_folds``: each
+    fold sums e^(p delta) v c by rows, in a buffer of its own."""
+    sums = None
+    for delta, chained, counts, starts, first, terms in folds:
+        np.multiply(delta, p, out=terms)
+        np.exp(terms, out=terms)
+        if chained is not None:
+            terms *= sums[chained]
+        if counts is not None:
+            terms *= counts
+        sums = np.zeros(first + starts.size)
+        sums[first:] = np.add.reduceat(terms, starts)
+    return sums
+
+
+def _power_sums(batches, weights, p: float, N: int) -> np.ndarray:
     """T_0..T_N from magnitude batches, 0 on shells no batch covers: per
-    batch one power, times the multiplicities where it has them, and one
-    segmented sum, pairwise within each shell."""
+    batch one power, times the multiplicities where it has them and the
+    weighed atoms' weights at p where it has those, and one segmented sum,
+    pairwise within each shell."""
     sums = np.zeros(N + 1, dtype=np.float64)
-    for first, offsets, mags, mult in batches:
+    factors = weights(p)
+    for first, offsets, mags, mult, degrees in batches:
         terms = np.power(mags, p)
         if mult is not None:
             terms *= mult
+        for w, z in zip(factors, degrees):
+            terms *= w.take(z)
         sums[first : first + offsets.size] = pairwise_sum(terms, offsets)
     return sums
 
@@ -285,7 +392,7 @@ def shell_report(
         raise ValidationError("Schatten exponent p must be positive")
     _check_budget(dom, kind, range(N + 1), resolve_cap(dom, cap))
     require_margin(margin)
-    sums = _power_sums(_magnitude_batches(dom, kind, range(N + 1)), p, N)
+    sums = _power_sums(*_magnitude_batches(dom, kind, range(N + 1)), p, N)
     slope, stderr = fit_tail_slope(sums, window)
     return SummationReport(
         p=p,
@@ -323,10 +430,11 @@ def empirical_threshold(
     N = default_shells(dom) if N is None else last_shell(N)
     shells = require_fit_window(N, window)
     _check_budget(dom, kind, shells, resolve_cap(dom, cap))
-    batches = list(_magnitude_batches(dom, kind, shells))
+    batches, weights = _magnitude_batches(dom, kind, shells)
+    batches = list(batches)
 
     def slope(p: float) -> float:
-        return fit_tail_slope(_power_sums(batches, p, N), window)[0]
+        return fit_tail_slope(_power_sums(batches, weights, p, N), window)[0]
 
     s_lo = slope(p_lo)
     s_hi = slope(p_hi)

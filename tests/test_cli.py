@@ -492,6 +492,23 @@ class TestErrorsAndReplay:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("resource cap: ")
 
+    @pytest.mark.parametrize("command", ["shells", "threshold"])
+    def test_refusals_name_the_options(self, capsys, command):
+        ball4 = '{"blocks":[{"p":[1.0,1.0,1.0,1.0],"a":1.0}]}'
+        argv = [command, "--domain", ball4] + (["--p", "4"] if command == "shells" else [])
+        # no default shell count in dimension 4
+        assert run([*argv, "--cap", "1000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "; pass --N" in captured.err, captured.err
+        # nor a default cap
+        assert run([*argv, "--N", "20"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "; pass --cap" in captured.err, captured.err
+        # and a cap below the classes the walk evaluates
+        assert run([*argv, "--N", "20", "--cap", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "; raise --cap" in captured.err, captured.err
+
     @pytest.mark.parametrize("command", ["module-threshold", "verify-gamma"])
     def test_no_cap_where_nothing_is_counted(self, capsys, command):
         argv = [command, "--domain", DISK] if command == "module-threshold" else [command]
@@ -501,9 +518,10 @@ class TestErrorsAndReplay:
 
     def test_replay_reproduces_bit_for_bit(self, capsys, tmp_path):
         cases = [
-            # every row of shells 0..200 of the 2-ball
+            # the 2-ball's within kind has one atom: one class per shell 1..200,
+            # walked as j = i - e_lowered on shells 0..199
             (["shells", "--domain", BALL, "--kind", "within:0:0:1", "--p", "2.0", "--N", "200"],
-             20_301),
+             200),
             # the classes (i_0, t) of the window shells 50..100
             (["threshold", "--domain", CRIT4, "--kind", "self:0:0", "--N", "100"], 3_876),
         ]

@@ -204,8 +204,8 @@ class TestKeyedKernel:
         ids=["crit5-within", "crit4-between"],
     )
     def test_gamma_work_per_walk(self, monkeypatch, kind):
-        # the bisection window of N = 200: 87 runs, 1 202 001 rows, and each
-        # Gamma term evaluated once for the whole walk
+        # every row of shells 100..200, each column alone: 87 runs, 1 202 001
+        # rows, and each Gamma term evaluated once for the whole walk
         dom = CRIT5 if isinstance(kind, CrossWithin) else CRIT4
         shells = range(100, 201)
         elements = []
@@ -217,11 +217,10 @@ class TestKeyedKernel:
                 return routine(x, *args)
 
             monkeypatch.setattr(gammakit, name, counted)
-        groups = column_partition(dom, kind)
-        evaluations = range_count(len(groups), shells)
-        kernel = WalkKernel(dom, kind, shells, evaluations)
+        evaluations = range_count(3, shells)
+        kernel = WalkKernel(dom, kind, [[0], [1], [2]], shells, evaluations)
         runs = 0
-        for _, _, rows, _ in shell_batches(groups, shells):
+        for _, _, rows, _ in shell_batches([1, 1, 1], shells):
             kernel(rows)
             runs += 1
         assert runs == 87 and evaluations == 1_202_001
@@ -239,9 +238,9 @@ class TestKeyedKernel:
         for kind in all_kinds(dom):
             groups = column_partition(dom, kind)
             evaluations = range_count(len(groups), shells)
-            kernel = WalkKernel(dom, kind, shells, evaluations)
-            for _, _, rows, _ in shell_batches(groups, shells):
-                kernel(rows)
+            kernel = WalkKernel(dom, kind, groups, shells, evaluations)
+            for _, _, classes, _ in shell_batches([len(g) for g in groups], shells):
+                kernel(classes)
             assert len(kernel.outer) == 3
             assert any(keys.groups == kernel.outer for keys, _ in kernel.terms), kind
             for keys, n in kernel.terms:
@@ -261,7 +260,9 @@ class TestKeyedKernel:
         # other key sets are single entries
         entries = {((p, (col,)),) for col, (_, p) in enumerate(dom.columns)}
         for kind in all_kinds(dom):
-            kernel = WalkKernel(dom, kind, range(0, 30), range_count(dom.dimension, range(0, 30)))
+            alone = [[col] for col in range(dom.dimension)]
+            kernel = WalkKernel(dom, kind, alone, range(0, 30),
+                                range_count(dom.dimension, range(0, 30)))
             sums = {keys.groups for keys, _ in kernel.terms} - entries
             assert sums == ({kernel.outer} if shared else {kernel.outer, kernel.runs[0]}), kind
             assert len({id(keys) for keys, _ in kernel.terms if keys.groups == kernel.outer}) == 1
@@ -330,16 +331,24 @@ class TestWalkKernel:
     def test_walk_matches_per_row_calls_bytewise(self, dom):
         rng = np.random.default_rng(3)
         d = dom.dimension
+        alone = [[col] for col in range(d)]
         for kind in all_kinds(dom):
+            # a cross kind's walk gives the rows j = i - e_lowered
+            lift = np.zeros(d, dtype=np.int64)
+            if isinstance(kind, CrossWithin):
+                lift[dom.flat_position(kind.block, kind.lowered)] = 1
+            elif isinstance(kind, CrossBetween):
+                lift[dom.flat_position(kind.lowered_block, kind.lowered_coord)] = 1
             for shells in WALK_RANGES[d]:
-                kernel = WalkKernel(dom, kind, shells, range_count(d, shells))
+                kernel = WalkKernel(dom, kind, alone, shells, range_count(d, shells))
                 # every key set evaluated per row, whatever the walk's size
-                per_row = WalkKernel(dom, kind, shells, 0)
-                for first, offsets, rows, _ in shell_batches([[col] for col in range(d)], shells):
+                per_row = WalkKernel(dom, kind, alone, shells, 0)
+                for first, offsets, rows, _ in shell_batches([1] * d, shells):
                     got = kernel(rows)
                     assert got.tobytes() == per_row(rows).tobytes(), (kind, first)
                     picks = [0, rows.shape[0] - 1, *rng.choice(rows.shape[0], 4, replace=False)]
-                    want = np.concatenate([eigenvalue_bulk(dom, kind, rows[i]) for i in picks])
+                    want = np.concatenate([eigenvalue_bulk(dom, kind, rows[i] + lift)
+                                           for i in picks])
                     assert got[picks].tobytes() == want.tobytes(), (kind, first)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eggsum import BlockSpec, CrossBetween, CrossWithin, DomainSpec, SelfAdjoint, ValidationError
-from eggsum.commutator import column_partition
+from eggsum.commutator import atom_partition, column_partition
 from eggsum.lattice import (
     BATCH_ROWS,
     _max_multiplicity,
@@ -24,6 +24,11 @@ def _alone(d):
     return [[col] for col in range(d)]
 
 
+def _sizes(groups):
+    """The group sizes that ``shell_batches`` walks."""
+    return [len(g) for g in groups]
+
+
 RANGES = {
     # d: shell ranges from 0 and from elsewhere, each spanning several batches
     1: [range(0, 2 * BATCH_ROWS + 5), range(7, BATCH_ROWS + 9)],
@@ -39,7 +44,7 @@ CASES = [(d, shells) for d, ranges in RANGES.items() for shells in ranges]
 def test_batches_concatenate_to_shell_indices(d, shells):
     got = []
     n = shells.start
-    for first, offsets, rows, mult in shell_batches(_alone(d), shells):
+    for first, offsets, rows, mult in shell_batches(_sizes(_alone(d)), shells):
         assert first == n and mult is None
         assert offsets[0] == 0 and np.all(np.diff(offsets) > 0)
         assert rows.shape[0] <= BATCH_ROWS or len(offsets) == 1
@@ -69,15 +74,15 @@ def test_shell_indices_against_brute_force(d):
 
 def test_entries_past_int32():
     # from degree 2^31 on an entry needs int64; below it the rows stay int32
-    [(_, _, rows, _)] = shell_batches(_alone(1), range(2**31 - 1, 2**31 + 2))
+    [(_, _, rows, _)] = shell_batches([1], range(2**31 - 1, 2**31 + 2))
     assert rows.dtype == np.int64 and rows[:, 0].tolist() == [2**31 - 1, 2**31, 2**31 + 1]
     assert shell_indices(1, 2**31 - 1).dtype == np.int32
 
 
 def test_batches_of_an_empty_range():
     for d in (1, 2, 3):
-        assert list(shell_batches(_alone(d), range(5, 5))) == []
-    assert list(shell_batches([[0], [1, 2]], range(5, 5))) == []
+        assert list(shell_batches(_sizes(_alone(d)), range(5, 5))) == []
+    assert list(shell_batches([1, 2], range(5, 5))) == []
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -112,15 +117,32 @@ def test_column_partition(dom, kind, want):
     assert column_partition(dom, kind) == want
 
 
+# a cross kind's atoms hold its raised and lowered columns: the runs of its
+# blocks of two or more columns, the rest by p a; the self kind's atoms are
+# its column partition
+ATOMS = [
+    ("crit4-self", CRIT4, SelfAdjoint(0, 0), [[0], [1, 2]]),
+    ("crit4-between", CRIT4, CrossBetween(0, 0, 1, 0), [[0], [1, 2]]),
+    ("crit5-within", CRIT5, CrossWithin(0, 0, 1), [[0, 1], [2]]),
+    ("ball4-within", BALL4, CrossWithin(0, 0, 1), [[0, 1, 2, 3]]),
+    ("egg5-between", EGG5, CrossBetween(0, 0, 2, 1), [[0, 1], [2], [3, 4]]),
+    ("egg3-within-split", DomainSpec.single_block([1.0, 1.0, 2.0]), CrossWithin(0, 0, 2),
+     [[0, 1], [2]]),
+]
+
+
+@pytest.mark.parametrize("dom, kind, want", [c[1:] for c in ATOMS], ids=[c[0] for c in ATOMS])
+def test_atom_partition(dom, kind, want):
+    assert atom_partition(dom, kind) == want
+
+
 def _brute_classes(groups, n):
-    """{representative row: multiplicity} of shell n by counting its rows."""
+    """{group degrees: multiplicity} of shell n by counting its rows."""
     d = sum(len(g) for g in groups)
     out = {}
     for row in brute_shell(d, n).tolist():
-        rep = [0] * d
-        for g in groups:
-            rep[g[0]] = sum(row[c] for c in g)
-        out[tuple(rep)] = out.get(tuple(rep), 0) + 1
+        degrees = tuple(sum(row[c] for c in g) for g in groups)
+        out[degrees] = out.get(degrees, 0) + 1
     return out
 
 
@@ -134,7 +156,7 @@ def _brute_classes(groups, n):
 def test_classes_count_the_rows_of_each_shell(groups, shells):
     d = sum(len(g) for g in groups)
     n = shells.start
-    for first, offsets, rows, mult in shell_batches(groups, shells):
+    for first, offsets, rows, mult in shell_batches(_sizes(groups), shells):
         assert first == n and mult.dtype == np.float64
         bounds = list(offsets) + [rows.shape[0]]
         for lo, hi in zip(bounds, bounds[1:]):
@@ -148,7 +170,7 @@ def test_classes_count_the_rows_of_each_shell(groups, shells):
 def test_class_runs_are_batched_by_class_count():
     groups = [[0], [1, 2, 3]]
     n = 0
-    for first, offsets, rows, _ in shell_batches(groups, range(0, 600)):
+    for first, offsets, rows, _ in shell_batches(_sizes(groups), range(0, 600)):
         assert rows.shape[0] <= BATCH_ROWS or len(offsets) == 1
         assert rows.shape[0] == range_count(2, range(first, first + offsets.size))
         n = first + offsets.size
@@ -157,12 +179,13 @@ def test_class_runs_are_batched_by_class_count():
 
 def test_multiplicity_refused_from_2_53():
     # a 10-D ball self kind: the class (0, t) stands for C(t + 8, 8) rows
-    groups = [[0], list(range(1, 10))]
+    sizes = [1, 9]
     top = max(t for t in range(1000) if comb(t + 8, 8) < 2**53)
-    [(_, _, _, mult)] = shell_batches(groups, range(top, top + 1))
+    [(_, _, _, mult)] = shell_batches(sizes, range(top, top + 1))
     assert mult.max() == comb(top + 8, 8)
+    # refused on the call, before any run
     with pytest.raises(ValidationError, match="2\\^53"):
-        next(shell_batches(groups, range(0, top + 2)))
+        shell_batches(sizes, range(0, top + 2))
 
 
 RUN_CASES = [(_alone(d), shells) for d, shells in CASES] + [
@@ -175,7 +198,7 @@ RUN_CASES = [(_alone(d), shells) for d, shells in CASES] + [
                          ids=[f"{g}-{s.start}-{s.stop}" for g, s in RUN_CASES])
 def test_each_run_holds_the_most_shells_that_fit(groups, shells):
     dim = len(groups)
-    runs = [(first, offsets.size) for first, offsets, _, _ in shell_batches(groups, shells)]
+    runs = [(first, offsets.size) for first, offsets, _, _ in shell_batches(_sizes(groups), shells)]
     assert len(runs) > 1
     for first, size in runs[:-1]:
         assert size == 1 or range_count(dim, range(first, first + size)) <= BATCH_ROWS

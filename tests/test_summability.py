@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +22,11 @@ from eggsum import (
     shell_report,
 )
 from eggsum import gammakit, summability
-from eggsum.commutator import column_partition, eigenvalue_bulk
+from eggsum.commutator import atom_partition, column_partition, eigenvalue_bulk
 from eggsum.lattice import BATCH_ROWS, range_count, shell_batches, shell_count
 from eggsum.summability import (
     _magnitude_batches,
+    _power_sums,
     classify_slope,
     evaluation_count,
     fit_tail_slope,
@@ -127,7 +130,8 @@ class TestMagnitudeBatches:
     @pytest.mark.parametrize(
         "dom, kind, shells",
         [
-            # shells 180-184 each hold more than one batch of rows
+            # shells 180-184 each hold more than one batch of rows, which the
+            # cross kind sums as one class per shell
             (DomainSpec.single_block([1.0, 1.0, 1.0], 4.0), CrossWithin(0, 0, 1), range(170, 185)),
             (BALL2, SELF, range(0, 400)),
             (DISK, SELF, range(5, 5 + 2 * BATCH_ROWS + 3)),
@@ -136,10 +140,21 @@ class TestMagnitudeBatches:
     )
     def test_bitwise_equal_to_per_shell_calls(self, dom, kind, shells):
         d = dom.dimension
+        batches, weights = _magnitude_batches(dom, kind, shells)
+        if not isinstance(kind, SelfAdjoint):
+            # the cross kind's one atom holds all three columns: one class
+            # per shell, whose sums are checked against every row instead
+            p = 2.0
+            sums = _power_sums(batches, weights, p, shells.stop - 1)
+            for n in shells:
+                terms = np.power(np.abs(eigenvalue_bulk(dom, kind, brute_shell(d, n))), p)
+                want = math.fsum(terms.tolist())
+                assert abs(sums[n] - want) <= 1e-14 * want, n
+            return
         got = []
         n = shells.start
-        for first, offsets, mags, mult in _magnitude_batches(dom, kind, shells):
-            assert first == n and mult is None
+        for first, offsets, mags, mult, degrees in batches:
+            assert first == n and mult is None and degrees == []
             bounds = list(offsets) + [mags.size]
             assert mags.size <= BATCH_ROWS or len(offsets) == 1
             for lo, hi in zip(bounds, bounds[1:]):
@@ -167,6 +182,7 @@ class TestMagnitudeBatches:
 
 
 CRIT4 = DomainSpec(blocks=(BlockSpec((1.0,), 2.0), BlockSpec((1.0,), 1.0), BlockSpec((1.0,), 1.0)))
+CRIT5 = DomainSpec(blocks=(BlockSpec((1.0, 1.0), 4.0), BlockSpec((1.0,), 1.0)))
 
 
 def ball(d):
@@ -193,8 +209,11 @@ class TestClasses:
     def test_every_row_matches_its_class_bitwise(self, dom, kind, n):
         groups = column_partition(dom, kind)
         firsts = [g[0] for g in groups]
-        [(_, _, reps, mult)] = shell_batches(groups, range(n, n + 1))
+        [(_, _, classes, mult)] = shell_batches([len(g) for g in groups], range(n, n + 1))
         assert mult is not None and mult.sum() == shell_count(dom.dimension, n)
+        # each class's representative: its group degrees on the groups' first columns
+        reps = np.zeros((classes.shape[0], dom.dimension), dtype=np.int64)
+        reps[:, firsts] = classes
         rows = brute_shell(dom.dimension, n)
         # each row's class: its group degree sums, coded in base n + 1
         radix = (n + 1) ** np.arange(len(groups))
@@ -213,7 +232,18 @@ class TestClasses:
         (ball(4), SELF, 40, 4.0),
         (ball(4), CrossWithin(0, 0, 1), 40, 4.0),
         (CLASS_CASES[3][1], SELF, 25, 6.0),
-    ], ids=["crit4-self", "ball4-self", "ball4-within", "egg5-two-block-self"])
+        # the cross kinds' weighed atoms: both entries in one atom, alone or
+        # with other columns; one entry with another column; one entry with
+        # one or two other columns and the other alone
+        (CRIT5, CrossWithin(0, 0, 1), 60, 4.0),
+        (BALL2, CrossWithin(0, 0, 1), 200, 2.0),
+        (DomainSpec.single_block([1.0, 1.0, 1.0], 4.0), CrossWithin(0, 0, 1), 50, 4.0),
+        (CRIT4, CrossBetween(0, 0, 1, 0), 60, 3.0),
+        (DomainSpec.single_block([1.0, 1.0, 2.0]), CrossWithin(0, 0, 2), 50, 3.0),
+        (DomainSpec.single_block([1.0, 1.0, 1.0, 2.0]), CrossWithin(0, 0, 3), 30, 3.0),
+    ], ids=["crit4-self", "ball4-self", "ball4-within", "egg5-two-block-self", "crit5-within",
+            "ball2-within", "ball3-a4-within", "crit4-between", "egg3-within-split",
+            "egg4-within-split"])
     def test_class_sums_match_fsum_over_rows(self, dom, kind, N, p):
         rep = shell_report(dom, kind, p, N, cap=10**6)
         for n in range(N + 1):
@@ -238,7 +268,10 @@ class TestClasses:
     def test_cap_counts_evaluations(self, monkeypatch):
         shells = tail_shells(600, 0.5)
         assert evaluation_count(ball(4), SELF, shells) == range_count(2, shells) == 135_751
-        assert evaluation_count(CRIT4, CrossBetween(0, 0, 1, 0), shells) == range_count(3, shells)
+        # the between kind walks j = i - e_lowered on shells 299..599, in its two
+        # atoms [0] and [1, 2]
+        assert evaluation_count(CRIT4, CrossBetween(0, 0, 1, 0), shells) == 135_450
+        assert range_count(2, range(299, 600)) == 135_450
         calls = _count_gamma_calls(monkeypatch)
         with pytest.raises(ResourceCapError, match="135751"):
             empirical_threshold(ball(4), SELF, 2.0, 6.5, N=600, cap=135_750)
@@ -248,6 +281,55 @@ class TestClasses:
     def test_ball_self_cutoff_is_the_dimension(self, d):
         th = empirical_threshold(ball(d), SELF, d / 2.0, 1.5 * d + 0.5, N=600, cap=200_000)
         assert 0.9 * d <= th <= 1.1 * d
+
+
+class TestCrossClasses:
+    """A cross kind walks its classes of atom degrees once and weighs the
+    rows of each class per probe."""
+
+    def test_extreme_inner_power_stays_in_range(self):
+        # inner p 0.01 on the raised column and on the column that shares its
+        # run: the raised entry's factors e^(E/2) to the p reach e^3322
+        dom, kind, N, p = DomainSpec.single_block([0.01, 1.0, 0.01]), CrossWithin(0, 0, 1), 40, 8.0
+        atoms = atom_partition(dom, kind)
+        assert atoms == [[0, 2], [1]]
+        kernel = summability.WalkKernel(dom, kind, atoms, range(0, N), 1)
+        [[logs]] = kernel.entry_logs().values()
+        assert p * logs.max() > math.log(sys.float_info.max)
+        rep = shell_report(dom, kind, p, N)
+        assert np.all(np.isfinite(rep.shell_sums))
+        normal = 0
+        for n in range(N + 1):
+            terms = np.power(np.abs(eigenvalue_bulk(dom, kind, brute_shell(3, n))), p)
+            want = math.fsum(terms.tolist())
+            if want >= sys.float_info.min:
+                assert abs(rep.shell_sums[n] - want) <= 1e-14 * want, n
+                normal += 1
+        assert normal == N
+
+    @pytest.mark.parametrize("dom, kind, bracket, N, want", [
+        (CRIT5, CrossWithin(0, 0, 1), (2.0, 6.5), 200, 3.72265625),
+        (CRIT4, CrossBetween(0, 0, 1, 0), (1.5, 5.0), 200, 3.11328125),
+        (BALL2, CrossWithin(0, 0, 1), (1.0, 3.5), 3000, 1.9765625),
+        (CRIT5, CrossWithin(0, 0, 1), (2.0, 6.5), 600, 3.79296875),
+    ], ids=["crit5-within-200", "crit4-between-200", "ball2-within-3000", "crit5-within-600"])
+    def test_thresholds_of_the_row_walk(self, dom, kind, bracket, N, want):
+        # the cut-offs that the walk over every row gave
+        assert empirical_threshold(dom, kind, *bracket, N=N) == want
+
+    def test_criterion_5_walks_classes_in_little_memory(self):
+        # shells 299..599 of j = i - e_lowered in the atoms [0, 1] and [2]:
+        # no array of the 31.8 M rows of shells 300..600
+        kind = CrossWithin(0, 0, 1)
+        assert evaluation_count(CRIT5, kind, tail_shells(600, 0.5)) == 135_450
+        tracemalloc.start()
+        try:
+            th = empirical_threshold(CRIT5, kind, 2.0, 6.5, N=600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert th == 3.79296875
+        assert peak < 32 * 2**20, peak
 
 
 class TestTailSlope:
