@@ -526,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    evaluations = (f"eigenvalue evaluations, one per class of rows the walk evaluates "
+    evaluations = (f"evaluations: one per class of rows the walk evaluates and one per "
+                   "pair of degrees that a weight of rows folds "
                    f"(default {summability.DEFAULT_CAP:,}; dimensions >= 4 need an explicit cap)")
     defaults = ", ".join(f"{n} for d = {d}" for d, n in summability.DEFAULT_SHELLS.items())
     shells_help = (f"last shell N of the sums T_0..T_N, at least 16 (default by dimension: "

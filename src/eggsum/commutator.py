@@ -77,7 +77,6 @@ __all__ = [
     "validate_kind",
     "eigenvalue",
     "eigenvalue_bulk",
-    "column_partition",
     "atom_partition",
     "asymptotic_eigenvalue",
 ]
@@ -165,10 +164,30 @@ def _groups(dom: DomainSpec) -> tuple[list[tuple], tuple]:
     return [tuple(r.items()) for r in runs], tuple(outer.items())
 
 
-def _partition(dom: DomainSpec, alone: set, blocks: set) -> list[list[int]]:
-    """The columns ``alone`` one by one, the other columns of ``blocks`` by
-    their block's runs of equal p, the rest by their groups of equal p a;
-    in order of first column."""
+def atom_partition(dom: DomainSpec, kind: CommutatorKind) -> list[list[int]]:
+    """The flat columns of ``dom`` in atoms, in order of their first column:
+    groups that every term of the kernel of ``kind`` reads only through
+    their sum, once the raised and lowered entry terms of a cross kind are
+    set aside.
+
+    The kernel reads a row through its raised and lowered entries, the run
+    sums of equal p of the kind's block or blocks and the group sums of
+    equal p a (``_groups``).  The self kind's M(j) reads the raised entry's
+    own term, so its raised column stays alone, the other columns of its
+    block group by the block's runs and the rest by the groups of equal
+    p a.  A cross kind reads its raised and lowered entries only through
+    one entry term each in its first differences; its other terms read the
+    runs of equal p of the kind's blocks of two or more columns and the
+    groups of equal p a, so its atoms are those runs and, outside those
+    blocks, the groups of equal p a.
+    """
+    r_col, l_col = _columns(dom, kind)
+    if l_col is None:
+        alone, blocks = {r_col}, {dom.columns[r_col][0]}
+    else:
+        alone = set()
+        blocks = {dom.columns[col][0] for col in (r_col, l_col)}
+        blocks = {k for k in blocks if dom.blocks[k].size > 1}
     runs, outer = _groups(dom)
     groups = [[col] for col in alone]
     groups += [[c for c in cols if c not in alone] for k in blocks for _, cols in runs[k]]
@@ -177,39 +196,30 @@ def _partition(dom: DomainSpec, alone: set, blocks: set) -> list[list[int]]:
 
 
 def column_partition(dom: DomainSpec, kind: CommutatorKind) -> list[list[int]]:
-    """The flat columns of ``dom`` in groups that the kernel of ``kind``
-    cannot tell apart, in order of their first column.
-
-    The kernel reads a row only through its raised and lowered entries,
-    the run sums of equal p of the kind's block or blocks and the group
-    sums of equal p a (``_groups``), so moving degree between two columns
-    of one group leaves the eigenvalue bit for bit as it is.  The raised
-    and lowered columns stay alone; the other columns of the kind's blocks
-    group by the block's runs, the rest by the groups of equal p a.
-    """
+    """``atom_partition`` with the raised and lowered columns alone, in
+    order of first column: groups whose columns the kernel of ``kind``
+    cannot tell apart, entry terms included, so moving degree between two
+    columns of one group leaves the eigenvalue bit for bit as it is.  The
+    self kind's groups are its atoms; a cross kind's are a partition finer
+    than its atoms that ``WalkKernel`` also takes."""
     r_col, l_col = _columns(dom, kind)
     alone = {r_col, r_col if l_col is None else l_col}
-    return _partition(dom, alone, {dom.columns[col][0] for col in alone})
+    groups = [[col] for col in alone]
+    groups += [[c for c in atom if c not in alone] for atom in atom_partition(dom, kind)]
+    return sorted((g for g in groups if g), key=lambda g: g[0])
 
 
-def atom_partition(dom: DomainSpec, kind: CommutatorKind) -> list[list[int]]:
-    """The flat columns of ``dom`` in atoms, in order of their first column:
-    groups that every term of the kernel of ``kind`` reads only through
-    their sum, once the raised and lowered entry terms of a cross kind are
-    set aside.
-
-    The self kind's M(j) reads the raised entry's own term, so its atoms
-    are ``column_partition``.  A cross kind reads its raised and lowered
-    entries only through one entry term each in its first differences; its
-    other terms read the runs of equal p of the kind's blocks of two or
-    more columns and the groups of equal p a, so its atoms are those runs
-    and, outside those blocks, the groups of equal p a.
-    """
+def entry_atoms(dom: DomainSpec, kind: CommutatorKind, atoms) -> dict[int, list[int]]:
+    """The atoms of ``atoms`` that hold a cross kind's raised or lowered
+    column, by index, each with those columns, the raised first; none for
+    the self kind."""
     r_col, l_col = _columns(dom, kind)
-    if l_col is None:
-        return column_partition(dom, kind)
-    blocks = {dom.columns[col][0] for col in (r_col, l_col)}
-    return _partition(dom, set(), {k for k in blocks if dom.blocks[k].size > 1})
+    entries: dict[int, list[int]] = {}
+    if l_col is not None:
+        for col in (r_col, l_col):
+            k = next(k for k, cols in enumerate(atoms) if col in cols)
+            entries.setdefault(k, []).append(col)
+    return entries
 
 
 def _weight(degrees, groups) -> np.ndarray:
@@ -432,10 +442,7 @@ class WalkKernel:
         # entries' atoms that hold other columns, with their entries, the
         # raised first.  A run or p a group of one entry column alone is
         # that entry's atom, whose share is all of it
-        entries: dict[int, list[int]] = {}
-        if self.crossed:
-            for col in (r, l):
-                entries.setdefault(self._atom[col], []).append(col)
+        entries = entry_atoms(dom, kind, atoms)
         self._shares = {(col,): (k, n + 1 if len(cols) > 1 else 0)
                         for k, cols in entries.items() for n, col in enumerate(cols)}
         self.weighed = {k: cols for k, cols in entries.items() if len(atoms[k]) > 1}

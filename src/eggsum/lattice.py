@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = ["BATCH_ROWS", "shell_count", "range_count", "shell_rows", "shell_indices",
-           "shell_batches", "stars_and_bars"]
+           "shell_batches"]
 
 # enough rows to amortise the per-call cost of the numpy kernels, few
 # enough that a run's temporaries stay small (2^16-row runs raised the
@@ -137,11 +137,11 @@ def shell_batches(sizes, shells: range):
                 "multiplicities; lower N"
             )
         # each merged group's index with its counts C(t+m-1, m-1) by degree t
-        merged = [(g, stars_and_bars(m, n_max)) for g, m in merged]
+        merged = [(g, _stars_and_bars(m, n_max)) for g, m in merged]
     return _runs(dim, shells, merged)
 
 
-def stars_and_bars(m: int, n: int) -> np.ndarray:
+def _stars_and_bars(m: int, n: int) -> np.ndarray:
     """C(t+m-1, m-1) for t = 0..n, the ways to spread degree t over m
     columns, as float64 (exact below 2^53)."""
     return np.array([comb(t + m - 1, m - 1) for t in range(n + 1)], dtype=np.float64)

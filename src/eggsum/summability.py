@@ -23,14 +23,17 @@ j = i - e_lowered on the shells one below.  One ``commutator.WalkKernel``
 per walk evaluates each Gamma term once per key of the walk's shells, and
 each run by gathering the terms.  A class carries the exact multiplicity
 of its atoms without an entry and, per probe, a weight for each atom that
-holds a cross kind's entry and other columns (``_entry_folds``).  Every
+holds a cross kind's entry and other columns (``_entry_folds``): a fold
+over the pairs of degrees y <= z of those columns, one term per row they
+stand for, whose exponents are made once and which each probe sums
+``_FOLD_PAIRS`` pairs at a time.  Every
 run reaches the sums in one shape, and one routine turns any sequence of
 runs into T_0..T_N: per run one ``np.power``, one product with the
 multiplicities and weights and one segmented pairwise sum
 (``reduction.pairwise_sum``) over its shell offsets.  ``shell_report``
 streams the runs into it; the bisection keeps a list of the window's runs
-and hands it over once per probe.  An evaluation is one class, and the cap
-counts evaluations.
+and hands it over once per probe.  An evaluation is one class or one pair
+of a fold, and the cap counts evaluations.
 
 ``predicted_threshold`` and ``module_threshold`` evaluate the closed-form
 cut-offs; both are built from the same term helpers so the module value
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,11 +58,12 @@ from .commutator import (
     WalkKernel,
     all_kinds,
     atom_partition,
+    entry_atoms,
     validate_kind,
 )
 from .domain import DomainSpec
 from .errors import BracketError, ResourceCapError, ValidationError, finite_real, last_shell
-from .lattice import range_count, shell_batches, stars_and_bars
+from .lattice import _stars_and_bars, range_count, shell_batches
 from .reduction import pairwise_sum
 
 __all__ = [
@@ -93,6 +98,10 @@ DEFAULT_TOL = 0.1
 DEFAULT_CAP = 200_000_000
 DEFAULT_SHELLS = {1: 100_000, 2: 3000, 3: 600}
 MIN_FIT_POINTS = 8
+# pairs of degrees that a weight's fold sums at once: enough to amortise
+# the numpy calls, few enough that a fold's temporaries stay a few MiB
+# however many degrees the walk takes
+_FOLD_PAIRS = 1 << 16
 
 
 class Verdict(str, Enum):
@@ -150,18 +159,43 @@ def _walk_shells(kind: CommutatorKind, shells: range) -> range:
     return range(max(shells.start - 1, 0), shells.stop - 1)
 
 
+def _weighed_degrees(atoms, walk: range) -> range:
+    """The degrees that a weighed atom takes in the classes of the walk
+    over the shells ``walk``: those shells where it is the only atom, else
+    0 up to the last one."""
+    return range(walk.start if len(atoms) == 1 else 0, max(walk.stop, 1))
+
+
+def _fold_rows(entries: int, plain: int, degrees: range) -> list[range]:
+    """The rows z of the folds that make the weight of an atom with
+    ``entries`` entries and ``plain`` other columns on ``degrees``
+    (``_entry_folds``): one over the two entries, on every degree up to the
+    last where the other columns follow, then one over the other columns.
+    Row z sums the z + 1 pairs y <= z."""
+    rows = [range(0, degrees.stop) if plain else degrees] if entries == 2 else []
+    return rows + [degrees] if plain else rows
+
+
 def evaluation_count(dom: DomainSpec, kind: CommutatorKind, shells: range) -> int:
-    """Eigenvalues evaluated for the shells ``shells``: one per class the
+    """Evaluations for the shells ``shells``: an eigenvalue per class the
     walk goes over, a row of degrees of the kind's atoms
-    (``atom_partition``) on the walk's shells (``_walk_shells``)."""
-    return range_count(len(atom_partition(dom, kind)), _walk_shells(kind, shells))
+    (``atom_partition``) on the walk's shells (``_walk_shells``), and a
+    term per pair of degrees that the weighed atoms' weights fold
+    (``_fold_rows``), as many as the rows those atoms stand for."""
+    atoms = atom_partition(dom, kind)
+    walk = _walk_shells(kind, shells)
+    degrees = _weighed_degrees(atoms, walk)
+    pairs = sum(range_count(2, rows)
+                for k, cols in entry_atoms(dom, kind, atoms).items() if len(atoms[k]) > 1
+                for rows in _fold_rows(len(cols), len(atoms[k]) - len(cols), degrees))
+    return range_count(len(atoms), walk) + pairs
 
 
 def _check_budget(dom: DomainSpec, kind: CommutatorKind, shells: range, cap: int) -> None:
     total = evaluation_count(dom, kind, shells)
     if total > cap:
         raise ResourceCapError(
-            f"shell sums would evaluate {total} eigenvalues, above the cap of {cap}; "
+            f"shell sums would make {total} evaluations, above the cap of {cap}; "
             "raise --cap (cap= from Python) to proceed"
         )
 
@@ -194,8 +228,7 @@ def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, shells: range):
 
     def weights(p: float) -> list[np.ndarray]:
         if not folds and weighed:
-            # an atom's degree is the walk's shell where it is the only atom
-            degrees = range(walk.start if len(atoms) == 1 else 0, max(walk.stop, 1))
+            degrees = _weighed_degrees(atoms, walk)
             logs = kernel.entry_logs()
             folds.extend(_entry_folds(logs[k], len(atoms[k]) - len(logs[k]), degrees)
                          for k in weighed)
@@ -204,14 +237,42 @@ def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, shells: range):
     return batches(), weights
 
 
-def _pairs(rows: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y, z, row starts) over the pairs 0 <= y <= z, z in ``rows``, row by
+def _row_starts(rows: range) -> np.ndarray:
+    """Where each row z of ``rows`` starts among their pairs y <= z, row by
     row in z."""
     z = np.arange(rows.start, rows.stop)
-    sizes = z + 1
-    starts = np.cumsum(sizes) - sizes
-    z = np.repeat(z, sizes)
-    return np.arange(z.size) - starts[z - rows.start], z, starts
+    return (z * (z + 1) - rows.start * (rows.start + 1)) // 2
+
+
+def _pairs(rows: range) -> tuple[np.ndarray, np.ndarray]:
+    """(y, z) over the pairs 0 <= y <= z, z in ``rows``, row by row in z."""
+    z = np.repeat(np.arange(rows.start, rows.stop), np.arange(rows.start + 1, rows.stop + 1))
+    return np.arange(z.size) - _row_starts(rows)[z - rows.start], z
+
+
+def _fold_chunks(rows: range):
+    """``rows`` in consecutive ranges of the most rows whose pairs y <= z
+    fit in ``_FOLD_PAIRS`` (a longer row is a range of its own), found by
+    bisection over the closed-form count ``range_count``: (the range, its
+    first pair's place among the pairs of ``rows``)."""
+    first = rows.start
+    while first < rows.stop:
+        stop = first + max(1, bisect_right(
+            range(first + 1, rows.stop + 1), _FOLD_PAIRS,
+            key=lambda s: range_count(2, range(first, s)),
+        ))
+        yield range(first, stop), range_count(2, range(rows.start, first))
+        first = stop
+
+
+def _deltas(rows: range, delta) -> np.ndarray:
+    """delta(y, z) over the pairs y <= z, z in ``rows``, row by row in z,
+    made ``_FOLD_PAIRS`` pairs at a time."""
+    out = np.empty(range_count(2, rows))
+    for chunk, at in _fold_chunks(rows):
+        y, z = _pairs(chunk)
+        out[at : at + y.size] = delta(y, z)
+    return out
 
 
 def _entry_folds(logs: list[np.ndarray], plain: int, degrees: range) -> list:
@@ -224,50 +285,55 @@ def _entry_folds(logs: list[np.ndarray], plain: int, degrees: range) -> list:
     C(t + m - 1, m - 1), with a, b the entries, t the rest spread over the
     m = ``plain`` other columns, and s(z) the representative's log: x(z)
     for one entry, x(z - z//2) + x'(z//2) for two.  That is one or two
-    folds, sums over pairs y <= z of e^(p delta(z, y)) v(y) c(z - y): the
-    two entries (v = c = 1), then the other columns (v the entries' sums,
-    c the counts C(z - y + m - 1, m - 1)).  Each delta is a sum of
-    differences of x at nearby degrees where the terms are largest, exact
-    there, and never above 0: a weight is at least 1 and at most the
-    class's size, whatever p.
+    folds on the rows of ``_fold_rows``, sums over pairs y <= z of
+    e^(p delta(y, z)) v(y) c(z - y): the two entries (v = c = 1), then the
+    other columns (v the entries' sums, c the counts C(z - y + m - 1,
+    m - 1)).  Each delta is a sum of differences of x at nearby degrees
+    where the terms are largest, exact there, and never above 0: a weight
+    is at least 1 and at most the class's size, whatever p.
 
-    A fold is (delta, y where v is the last fold's sums else None, c or
-    None, row starts, first row): all rows for a fold that feeds another,
-    the rows of ``degrees`` for the last.
+    A fold is (its rows, delta over their pairs, c by z - y or None): one
+    float64 per pair, the work that the cap counts; a fold after the first
+    weighs its terms by the sums of the one before.
     """
+    rows = iter(_fold_rows(len(logs), plain, degrees))
     folds = []
     if len(logs) == 2:
         x, x2 = logs
-        z = np.arange(degrees.stop)
-        up, low = x[z - z // 2], x2[z // 2]
-        rows = range(0, degrees.stop) if plain else degrees
-        y, z, starts = _pairs(rows)
-        folds.append(((x[y] - up[z]) + (x2[z - y] - low[z]), None, None, starts, rows.start))
-        x = up + low
+        a = np.arange(degrees.stop)
+        up, low = x[a - a // 2], x2[a // 2]
+        entries = next(rows)
+        folds.append((entries, _deltas(entries, lambda y, z: (x[y] - up[z]) + (x2[z - y] - low[z])),
+                      None))
+        s = up + low
     else:
-        (x,) = logs
+        (s,) = logs
     if plain:
-        y, z, starts = _pairs(degrees)
-        counts = stars_and_bars(plain, degrees.stop - 1)[z - y] if plain > 1 else None
-        folds.append((x[y] - x[z], y if folds else None, counts, starts, degrees.start))
-    return [(delta, chained, c, starts, first, np.empty_like(delta))
-            for delta, chained, c, starts, first in folds]
+        counts = _stars_and_bars(plain, degrees.stop - 1) if plain > 1 else None
+        folds.append((degrees, _deltas(degrees, lambda y, z: s[y] - s[z]), counts))
+    return folds
 
 
 def _entry_weights(folds: list, p: float) -> np.ndarray:
     """A weighed atom's weight by degree at the Schatten exponent p, 0
     below the degrees its classes take, from its ``_entry_folds``: each
-    fold sums e^(p delta) v c by rows, in a buffer of its own."""
+    fold sums e^(p delta) v c by rows, ``_FOLD_PAIRS`` pairs or one row at
+    a time."""
     sums = None
-    for delta, chained, counts, starts, first, terms in folds:
-        np.multiply(delta, p, out=terms)
-        np.exp(terms, out=terms)
-        if chained is not None:
-            terms *= sums[chained]
-        if counts is not None:
-            terms *= counts
-        sums = np.zeros(first + starts.size)
-        sums[first:] = np.add.reduceat(terms, starts)
+    for rows, delta, counts in folds:
+        out = np.zeros(rows.stop)
+        for chunk, at in _fold_chunks(rows):
+            starts = _row_starts(chunk)
+            terms = np.multiply(delta[at : at + range_count(2, chunk)], p)
+            np.exp(terms, out=terms)
+            if sums is not None or counts is not None:
+                y, z = _pairs(chunk)
+                if sums is not None:
+                    terms *= sums[y]
+                if counts is not None:
+                    terms *= counts[z - y]
+            out[chunk.start : chunk.stop] = np.add.reduceat(terms, starts)
+        sums = out
     return sums
 
 

@@ -509,6 +509,21 @@ class TestErrorsAndReplay:
         captured = capsys.readouterr()
         assert captured.out == "" and "; raise --cap" in captured.err, captured.err
 
+    @pytest.mark.parametrize("command, evaluations", [("shells", 450_045_000),
+                                                      ("threshold", 337_537_501)])
+    def test_cap_counts_the_weighed_pairs(self, capsys, monkeypatch, command, evaluations):
+        # the 2-ball's within kind at N = 30 000 walks one class per shell, but
+        # its atom's weight folds a pair of degrees per row: above the default
+        # cap, refused before any kernel is made
+        def unexpected(*args):
+            raise AssertionError("a kernel was made")
+
+        monkeypatch.setattr(summability, "WalkKernel", unexpected)
+        argv = [command, "--domain", BALL, "--kind", "within:0:0:1", "--N", "30000"]
+        assert run(argv + (["--p", "2"] if command == "shells" else [])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"make {evaluations} evaluations" in captured.err
+
     @pytest.mark.parametrize("command", ["module-threshold", "verify-gamma"])
     def test_no_cap_where_nothing_is_counted(self, capsys, command):
         argv = [command, "--domain", DISK] if command == "module-threshold" else [command]
@@ -519,9 +534,10 @@ class TestErrorsAndReplay:
     def test_replay_reproduces_bit_for_bit(self, capsys, tmp_path):
         cases = [
             # the 2-ball's within kind has one atom: one class per shell 1..200,
-            # walked as j = i - e_lowered on shells 0..199
+            # walked as j = i - e_lowered on shells 0..199, and 20 100 pairs of
+            # degrees y <= z < 200 in its weight
             (["shells", "--domain", BALL, "--kind", "within:0:0:1", "--p", "2.0", "--N", "200"],
-             200),
+             20_300),
             # the classes (i_0, t) of the window shells 50..100
             (["threshold", "--domain", CRIT4, "--kind", "self:0:0", "--N", "100"], 3_876),
         ]

@@ -269,9 +269,10 @@ class TestClasses:
         shells = tail_shells(600, 0.5)
         assert evaluation_count(ball(4), SELF, shells) == range_count(2, shells) == 135_751
         # the between kind walks j = i - e_lowered on shells 299..599, in its two
-        # atoms [0] and [1, 2]
-        assert evaluation_count(CRIT4, CrossBetween(0, 0, 1, 0), shells) == 135_450
-        assert range_count(2, range(299, 600)) == 135_450
+        # atoms [0] and [1, 2], and weighs the atom [1, 2] of its lowered entry
+        # by a fold over the pairs y <= z of its degrees 0..599
+        assert evaluation_count(CRIT4, CrossBetween(0, 0, 1, 0), shells) == 315_750
+        assert range_count(2, range(299, 600)) + range_count(2, range(0, 600)) == 315_750
         calls = _count_gamma_calls(monkeypatch)
         with pytest.raises(ResourceCapError, match="135751"):
             empirical_threshold(ball(4), SELF, 2.0, 6.5, N=600, cap=135_750)
@@ -307,6 +308,20 @@ class TestCrossClasses:
                 normal += 1
         assert normal == N
 
+    @pytest.mark.parametrize("dom, kind", [
+        (CRIT5, CrossWithin(0, 0, 1)),
+        (DomainSpec.single_block([1.0, 1.0, 2.0]), CrossWithin(0, 0, 2)),
+        (DomainSpec.single_block([1.0, 1.0, 1.0, 2.0]), CrossWithin(0, 0, 3)),
+    ], ids=["two-entries", "entry-and-columns", "two-entries-and-columns"])
+    def test_weights_do_not_depend_on_the_fold_chunks(self, monkeypatch, dom, kind):
+        # a probe sums each fold a bounded number of pairs at a time: rows
+        # one by one or a few together give the same sums bit for bit
+        want = shell_report(dom, kind, 3.0, 60, cap=10**6).shell_sums
+        for pairs in (1, 7, 100):
+            monkeypatch.setattr(summability, "_FOLD_PAIRS", pairs)
+            got = shell_report(dom, kind, 3.0, 60, cap=10**6).shell_sums
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), pairs
+
     @pytest.mark.parametrize("dom, kind, bracket, N, want", [
         (CRIT5, CrossWithin(0, 0, 1), (2.0, 6.5), 200, 3.72265625),
         (CRIT4, CrossBetween(0, 0, 1, 0), (1.5, 5.0), 200, 3.11328125),
@@ -318,10 +333,12 @@ class TestCrossClasses:
         assert empirical_threshold(dom, kind, *bracket, N=N) == want
 
     def test_criterion_5_walks_classes_in_little_memory(self):
-        # shells 299..599 of j = i - e_lowered in the atoms [0, 1] and [2]:
+        # 135 450 classes on shells 299..599 of j = i - e_lowered in the atoms
+        # [0, 1] and [2], and 180 300 pairs of degrees in the weight of [0, 1]:
         # no array of the 31.8 M rows of shells 300..600
         kind = CrossWithin(0, 0, 1)
-        assert evaluation_count(CRIT5, kind, tail_shells(600, 0.5)) == 135_450
+        assert range_count(2, range(299, 600)) == 135_450
+        assert evaluation_count(CRIT5, kind, tail_shells(600, 0.5)) == 135_450 + 180_300
         tracemalloc.start()
         try:
             th = empirical_threshold(CRIT5, kind, 2.0, 6.5, N=600)
