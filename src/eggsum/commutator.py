@@ -195,20 +195,6 @@ def atom_partition(dom: DomainSpec, kind: CommutatorKind) -> list[list[int]]:
     return sorted((g for g in groups if g), key=lambda g: g[0])
 
 
-def column_partition(dom: DomainSpec, kind: CommutatorKind) -> list[list[int]]:
-    """``atom_partition`` with the raised and lowered columns alone, in
-    order of first column: groups whose columns the kernel of ``kind``
-    cannot tell apart, entry terms included, so moving degree between two
-    columns of one group leaves the eigenvalue bit for bit as it is.  The
-    self kind's groups are its atoms; a cross kind's are a partition finer
-    than its atoms that ``WalkKernel`` also takes."""
-    r_col, l_col = _columns(dom, kind)
-    alone = {r_col, r_col if l_col is None else l_col}
-    groups = [[col] for col in alone]
-    groups += [[c for c in atom if c not in alone] for atom in atom_partition(dom, kind)]
-    return sorted((g for g in groups if g), key=lambda g: g[0])
-
-
 def entry_atoms(dom: DomainSpec, kind: CommutatorKind, atoms) -> dict[int, list[int]]:
     """The atoms of ``atoms`` that hold a cross kind's raised or lowered
     column, by index, each with those columns, the raised first; none for

@@ -12,14 +12,14 @@ entries.
 ``shell_rows``, and the benchmark's lattice metrics (``perfbench/``) time
 and count ``shell_indices``.
 
-``shell_batches`` is the one walk over a range of shells: it cuts the
-range into runs of the most consecutive shells that fit in ``BATCH_ROWS``
-classes (a larger shell is a run of its own), found by bisection over the
-closed-form count ``range_count``, so a caller evaluates and sums a whole
-run with a few numpy calls.  Given the sizes of groups of columns, it
-yields the groups' degrees, one row per class of rows that differ only
-inside groups, with the class's size as an exact float multiplicity;
-given every column alone, it yields every row.
+``shell_batches`` is the one walk over a range of shells, for the classes
+of a sum and the pairs of its folds alike: it cuts the range into runs of
+the most consecutive shells that fit in ``BATCH_ROWS`` classes (a larger
+shell alone), found by bisection over the closed-form ``range_count``, so
+a caller evaluates and sums a whole run with a few numpy calls.  Given the
+sizes of groups of columns, it yields the groups' degrees, one row per
+class of rows that differ only inside groups, with the class's size as an
+exact float multiplicity; given every column alone, it yields every row.
 """
 
 from __future__ import annotations

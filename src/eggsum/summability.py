@@ -25,8 +25,9 @@ each run by gathering the terms.  A class carries the exact multiplicity
 of its atoms without an entry and, per probe, a weight for each atom that
 holds a cross kind's entry and other columns (``_entry_folds``): a fold
 over the pairs of degrees y <= z of those columns, one term per row they
-stand for, whose exponents are made once and which each probe sums
-``_FOLD_PAIRS`` pairs at a time.  Every
+stand for.  A fold is a walk of the same ``shell_batches`` over
+(y, z - y), whose ``mult`` counts the rows a pair stands for; its
+exponents are made once, and each probe sums it run by run.  Every
 run reaches the sums in one shape, and one routine turns any sequence of
 runs into T_0..T_N: per run one ``np.power``, one product with the
 multiplicities and weights and one segmented pairwise sum
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,7 +63,7 @@ from .commutator import (
 )
 from .domain import DomainSpec
 from .errors import BracketError, ResourceCapError, ValidationError, finite_real, last_shell
-from .lattice import _stars_and_bars, range_count, shell_batches
+from .lattice import range_count, shell_batches
 from .reduction import pairwise_sum
 
 __all__ = [
@@ -98,10 +98,6 @@ DEFAULT_TOL = 0.1
 DEFAULT_CAP = 200_000_000
 DEFAULT_SHELLS = {1: 100_000, 2: 3000, 3: 600}
 MIN_FIT_POINTS = 8
-# pairs of degrees that a weight's fold sums at once: enough to amortise
-# the numpy calls, few enough that a fold's temporaries stay a few MiB
-# however many degrees the walk takes
-_FOLD_PAIRS = 1 << 16
 
 
 class Verdict(str, Enum):
@@ -210,7 +206,8 @@ def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, shells: range):
     each weighed atom (``WalkKernel.weighed``) its weight by degree at the
     Schatten exponent p.  A class's term is its magnitude to the p, times
     mult and its weighed atoms' weights.  ``shell_batches`` refuses a walk
-    on the call and the kernel evaluates nothing before it is used, so a
+    on the call, the classes' walk and the folds' walks (``_fold_walks``)
+    alike, and the kernel evaluates nothing before it is used, so a
     refused walk costs no Gamma work."""
     atoms = atom_partition(dom, kind)
     walk = _walk_shells(kind, shells)
@@ -218,6 +215,9 @@ def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, shells: range):
     weighed = kernel.weighed
     # a weighed atom's rows are summed in its weight, not counted in mult
     runs = shell_batches([1 if k in weighed else len(cols) for k, cols in enumerate(atoms)], walk)
+    degrees = _weighed_degrees(atoms, walk)
+    walks = [_fold_walks(len(cols), len(atoms[k]) - len(cols), degrees)
+             for k, cols in weighed.items()]
     shift = 0 if isinstance(kind, SelfAdjoint) else 1
     folds = []
 
@@ -228,111 +228,87 @@ def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, shells: range):
 
     def weights(p: float) -> list[np.ndarray]:
         if not folds and weighed:
-            degrees = _weighed_degrees(atoms, walk)
             logs = kernel.entry_logs()
-            folds.extend(_entry_folds(logs[k], len(atoms[k]) - len(logs[k]), degrees)
-                         for k in weighed)
-        return [_entry_weights(atom_folds, p) for atom_folds in folds]
+            folds.extend(_entry_folds(logs[k], atom_walks) for k, atom_walks in zip(weighed, walks))
+        return [_entry_weights(atom_folds, degrees.stop, p) for atom_folds in folds]
 
     return batches(), weights
 
 
-def _row_starts(rows: range) -> np.ndarray:
-    """Where each row z of ``rows`` starts among their pairs y <= z, row by
-    row in z."""
-    z = np.arange(rows.start, rows.stop)
-    return (z * (z + 1) - rows.start * (rows.start + 1)) // 2
+def _fold_walks(entries: int, plain: int, degrees: range) -> list:
+    """The walks of ``lattice.shell_batches`` over the pairs y <= z of the
+    folds on the rows of ``_fold_rows``, as (y, z - y) on shell z: sizes
+    [1, 1] over the two entries, [1, ``plain``] over the other columns, so
+    that a pair's ``mult`` is C(z - y + m - 1, m - 1) for m = ``plain`` > 1.
+    Made on the call, where the walk refuses a count of 2^53 or more."""
+    sizes = [1] * (entries == 2) + [plain] * (plain > 0)
+    return [shell_batches([1, m], rows)
+            for m, rows in zip(sizes, _fold_rows(entries, plain, degrees))]
 
 
-def _pairs(rows: range) -> tuple[np.ndarray, np.ndarray]:
-    """(y, z) over the pairs 0 <= y <= z, z in ``rows``, row by row in z."""
-    z = np.repeat(np.arange(rows.start, rows.stop), np.arange(rows.start + 1, rows.stop + 1))
-    return np.arange(z.size) - _row_starts(rows)[z - rows.start], z
-
-
-def _fold_chunks(rows: range):
-    """``rows`` in consecutive ranges of the most rows whose pairs y <= z
-    fit in ``_FOLD_PAIRS`` (a longer row is a range of its own), found by
-    bisection over the closed-form count ``range_count``: (the range, its
-    first pair's place among the pairs of ``rows``)."""
-    first = rows.start
-    while first < rows.stop:
-        stop = first + max(1, bisect_right(
-            range(first + 1, rows.stop + 1), _FOLD_PAIRS,
-            key=lambda s: range_count(2, range(first, s)),
-        ))
-        yield range(first, stop), range_count(2, range(rows.start, first))
-        first = stop
-
-
-def _deltas(rows: range, delta) -> np.ndarray:
-    """delta(y, z) over the pairs y <= z, z in ``rows``, row by row in z,
-    made ``_FOLD_PAIRS`` pairs at a time."""
-    out = np.empty(range_count(2, rows))
-    for chunk, at in _fold_chunks(rows):
-        y, z = _pairs(chunk)
-        out[at : at + y.size] = delta(y, z)
-    return out
-
-
-def _entry_folds(logs: list[np.ndarray], plain: int, degrees: range) -> list:
-    """The folds that make a weighed atom's weight, p aside, for the
-    degrees ``degrees`` that its classes take.
+def _entry_folds(logs: list[np.ndarray], walks: list) -> list:
+    """The folds that make a weighed atom's weight, p aside, from the walks
+    of its ``_fold_walks`` over the degrees its classes take.
 
     The atom holds one or two entries with logs x = E(a)/2 (a = 0..top,
-    the last degree) and ``plain`` other columns.  Its weight at degree z
-    is the sum over its rows of degree z of e^(p (x(a) + x'(b) - s(z)))
+    the last degree) and m other columns.  Its weight at degree z is the
+    sum over its rows of degree z of e^(p (x(a) + x'(b) - s(z)))
     C(t + m - 1, m - 1), with a, b the entries, t the rest spread over the
-    m = ``plain`` other columns, and s(z) the representative's log: x(z)
-    for one entry, x(z - z//2) + x'(z//2) for two.  That is one or two
-    folds on the rows of ``_fold_rows``, sums over pairs y <= z of
-    e^(p delta(y, z)) v(y) c(z - y): the two entries (v = c = 1), then the
-    other columns (v the entries' sums, c the counts C(z - y + m - 1,
-    m - 1)).  Each delta is a sum of differences of x at nearby degrees
-    where the terms are largest, exact there, and never above 0: a weight
-    is at least 1 and at most the class's size, whatever p.
+    other columns, and s(z) the representative's log: x(z) for one entry,
+    x(z - z//2) + x'(z//2) for two.  That is one or two folds, sums over
+    pairs y <= z of e^(p delta(y, z)) v(y) c: the two entries (v = c = 1),
+    then the other columns (v the entries' sums, c the walk's ``mult``).
+    Each delta is a sum of differences of x at nearby degrees where the
+    terms are largest, exact there, and never above 0: a weight is at
+    least 1 and at most the class's size, whatever p.
 
-    A fold is (its rows, delta over their pairs, c by z - y or None): one
-    float64 per pair, the work that the cap counts; a fold after the first
-    weighs its terms by the sums of the one before.
+    A fold is a list of the runs of its walk, each (first row, row
+    offsets, delta, y or None, c or None): one float64 per pair, the work
+    that the cap counts, with y where the fold before weighs the terms and
+    c where m > 1.
     """
-    rows = iter(_fold_rows(len(logs), plain, degrees))
+    walks = iter(walks)
     folds = []
     if len(logs) == 2:
         x, x2 = logs
-        a = np.arange(degrees.stop)
+        a = np.arange(x.size)
         up, low = x[a - a // 2], x2[a // 2]
-        entries = next(rows)
-        folds.append((entries, _deltas(entries, lambda y, z: (x[y] - up[z]) + (x2[z - y] - low[z])),
-                      None))
+        folds.append(_fold(next(walks), lambda y, z: (x[y] - up[z]) + (x2[z - y] - low[z])))
         s = up + low
     else:
         (s,) = logs
-    if plain:
-        counts = _stars_and_bars(plain, degrees.stop - 1) if plain > 1 else None
-        folds.append((degrees, _deltas(degrees, lambda y, z: s[y] - s[z]), counts))
+    folds.extend(_fold(walk, lambda y, z: s[y] - s[z], len(logs) == 2) for walk in walks)
     return folds
 
 
-def _entry_weights(folds: list, p: float) -> np.ndarray:
-    """A weighed atom's weight by degree at the Schatten exponent p, 0
-    below the degrees its classes take, from its ``_entry_folds``: each
-    fold sums e^(p delta) v c by rows, ``_FOLD_PAIRS`` pairs or one row at
-    a time."""
+def _fold(walk, delta, weighed: bool = False) -> list:
+    """The runs of a fold over the pairs of ``walk``, delta made once: per
+    run (first row, row offsets, delta(y, z), y if ``weighed``, mult)."""
+    runs = []
+    for first, offsets, pairs, mult in walk:
+        # intp, not the walk's int32: gathering by int32 indices is slower
+        y = pairs[:, 0].astype(np.intp)
+        runs.append((first, offsets, delta(y, y + pairs[:, 1]), y if weighed else None, mult))
+    return runs
+
+
+def _entry_weights(folds: list, size: int, p: float) -> np.ndarray:
+    """A weighed atom's weight by degree 0..``size`` - 1 at the Schatten
+    exponent p, 0 below the degrees its classes take, from its
+    ``_entry_folds``: per run of each fold e^(p delta), times the fold
+    before's sums at y and the counts c where it has them, summed row by
+    row."""
     sums = None
-    for rows, delta, counts in folds:
-        out = np.zeros(rows.stop)
-        for chunk, at in _fold_chunks(rows):
-            starts = _row_starts(chunk)
-            terms = np.multiply(delta[at : at + range_count(2, chunk)], p)
+    for runs in folds:
+        out = np.zeros(size)
+        for first, offsets, delta, y, counts in runs:
+            terms = np.multiply(delta, p)
             np.exp(terms, out=terms)
-            if sums is not None or counts is not None:
-                y, z = _pairs(chunk)
-                if sums is not None:
-                    terms *= sums[y]
-                if counts is not None:
-                    terms *= counts[z - y]
-            out[chunk.start : chunk.stop] = np.add.reduceat(terms, starts)
+            if y is not None:
+                terms *= sums[y]
+            if counts is not None:
+                terms *= counts
+            out[first : first + offsets.size] = np.add.reduceat(terms, offsets)
         sums = out
     return sums
 

@@ -8,6 +8,7 @@ import functools
 import numpy as np
 
 from eggsum import BlockSpec, DomainSpec, GroupFactor, AbsFactor, ZetaSeriesSpec
+from eggsum.commutator import atom_partition, entry_atoms
 from eggsum.zetalab import critical_b
 
 def brute_shell(d: int, n: int) -> np.ndarray:
@@ -29,6 +30,17 @@ def _brute_tail(d: int, n: int) -> np.ndarray:
     rows = brute_shell(d, n)
     rows.setflags(write=False)
     return rows
+
+
+def entries_alone(dom: DomainSpec, kind) -> list[list[int]]:
+    """``atom_partition`` with a cross kind's raised and lowered columns
+    split out, in order of first column: a partition finer than the atoms,
+    whose columns the kernel cannot tell apart, entry terms included.  The
+    self kind's raised column is an atom of its own already."""
+    atoms = atom_partition(dom, kind)
+    alone = [col for cols in entry_atoms(dom, kind, atoms).values() for col in cols]
+    groups = [[col] for col in alone] + [[c for c in atom if c not in alone] for atom in atoms]
+    return sorted((g for g in groups if g), key=lambda g: g[0])
 
 
 # power grid for zeta specs: off -1 so no logarithmic boundary layers creep

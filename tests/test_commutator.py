@@ -16,10 +16,10 @@ from eggsum import (
     eigenvalue_bulk,
 )
 from eggsum import gammakit
-from eggsum.commutator import WalkKernel, all_kinds, column_partition, validate_kind
+from eggsum.commutator import WalkKernel, all_kinds, validate_kind
 from eggsum.lattice import range_count, shell_batches
 
-from helpers import brute_shell, domain_with_all_kinds
+from helpers import brute_shell, domain_with_all_kinds, entries_alone
 
 DISK = DomainSpec.single_block([1.0])
 BALL2 = DomainSpec.single_block([1.0, 1.0])
@@ -236,7 +236,7 @@ class TestKeyedKernel:
         dom = KEYED_DOMAINS[-1]
         shells = range(20, 40)
         for kind in all_kinds(dom):
-            groups = column_partition(dom, kind)
+            groups = entries_alone(dom, kind)
             evaluations = range_count(len(groups), shells)
             kernel = WalkKernel(dom, kind, groups, shells, evaluations)
             for _, _, classes, _ in shell_batches([len(g) for g in groups], shells):

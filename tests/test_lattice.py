@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eggsum import BlockSpec, CrossBetween, CrossWithin, DomainSpec, SelfAdjoint, ValidationError
-from eggsum.commutator import atom_partition, column_partition
+from eggsum.commutator import atom_partition
 from eggsum.lattice import (
     BATCH_ROWS,
     _max_multiplicity,
@@ -15,7 +15,7 @@ from eggsum.lattice import (
     shell_indices,
 )
 
-from helpers import brute_shell
+from helpers import brute_shell, entries_alone
 
 
 def _alone(d):
@@ -99,27 +99,9 @@ BALL4 = DomainSpec.single_block([1.0, 1.0, 1.0, 1.0])
 EGG5 = DomainSpec(
     blocks=(BlockSpec((1.0, 1.0), 2.0), BlockSpec((2.0,), 1.0), BlockSpec((1.0, 1.0), 2.0))
 )
-PARTITIONS = [
-    ("crit4-self", CRIT4, SelfAdjoint(0, 0), [[0], [1, 2]]),
-    ("crit4-between", CRIT4, CrossBetween(0, 0, 1, 0), [[0], [1], [2]]),
-    ("crit5-within", CRIT5, CrossWithin(0, 0, 1), [[0], [1], [2]]),
-    ("ball4-self", BALL4, SelfAdjoint(0, 0), [[0], [1, 2, 3]]),
-    ("ball4-within", BALL4, CrossWithin(0, 0, 1), [[0], [1], [2, 3]]),
-    ("ball4-within-apart", BALL4, CrossWithin(0, 1, 3), [[0, 2], [1], [3]]),
-    ("egg5-self", EGG5, SelfAdjoint(0, 0), [[0], [1], [2, 3, 4]]),
-    ("egg5-between", EGG5, CrossBetween(0, 0, 2, 1), [[0], [1], [2], [3], [4]]),
-]
-
-
-@pytest.mark.parametrize("dom, kind, want", [c[1:] for c in PARTITIONS],
-                         ids=[c[0] for c in PARTITIONS])
-def test_column_partition(dom, kind, want):
-    assert column_partition(dom, kind) == want
-
-
 # a cross kind's atoms hold its raised and lowered columns: the runs of its
-# blocks of two or more columns, the rest by p a; the self kind's atoms are
-# its column partition
+# blocks of two or more columns, the rest by p a; the self kind's raised
+# column is alone, the rest of its block by p, the rest by p a
 ATOMS = [
     ("crit4-self", CRIT4, SelfAdjoint(0, 0), [[0], [1, 2]]),
     ("crit4-between", CRIT4, CrossBetween(0, 0, 1, 0), [[0], [1, 2]]),
@@ -189,8 +171,8 @@ def test_multiplicity_refused_from_2_53():
 
 
 RUN_CASES = [(_alone(d), shells) for d, shells in CASES] + [
-    (column_partition(CRIT4, SelfAdjoint(0, 0)), range(0, 400)),
-    (column_partition(BALL4, CrossWithin(0, 0, 1)), range(0, 120)),
+    (entries_alone(CRIT4, SelfAdjoint(0, 0)), range(0, 400)),
+    (entries_alone(BALL4, CrossWithin(0, 0, 1)), range(0, 120)),
 ]
 
 

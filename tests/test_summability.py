@@ -21,8 +21,8 @@ from eggsum import (
     predicted_threshold,
     shell_report,
 )
-from eggsum import gammakit, summability
-from eggsum.commutator import atom_partition, column_partition, eigenvalue_bulk
+from eggsum import gammakit, lattice, summability
+from eggsum.commutator import atom_partition, eigenvalue_bulk
 from eggsum.lattice import BATCH_ROWS, range_count, shell_batches, shell_count
 from eggsum.summability import (
     _magnitude_batches,
@@ -36,7 +36,7 @@ from eggsum.summability import (
     tail_shells,
 )
 
-from helpers import brute_shell, random_domain
+from helpers import brute_shell, entries_alone, random_domain
 
 
 def _count_gamma_calls(monkeypatch) -> list:
@@ -207,7 +207,7 @@ class TestClasses:
     @pytest.mark.parametrize("dom, kind, n", [c[1:] for c in CLASS_CASES],
                              ids=[c[0] for c in CLASS_CASES])
     def test_every_row_matches_its_class_bitwise(self, dom, kind, n):
-        groups = column_partition(dom, kind)
+        groups = entries_alone(dom, kind)
         firsts = [g[0] for g in groups]
         [(_, _, classes, mult)] = shell_batches([len(g) for g in groups], range(n, n + 1))
         assert mult is not None and mult.sum() == shell_count(dom.dimension, n)
@@ -265,6 +265,25 @@ class TestClasses:
             empirical_threshold(ball(10), SELF, 5.0, 15.0, N=400, cap=10**6)
         assert calls == []
 
+    def test_fold_count_from_2_53_refused_before_any_gamma(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("a Gamma term was evaluated")
+
+        monkeypatch.setattr(summability.WalkKernel, "__call__", unexpected)
+        monkeypatch.setattr(summability.WalkKernel, "entry_logs", unexpected)
+        calls = _count_gamma_calls(monkeypatch)
+        # the 8-D ball's within kind: one atom of both entries and six other
+        # columns, whose fold on degree z - y = 4041 counts C(4046, 5) >=
+        # 2^53 rows; one shell less stays below
+        dom, kind = ball(8), CrossWithin(0, 0, 1)
+        assert math.comb(4045, 5) < 2**53 <= math.comb(4046, 5)
+        with pytest.raises(ValidationError, match="2\\^53"):
+            shell_report(dom, kind, 9.0, 4042, cap=10**8)
+        with pytest.raises(ValidationError, match="2\\^53"):
+            empirical_threshold(dom, kind, 5.0, 15.0, N=4042, cap=10**8)
+        _magnitude_batches(dom, kind, range(0, 4042))
+        assert calls == []
+
     def test_cap_counts_evaluations(self, monkeypatch):
         shells = tail_shells(600, 0.5)
         assert evaluation_count(ball(4), SELF, shells) == range_count(2, shells) == 135_751
@@ -312,15 +331,19 @@ class TestCrossClasses:
         (CRIT5, CrossWithin(0, 0, 1)),
         (DomainSpec.single_block([1.0, 1.0, 2.0]), CrossWithin(0, 0, 2)),
         (DomainSpec.single_block([1.0, 1.0, 1.0, 2.0]), CrossWithin(0, 0, 3)),
-    ], ids=["two-entries", "entry-and-columns", "two-entries-and-columns"])
+        # the fold over the other columns weighed by both the entries' fold
+        # and the counts of its walk
+        (ball(4), CrossWithin(0, 0, 1)),
+    ], ids=["two-entries", "entry-and-columns", "two-entries-and-columns",
+            "two-entries-and-counted-columns"])
     def test_weights_do_not_depend_on_the_fold_chunks(self, monkeypatch, dom, kind):
-        # a probe sums each fold a bounded number of pairs at a time: rows
-        # one by one or a few together give the same sums bit for bit
+        # a probe sums each fold one run of its walk at a time: rows one by
+        # one or a few together give the same sums bit for bit
         want = shell_report(dom, kind, 3.0, 60, cap=10**6).shell_sums
-        for pairs in (1, 7, 100):
-            monkeypatch.setattr(summability, "_FOLD_PAIRS", pairs)
+        for rows in (1, 7, 100):
+            monkeypatch.setattr(lattice, "BATCH_ROWS", rows)
             got = shell_report(dom, kind, 3.0, 60, cap=10**6).shell_sums
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), pairs
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), rows
 
     @pytest.mark.parametrize("dom, kind, bracket, N, want", [
         (CRIT5, CrossWithin(0, 0, 1), (2.0, 6.5), 200, 3.72265625),
