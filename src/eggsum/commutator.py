@@ -384,9 +384,10 @@ class WalkKernel:
     for the lowered.  A class's value is then the eigenvalue at its
     representative row, whose atoms' other columns are 0, where the entry
     factors e^(E/2) are largest (E is increasing and concave); the other
-    terms read only atom sums.  Where an entry's atom holds other columns
-    (``weighed``), the class's rows differ only in the entry terms, which
-    ``entry_logs`` gives apart for the caller to weigh the rows.
+    terms read only atom sums.  Where an entry's atom holds other columns,
+    the class's rows differ only in the entry terms, which ``entry_logs``
+    gives apart for the caller to weigh the rows; which atoms it weighs is
+    the caller's plan, not the kernel's.
 
     The walk fixes the keys: an entry or a partial degree sum of j lies in
     0..max(shells), the row sum of j in min(shells)-1..max(shells) for the
@@ -424,14 +425,12 @@ class WalkKernel:
             self._entries.update(zip(cols, entries))
             self.steps.append((len(cols), shared, entries))
         # each entry's share of its atom's degree, (atom, 0) for all of it,
-        # (atom, 1) for the upper half and (atom, 2) for the lower; and the
-        # entries' atoms that hold other columns, with their entries, the
-        # raised first.  A run or p a group of one entry column alone is
-        # that entry's atom, whose share is all of it
-        entries = entry_atoms(dom, kind, atoms)
+        # (atom, 1) for the upper half and (atom, 2) for the lower.  A run or
+        # p a group of one entry column alone is that entry's atom, whose
+        # share is all of it
         self._shares = {(col,): (k, n + 1 if len(cols) > 1 else 0)
-                        for k, cols in entries.items() for n, col in enumerate(cols)}
-        self.weighed = {k: cols for k, cols in entries.items() if len(atoms[k]) > 1}
+                        for k, cols in entry_atoms(dom, kind, atoms).items()
+                        for n, col in enumerate(cols)}
 
     def term(self, groups: tuple, fn) -> tuple[_KeySet, int]:
         """Declare the term fn(``_weight`` of the groups (weight, columns)):
@@ -448,17 +447,15 @@ class WalkKernel:
         self.terms.append((keys, len(keys.fns) - 1))
         return self.terms[-1]
 
-    def entry_logs(self) -> dict[int, list[np.ndarray]]:
-        """Per atom of ``weighed``: E(a)/2 for a = 0..max(shells), the log
-        of the factor e^(E(a)/2) that an entry a gives the eigenvalue, for
-        each of its entries, the raised first."""
+    def entry_logs(self, cols) -> list[np.ndarray]:
+        """For each entry column of ``cols``, a cross kind's raised or
+        lowered column: E(a)/2 for a = 0..max(shells), the log of the factor
+        e^(E(a)/2) that an entry a gives the eigenvalue."""
         a = np.arange(max(self._shells.stop, 1))
-        out = {}
-        for k, cols in self.weighed.items():
-            out[k] = []
-            for col in cols:
-                keys, n = self._entries[col]
-                out[k].append(0.5 * keys.value(n, keys.place([a])))
+        out = []
+        for col in cols:
+            keys, n = self._entries[col]
+            out.append(0.5 * keys.value(n, keys.place([a])))
         return out
 
     def __call__(self, classes: np.ndarray) -> np.ndarray:

@@ -133,7 +133,7 @@ def shell_batches(sizes, shells: range):
         n_max = shells.stop - 1
         if _max_multiplicity([m for _, m in merged], n_max) >= 2**53:
             raise ValidationError(
-                f"a class of shell {n_max} stands for 2^53 rows or more, beyond exact "
+                "a class of the walk stands for 2^53 rows or more, beyond exact "
                 "multiplicities; lower N"
             )
         # each merged group's index with its counts C(t+m-1, m-1) by degree t

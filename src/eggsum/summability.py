@@ -16,25 +16,26 @@ evaluation: a window of fewer shells than the fit's ``MIN_FIT_POINTS``
 (``require_fit_window``) and a margin that is not positive are refused
 before any Gamma work.
 
-The sums come from one walk of ``lattice.shell_batches`` over classes of
-the kind's atoms (``commutator.atom_partition``), runs of consecutive
-shells of at most 2^14 classes (a larger shell alone), for a cross kind at
-j = i - e_lowered on the shells one below.  One ``commutator.WalkKernel``
-per walk evaluates each Gamma term once per key of the walk's shells, and
-each run by gathering the terms.  A class carries the exact multiplicity
-of its atoms without an entry and, per probe, a weight for each atom that
-holds a cross kind's entry and other columns (``_entry_folds``): a fold
-over the pairs of degrees y <= z of those columns, one term per row they
-stand for.  A fold is a walk of the same ``shell_batches`` over
-(y, z - y), whose ``mult`` counts the rows a pair stands for; its
-exponents are made once, and each probe sums it run by run.  Every
-run reaches the sums in one shape, and one routine turns any sequence of
-runs into T_0..T_N: per run one ``np.power``, one product with the
-multiplicities and weights and one segmented pairwise sum
-(``reduction.pairwise_sum``) over its shell offsets.  ``shell_report``
-streams the runs into it; the bisection keeps a list of the window's runs
-and hands it over once per probe.  An evaluation is one class or one pair
-of a fold, and the cap counts evaluations.
+Each walk is planned once (``_walk``): its atoms
+(``commutator.atom_partition``), its shells (for a cross kind those of
+j = i - e_lowered, one below), its weighed atoms with their folds, and its
+evaluations, one per class and one per pair of a fold, which the cap
+checks before any walk is made.  The classes come from one walk of
+``lattice.shell_batches``, runs of consecutive shells of at most 2^14
+classes (a larger shell alone).  One ``commutator.WalkKernel`` per walk
+evaluates each Gamma term once per key of the walk's shells, and each run
+by gathering the terms.  A class carries the exact multiplicity of its
+atoms without an entry and, per probe, a weight for each atom that holds
+a cross kind's entry and other columns (``_entry_folds``): a fold over the
+pairs of degrees y <= z of those columns, one term per row they stand
+for.  A fold is a walk of the same ``shell_batches`` over (y, z - y),
+whose ``mult`` counts the rows a pair stands for; its exponents are made
+once, and each probe sums it run by run.  Every run reaches the sums in
+one shape, and one routine turns any sequence of runs into T_0..T_N: per
+run one ``np.power``, one product with the multiplicities and weights and
+one segmented pairwise sum (``reduction.pairwise_sum``) over its shell
+offsets.  ``shell_report`` streams the runs into it; the bisection keeps a
+list of the window's runs and hands it over once per probe.
 
 ``predicted_threshold`` and ``module_threshold`` evaluate the closed-form
 cut-offs; both are built from the same term helpers so the module value
@@ -47,6 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,110 +147,102 @@ def resolve_cap(dom: DomainSpec, cap: int | None) -> int:
     return cap
 
 
-def _walk_shells(kind: CommutatorKind, shells: range) -> range:
-    """The shells of the walk that gives T_n for n in ``shells``: the
-    shells themselves for the self kind, and for a cross kind the shells of
-    j = i - e_lowered, one below (its eigenvalue is 0 where i_lowered = 0,
-    so T_0 = 0)."""
-    if isinstance(kind, SelfAdjoint):
-        return shells
-    return range(max(shells.start - 1, 0), shells.stop - 1)
+class _Walk(NamedTuple):
+    """The one plan of the walk that gives T_n on a range of shells, made by
+    ``_walk``: the kind's ``atoms``, the walk's ``shells`` (``shift`` below
+    T's), the ``weighed`` atoms by index, each (entry columns, folds as
+    (m, rows)), and the count of ``classes`` and of ``evaluations``."""
+
+    atoms: list
+    shells: range
+    shift: int
+    weighed: dict
+    classes: int
+    evaluations: int
 
 
-def _weighed_degrees(atoms, walk: range) -> range:
-    """The degrees that a weighed atom takes in the classes of the walk
-    over the shells ``walk``: those shells where it is the only atom, else
-    0 up to the last one."""
-    return range(walk.start if len(atoms) == 1 else 0, max(walk.stop, 1))
+def _walk(dom: DomainSpec, kind: CommutatorKind, shells: range) -> _Walk:
+    """The plan of the walk that gives T_n for n in ``shells``.
 
-
-def _fold_rows(entries: int, plain: int, degrees: range) -> list[range]:
-    """The rows z of the folds that make the weight of an atom with
-    ``entries`` entries and ``plain`` other columns on ``degrees``
-    (``_entry_folds``): one over the two entries, on every degree up to the
-    last where the other columns follow, then one over the other columns.
-    Row z sums the z + 1 pairs y <= z."""
-    rows = [range(0, degrees.stop) if plain else degrees] if entries == 2 else []
-    return rows + [degrees] if plain else rows
+    The walk goes over classes of degrees of the kind's atoms
+    (``atom_partition``): on ``shells`` for the self kind, and for a cross
+    kind on those of j = i - e_lowered, one below (its eigenvalue is 0
+    where i_lowered = 0, so T_0 = 0).  An atom that holds a cross kind's
+    entry and other columns is weighed, its entries the raised first, by
+    folds (``_entry_folds``) over the degrees it takes in the classes: the
+    walk's shells where it is the only atom, else 0 up to the last one.
+    With two entries one fold is over them, on every degree up to the last
+    where the other columns follow; then one is over the m other columns.
+    A fold walks ``shell_batches([1, m], rows)``: row z holds the z + 1
+    pairs y <= z.  An evaluation is one class or one pair."""
+    atoms = atom_partition(dom, kind)
+    shift = 0 if isinstance(kind, SelfAdjoint) else 1
+    walk = range(max(shells.start - shift, 0), shells.stop - shift)
+    degrees = range(walk.start if len(atoms) == 1 else 0, max(walk.stop, 1))
+    weighed = {}
+    for k, cols in entry_atoms(dom, kind, atoms).items():
+        m = len(atoms[k]) - len(cols)
+        folds = [(1, range(0, degrees.stop) if m else degrees)] if len(cols) == 2 else []
+        folds += [(m, degrees)] if m else []
+        if folds:
+            weighed[k] = (cols, folds)
+    classes = range_count(len(atoms), walk)
+    pairs = sum(range_count(2, rows) for _, folds in weighed.values() for _, rows in folds)
+    return _Walk(atoms, walk, shift, weighed, classes, classes + pairs)
 
 
 def evaluation_count(dom: DomainSpec, kind: CommutatorKind, shells: range) -> int:
-    """Evaluations for the shells ``shells``: an eigenvalue per class the
-    walk goes over, a row of degrees of the kind's atoms
-    (``atom_partition``) on the walk's shells (``_walk_shells``), and a
-    term per pair of degrees that the weighed atoms' weights fold
-    (``_fold_rows``), as many as the rows those atoms stand for."""
-    atoms = atom_partition(dom, kind)
-    walk = _walk_shells(kind, shells)
-    degrees = _weighed_degrees(atoms, walk)
-    pairs = sum(range_count(2, rows)
-                for k, cols in entry_atoms(dom, kind, atoms).items() if len(atoms[k]) > 1
-                for rows in _fold_rows(len(cols), len(atoms[k]) - len(cols), degrees))
-    return range_count(len(atoms), walk) + pairs
+    """Evaluations for the shells ``shells``: the classes the walk goes over
+    and the pairs its folds hold (``_walk``)."""
+    return _walk(dom, kind, shells).evaluations
 
 
-def _check_budget(dom: DomainSpec, kind: CommutatorKind, shells: range, cap: int) -> None:
-    total = evaluation_count(dom, kind, shells)
-    if total > cap:
+def _check_budget(plan: _Walk, cap: int) -> None:
+    if plan.evaluations > cap:
         raise ResourceCapError(
-            f"shell sums would make {total} evaluations, above the cap of {cap}; "
+            f"shell sums would make {plan.evaluations} evaluations, above the cap of {cap}; "
             "raise --cap (cap= from Python) to proceed"
         )
 
 
-def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, shells: range):
-    """(batches, weights) of the walk that gives T_n for n in ``shells``.
+def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, plan: _Walk):
+    """(batches, weights) of the walk of ``plan``.
 
     ``batches`` yields (first shell, shell offsets, magnitudes, mult or
     None, degrees of the weighed atoms) per run: a magnitude is the
     eigenvalue at the class's representative row, mult the exact
     multiplicity of its atoms that hold no entry.  ``weights(p)`` gives
-    each weighed atom (``WalkKernel.weighed``) its weight by degree at the
-    Schatten exponent p.  A class's term is its magnitude to the p, times
-    mult and its weighed atoms' weights.  ``shell_batches`` refuses a walk
-    on the call, the classes' walk and the folds' walks (``_fold_walks``)
-    alike, and the kernel evaluates nothing before it is used, so a
-    refused walk costs no Gamma work."""
-    atoms = atom_partition(dom, kind)
-    walk = _walk_shells(kind, shells)
-    kernel = WalkKernel(dom, kind, atoms, walk, range_count(len(atoms), walk))
-    weighed = kernel.weighed
+    each weighed atom its weight by degree at the Schatten exponent p.  A
+    class's term is its magnitude to the p, times mult and its weighed
+    atoms' weights.  ``shell_batches`` refuses a walk on the call, the
+    classes' walk and the folds' walks alike, and the kernel evaluates
+    nothing before it is used, so a refused walk costs no Gamma work."""
+    kernel = WalkKernel(dom, kind, plan.atoms, plan.shells, plan.classes)
+    weighed = plan.weighed
     # a weighed atom's rows are summed in its weight, not counted in mult
-    runs = shell_batches([1 if k in weighed else len(cols) for k, cols in enumerate(atoms)], walk)
-    degrees = _weighed_degrees(atoms, walk)
-    walks = [_fold_walks(len(cols), len(atoms[k]) - len(cols), degrees)
-             for k, cols in weighed.items()]
-    shift = 0 if isinstance(kind, SelfAdjoint) else 1
+    runs = shell_batches([1 if k in weighed else len(cols) for k, cols in enumerate(plan.atoms)],
+                         plan.shells)
+    walks = [(cols, [shell_batches([1, m], rows) for m, rows in folds])
+             for cols, folds in weighed.values()]
     folds = []
 
     def batches():
         for first, offsets, classes, mult in runs:
-            yield (first + shift, offsets, np.abs(kernel(classes)), mult,
+            yield (first + plan.shift, offsets, np.abs(kernel(classes)), mult,
                    [classes[:, k] for k in weighed])
 
     def weights(p: float) -> list[np.ndarray]:
-        if not folds and weighed:
-            logs = kernel.entry_logs()
-            folds.extend(_entry_folds(logs[k], atom_walks) for k, atom_walks in zip(weighed, walks))
-        return [_entry_weights(atom_folds, degrees.stop, p) for atom_folds in folds]
+        if not folds:
+            folds.extend(_entry_folds(kernel.entry_logs(cols), atom_walks)
+                         for cols, atom_walks in walks)
+        return [_entry_weights(atom_folds, p) for atom_folds in folds]
 
     return batches(), weights
 
 
-def _fold_walks(entries: int, plain: int, degrees: range) -> list:
-    """The walks of ``lattice.shell_batches`` over the pairs y <= z of the
-    folds on the rows of ``_fold_rows``, as (y, z - y) on shell z: sizes
-    [1, 1] over the two entries, [1, ``plain``] over the other columns, so
-    that a pair's ``mult`` is C(z - y + m - 1, m - 1) for m = ``plain`` > 1.
-    Made on the call, where the walk refuses a count of 2^53 or more."""
-    sizes = [1] * (entries == 2) + [plain] * (plain > 0)
-    return [shell_batches([1, m], rows)
-            for m, rows in zip(sizes, _fold_rows(entries, plain, degrees))]
-
-
 def _entry_folds(logs: list[np.ndarray], walks: list) -> list:
     """The folds that make a weighed atom's weight, p aside, from the walks
-    of its ``_fold_walks`` over the degrees its classes take.
+    of its folds in the plan (``_walk``) over the degrees its classes take.
 
     The atom holds one or two entries with logs x = E(a)/2 (a = 0..top,
     the last degree) and m other columns.  Its weight at degree z is the
@@ -292,15 +286,16 @@ def _fold(walk, delta, weighed: bool = False) -> list:
     return runs
 
 
-def _entry_weights(folds: list, size: int, p: float) -> np.ndarray:
-    """A weighed atom's weight by degree 0..``size`` - 1 at the Schatten
-    exponent p, 0 below the degrees its classes take, from its
+def _entry_weights(folds: list, p: float) -> np.ndarray:
+    """A weighed atom's weight by degree at the Schatten exponent p, from 0
+    to its folds' last row, 0 below the degrees its classes take, from its
     ``_entry_folds``: per run of each fold e^(p delta), times the fold
     before's sums at y and the counts c where it has them, summed row by
     row."""
     sums = None
     for runs in folds:
-        out = np.zeros(size)
+        first, offsets = runs[-1][:2]
+        out = np.zeros(first + offsets.size)
         for first, offsets, delta, y, counts in runs:
             terms = np.multiply(delta, p)
             np.exp(terms, out=terms)
@@ -432,9 +427,10 @@ def shell_report(
     p = finite_real(p, "Schatten exponent p")
     if not p > 0.0:
         raise ValidationError("Schatten exponent p must be positive")
-    _check_budget(dom, kind, range(N + 1), resolve_cap(dom, cap))
+    plan = _walk(dom, kind, range(N + 1))
+    _check_budget(plan, resolve_cap(dom, cap))
     require_margin(margin)
-    sums = _power_sums(*_magnitude_batches(dom, kind, range(N + 1)), p, N)
+    sums = _power_sums(*_magnitude_batches(dom, kind, plan), p, N)
     slope, stderr = fit_tail_slope(sums, window)
     return SummationReport(
         p=p,
@@ -471,8 +467,9 @@ def empirical_threshold(
         raise ValidationError("tol must be at least 0.01")
     N = default_shells(dom) if N is None else last_shell(N)
     shells = require_fit_window(N, window)
-    _check_budget(dom, kind, shells, resolve_cap(dom, cap))
-    batches, weights = _magnitude_batches(dom, kind, shells)
+    plan = _walk(dom, kind, shells)
+    _check_budget(plan, resolve_cap(dom, cap))
+    batches, weights = _magnitude_batches(dom, kind, plan)
     batches = list(batches)
 
     def slope(p: float) -> float:

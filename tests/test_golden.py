@@ -1,0 +1,55 @@
+"""Golden reports: each command of ``golden.json`` replayed through
+``cli.run``, whose report text must hash to the SHA-256 recorded there.
+
+Float bits can depend on numpy's build, so the corpus records the numpy
+version that made it, and on another version the test is skipped.  Only
+the commands and hashes are kept, never a report.  A change that alters a
+report on purpose rewrites the hashes, with ``src`` on the path, by
+
+    python tests/test_golden.py
+
+and says in its change log which entries changed and why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from eggsum import cli
+
+CORPUS = Path(__file__).with_name("golden.json")
+
+
+def report_digest(argv: list[str]) -> str:
+    """SHA-256 of the text that ``cli.run(argv)`` prints; the run must
+    succeed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.run(argv)
+    assert status == 0, argv
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _load() -> dict:
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("entry", _load()["reports"], ids=lambda entry: entry["name"])
+def test_report_hash_is_the_recorded_one(entry):
+    made = _load()["numpy"]
+    if np.__version__ != made:
+        pytest.skip(f"the hashes were made with numpy {made}; this is numpy {np.__version__}")
+    assert report_digest(entry["argv"]) == entry["sha256"], entry["argv"]
+
+
+if __name__ == "__main__":
+    corpus = _load()
+    corpus["numpy"] = np.__version__
+    for entry in corpus["reports"]:
+        entry["sha256"] = report_digest(entry["argv"])
+    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")

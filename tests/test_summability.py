@@ -22,11 +22,12 @@ from eggsum import (
     shell_report,
 )
 from eggsum import gammakit, lattice, summability
-from eggsum.commutator import atom_partition, eigenvalue_bulk
+from eggsum.commutator import all_kinds, atom_partition, eigenvalue_bulk
 from eggsum.lattice import BATCH_ROWS, range_count, shell_batches, shell_count
 from eggsum.summability import (
     _magnitude_batches,
     _power_sums,
+    _walk,
     classify_slope,
     evaluation_count,
     fit_tail_slope,
@@ -140,7 +141,7 @@ class TestMagnitudeBatches:
     )
     def test_bitwise_equal_to_per_shell_calls(self, dom, kind, shells):
         d = dom.dimension
-        batches, weights = _magnitude_batches(dom, kind, shells)
+        batches, weights = _magnitude_batches(dom, kind, _walk(dom, kind, shells))
         if not isinstance(kind, SelfAdjoint):
             # the cross kind's one atom holds all three columns: one class
             # per shell, whose sums are checked against every row instead
@@ -201,6 +202,23 @@ CLASS_CASES = [
      DomainSpec(blocks=(BlockSpec((1.0, 1.0), 2.0), BlockSpec((2.0,), 1.0),
                         BlockSpec((1.0, 1.0), 2.0))), SELF, 30),
 ]
+
+
+def _small_set_egg(seed: int) -> DomainSpec:
+    """A random egg of dimension <= 3 whose p and a come from small sets, so
+    that atoms of several columns, weighed ones among them, are common."""
+    rng = np.random.default_rng(2500 + seed)
+    sizes = [[1], [2], [3], [1, 1], [2, 1], [1, 2], [1, 1, 1]][int(rng.integers(7))]
+    return DomainSpec(blocks=tuple(
+        BlockSpec(tuple(float(v) for v in rng.choice([0.5, 1.0, 2.0], size)),
+                  float(rng.choice([0.5, 1.0, 2.0])))
+        for size in sizes))
+
+
+# the five acceptance domains and seeded random eggs of dimension <= 3
+WORK_DOMAINS = [DISK, BALL2, DomainSpec.single_block([3.0, 1.0]), CRIT4, CRIT5] + [
+    _small_set_egg(seed) for seed in range(10)]
+WORK_IDS = ["disk", "ball2", "crit3", "crit4", "crit5"] + [f"random-{seed}" for seed in range(10)]
 
 
 class TestClasses:
@@ -277,11 +295,14 @@ class TestClasses:
         # 2^53 rows; one shell less stays below
         dom, kind = ball(8), CrossWithin(0, 0, 1)
         assert math.comb(4045, 5) < 2**53 <= math.comb(4046, 5)
-        with pytest.raises(ValidationError, match="2\\^53"):
+        # the refusal names no shell: 4041 is a row of the fold, not a shell
+        # the caller asked for
+        with pytest.raises(ValidationError, match="2\\^53") as refused:
             shell_report(dom, kind, 9.0, 4042, cap=10**8)
+        assert "4041" not in str(refused.value)
         with pytest.raises(ValidationError, match="2\\^53"):
             empirical_threshold(dom, kind, 5.0, 15.0, N=4042, cap=10**8)
-        _magnitude_batches(dom, kind, range(0, 4042))
+        _magnitude_batches(dom, kind, _walk(dom, kind, range(0, 4042)))
         assert calls == []
 
     def test_cap_counts_evaluations(self, monkeypatch):
@@ -296,6 +317,27 @@ class TestClasses:
         with pytest.raises(ResourceCapError, match="135751"):
             empirical_threshold(ball(4), SELF, 2.0, 6.5, N=600, cap=135_750)
         assert calls == []
+
+    @pytest.mark.parametrize("dom", WORK_DOMAINS, ids=WORK_IDS)
+    def test_the_count_is_the_work(self, monkeypatch, dom):
+        # the classes the batches yield and the pairs the folds hold are the
+        # evaluations the cap counts, on every kind and window
+        pairs, entry_folds = [], summability._entry_folds
+
+        def recorded(logs, walks):
+            folds = entry_folds(logs, walks)
+            pairs.append(sum(run[2].size for runs in folds for run in runs))
+            return folds
+
+        monkeypatch.setattr(summability, "_entry_folds", recorded)
+        N = {1: 300, 2: 60, 3: 30}[dom.dimension]
+        for kind in all_kinds(dom):
+            for shells in (range(N + 1), tail_shells(N, 0.5)):
+                pairs.clear()
+                batches, weights = _magnitude_batches(dom, kind, _walk(dom, kind, shells))
+                classes = sum(mags.size for _, _, mags, _, _ in batches)
+                weights(3.0)
+                assert classes + sum(pairs) == evaluation_count(dom, kind, shells), (kind, shells)
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_ball_self_cutoff_is_the_dimension(self, d):
@@ -314,7 +356,7 @@ class TestCrossClasses:
         atoms = atom_partition(dom, kind)
         assert atoms == [[0, 2], [1]]
         kernel = summability.WalkKernel(dom, kind, atoms, range(0, N), 1)
-        [[logs]] = kernel.entry_logs().values()
+        [logs] = kernel.entry_logs([0])
         assert p * logs.max() > math.log(sys.float_info.max)
         rep = shell_report(dom, kind, p, N)
         assert np.all(np.isfinite(rep.shell_sums))
