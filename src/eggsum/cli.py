@@ -527,10 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     evaluations = (f"evaluations: one per class of rows the walk evaluates and one per "
-                   "pair of degrees that a weight of rows folds "
+                   "pair of entry degrees that a weight of rows folds "
                    f"(default {summability.DEFAULT_CAP:,}; dimensions >= 4 need an explicit cap; "
-                   "a pair keeps 8 to 24 bytes until the command ends, memory the cap does "
-                   "not bound)")
+                   "a pair keeps 8 bytes until the command ends)")
     defaults = ", ".join(f"{n} for d = {d}" for d, n in summability.DEFAULT_SHELLS.items())
     shells_help = (f"last shell N of the sums T_0..T_N, at least 16 (default by dimension: "
                    f"{defaults}; dimensions >= 4 need an explicit N)")

@@ -18,24 +18,24 @@ before any Gamma work.
 
 Each walk is planned once (``_walk``): its atoms
 (``commutator.atom_partition``), its shells (for a cross kind those of
-j = i - e_lowered, one below), its weighed atoms with their folds, and its
-evaluations, one per class and one per pair of a fold, which the cap
-checks before any walk is made.  The classes come from one walk of
+j = i - e_lowered, one below), its weighed atoms, and its evaluations,
+one per class and one per pair of an entries' fold, which the cap checks
+before any walk is made.  The classes come from one walk of
 ``lattice.shell_batches``, runs of consecutive shells of at most 2^14
 classes (a larger shell alone).  One ``commutator.WalkKernel`` per walk
 evaluates each Gamma term once per key of the walk's shells, and each run
 by gathering the terms.  A class carries the exact multiplicity of its
 atoms without an entry and, per probe, a weight for each atom that holds
-a cross kind's entry and other columns (``_entry_folds``): a fold over the
-pairs of degrees y <= z of those columns, one term per row they stand
-for.  A fold is a walk of the same ``shell_batches`` over (y, z - y),
-whose ``mult`` counts the rows a pair stands for; its exponents are made
-once, and each probe sums it run by run.  Every run reaches the sums in
-one shape, and one routine turns any sequence of runs into T_0..T_N: per
-run one ``np.power``, one product with the multiplicities and weights and
-one segmented pairwise sum (``reduction.pairwise_sum``) over its shell
-offsets.  ``shell_report`` streams the runs into it; the bisection keeps a
-list of the window's runs and hands it over once per probe.
+a cross kind's entry and other columns, or both entries
+(``_entry_weights``): two entries are a fold over the pairs of degrees
+y <= z, a ``shell_batches`` walk over (y, z - y) whose exponents are made
+once, and m other columns are m prefix scans over the degrees.  Every run
+reaches the sums in one shape, and one routine turns any sequence of runs
+into T_0..T_N: per run one ``np.power``, one product with the
+multiplicities and weights and one segmented pairwise sum
+(``reduction.pairwise_sum``) over its shell offsets.  ``shell_report``
+streams the runs into it; the bisection keeps a list of the window's runs
+and hands it over once per probe.
 
 ``predicted_threshold`` and ``module_threshold`` evaluate the closed-form
 cut-offs; both are built from the same term helpers so the module value
@@ -150,8 +150,9 @@ def resolve_cap(dom: DomainSpec, cap: int | None) -> int:
 class _Walk(NamedTuple):
     """The one plan of the walk that gives T_n on a range of shells, made by
     ``_walk``: the kind's ``atoms``, the walk's ``shells`` (``shift`` below
-    T's), the ``weighed`` atoms by index, each (entry columns, folds as
-    (m, rows)), and the count of ``classes`` and of ``evaluations``."""
+    T's), the ``weighed`` atoms by index, each (entry columns, count m of
+    other columns, rows of the entries' fold or None for one entry), and
+    the count of ``classes`` and of ``evaluations``."""
 
     atoms: list
     shells: range
@@ -167,14 +168,12 @@ def _walk(dom: DomainSpec, kind: CommutatorKind, shells: range) -> _Walk:
     The walk goes over classes of degrees of the kind's atoms
     (``atom_partition``): on ``shells`` for the self kind, and for a cross
     kind on those of j = i - e_lowered, one below (its eigenvalue is 0
-    where i_lowered = 0, so T_0 = 0).  An atom that holds a cross kind's
-    entry and other columns is weighed, its entries the raised first, by
-    folds (``_entry_folds``) over the degrees it takes in the classes: the
-    walk's shells where it is the only atom, else 0 up to the last one.
-    With two entries one fold is over them, on every degree up to the last
-    where the other columns follow; then one is over the m other columns.
-    A fold walks ``shell_batches([1, m], rows)``: row z holds the z + 1
-    pairs y <= z.  An evaluation is one class or one pair."""
+    where i_lowered = 0, so T_0 = 0).  An atom that holds both of a cross
+    kind's entries, or one and m other columns, is weighed on the degrees
+    its classes take: the walk's shells where it is the only atom, else 0
+    up to the last one.  Two entries are folded over the pairs y <= z of
+    each degree z, from 0 where other columns follow.  An evaluation is
+    one class or one pair."""
     atoms = atom_partition(dom, kind)
     shift = 0 if isinstance(kind, SelfAdjoint) else 1
     walk = range(max(shells.start - shift, 0), shells.stop - shift)
@@ -182,18 +181,18 @@ def _walk(dom: DomainSpec, kind: CommutatorKind, shells: range) -> _Walk:
     weighed = {}
     for k, cols in entry_atoms(dom, kind, atoms).items():
         m = len(atoms[k]) - len(cols)
-        folds = [(1, range(0, degrees.stop) if m else degrees)] if len(cols) == 2 else []
-        folds += [(m, degrees)] if m else []
-        if folds:
-            weighed[k] = (cols, folds)
+        if len(cols) == 2:
+            weighed[k] = (cols, m, range(0, degrees.stop) if m else degrees)
+        elif m:
+            weighed[k] = (cols, m, None)
     classes = range_count(len(atoms), walk)
-    pairs = sum(range_count(2, rows) for _, folds in weighed.values() for _, rows in folds)
+    pairs = sum(range_count(2, rows) for _, _, rows in weighed.values() if rows is not None)
     return _Walk(atoms, walk, shift, weighed, classes, classes + pairs)
 
 
 def evaluation_count(dom: DomainSpec, kind: CommutatorKind, shells: range) -> int:
     """Evaluations for the shells ``shells``: the classes the walk goes over
-    and the pairs its folds hold (``_walk``)."""
+    and the pairs its entries' folds hold (``_walk``)."""
     return _walk(dom, kind, shells).evaluations
 
 
@@ -214,16 +213,15 @@ def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, plan: _Walk):
     multiplicity of its atoms that hold no entry.  ``weights(p)`` gives
     each weighed atom its weight by degree at the Schatten exponent p.  A
     class's term is its magnitude to the p, times mult and its weighed
-    atoms' weights.  ``shell_batches`` refuses a walk on the call, the
-    classes' walk and the folds' walks alike, and the kernel evaluates
-    nothing before it is used, so a refused walk costs no Gamma work."""
+    atoms' weights.  ``shell_batches`` refuses a walk on the call, and the
+    kernel evaluates nothing before it is used, so a refused walk costs no
+    Gamma work; the entries' folds, never refused, are walked with the
+    first weights."""
     kernel = WalkKernel(dom, kind, plan.atoms, plan.shells, plan.classes)
     weighed = plan.weighed
     # a weighed atom's rows are summed in its weight, not counted in mult
     runs = shell_batches([1 if k in weighed else len(cols) for k, cols in enumerate(plan.atoms)],
                          plan.shells)
-    walks = [(cols, [shell_batches([1, m], rows) for m, rows in folds])
-             for cols, folds in weighed.values()]
     folds = []
 
     def batches():
@@ -233,79 +231,70 @@ def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, plan: _Walk):
 
     def weights(p: float) -> list[np.ndarray]:
         if not folds:
-            folds.extend(_entry_folds(kernel.entry_logs(cols), atom_walks)
-                         for cols, atom_walks in walks)
-        return [_entry_weights(atom_folds, p) for atom_folds in folds]
+            folds.extend((*_entry_folds(kernel.entry_logs(cols), rows), m)
+                         for cols, m, rows in weighed.values())
+        return [_entry_weights(*atom_folds, p) for atom_folds in folds]
 
     return batches(), weights
 
 
-def _entry_folds(logs: list[np.ndarray], walks: list) -> list:
-    """The folds that make a weighed atom's weight, p aside, from the walks
-    of its folds in the plan (``_walk``) over the degrees its classes take.
+def _entry_folds(logs: list[np.ndarray], rows) -> tuple:
+    """(s, fold): what makes a weighed atom's weight, p aside, from the
+    logs x = E(a)/2 (a = 0..top, the last degree) of its one or two
+    entries and the rows of its entries' fold in the plan (``_walk``), or
+    None for one entry.
 
-    The atom holds one or two entries with logs x = E(a)/2 (a = 0..top,
-    the last degree) and m other columns.  Its weight at degree z is the
-    sum over its rows of degree z of e^(p (x(a) + x'(b) - s(z)))
-    C(t + m - 1, m - 1), with a, b the entries, t the rest spread over the
-    other columns, and s(z) the representative's log: x(z) for one entry,
-    x(z - z//2) + x'(z//2) for two.  That is one or two folds, sums over
-    pairs y <= z of e^(p delta(y, z)) v(y) c: the two entries (v = c = 1),
-    then the other columns (v the entries' sums, c the walk's ``mult``).
-    Each delta is a sum of differences of x at nearby degrees where the
-    terms are largest, exact there, and never above 0: a weight is at
-    least 1 and at most the class's size, whatever p.
-
-    A fold is a list of the runs of its walk, each (first row, row
-    offsets, delta, y or None, c or None): one float64 per pair, the work
-    that the cap counts, with y where the fold before weighs the terms and
-    c where m > 1.
+    s(z) is the log of the representative's entry factor at degree z:
+    x(z) for one entry, x(z - z//2) + x'(z//2) for two.  The fold is a list
+    of the runs of ``shell_batches([1, 1], rows)``, each (first row, row
+    offsets, delta): one float64 per pair y <= z, the work that the cap
+    counts, with delta = x(y) + x'(z - y) - s(z) a sum of differences of x
+    at nearby degrees where the terms are largest, exact there, and never
+    above 0.
     """
-    walks = iter(walks)
-    folds = []
-    if len(logs) == 2:
-        x, x2 = logs
-        a = np.arange(x.size)
-        up, low = x[a - a // 2], x2[a // 2]
-        folds.append(_fold(next(walks), lambda y, z: (x[y] - up[z]) + (x2[z - y] - low[z])))
-        s = up + low
-    else:
-        (s,) = logs
-    folds.extend(_fold(walk, lambda y, z: s[y] - s[z], len(logs) == 2) for walk in walks)
-    return folds
-
-
-def _fold(walk, delta, weighed: bool = False) -> list:
-    """The runs of a fold over the pairs of ``walk``, delta made once: per
-    run (first row, row offsets, delta(y, z), y if ``weighed``, mult)."""
-    runs = []
-    for first, offsets, pairs, mult in walk:
+    if len(logs) == 1:
+        return logs[0], None
+    x, x2 = logs
+    a = np.arange(x.size)
+    up, low = x[a - a // 2], x2[a // 2]
+    fold = []
+    for first, offsets, pairs, _ in shell_batches([1, 1], rows):
         # intp, not the walk's int32: gathering by int32 indices is slower
         y = pairs[:, 0].astype(np.intp)
-        runs.append((first, offsets, delta(y, y + pairs[:, 1]), y if weighed else None, mult))
-    return runs
+        z = y + pairs[:, 1]
+        fold.append((first, offsets, (x[y] - up[z]) + (x2[z - y] - low[z])))
+    return up + low, fold
 
 
-def _entry_weights(folds: list, p: float) -> np.ndarray:
-    """A weighed atom's weight by degree at the Schatten exponent p, from 0
-    to its folds' last row, 0 below the degrees its classes take, from its
-    ``_entry_folds``: per run of each fold e^(p delta), times the fold
-    before's sums at y and the counts c where it has them, summed row by
-    row."""
-    sums = None
-    for runs in folds:
-        first, offsets = runs[-1][:2]
-        out = np.zeros(first + offsets.size)
-        for first, offsets, delta, y, counts in runs:
+def _entry_weights(s: np.ndarray, fold, m: int, p: float) -> np.ndarray:
+    """A weighed atom's weight by degree z = 0..top at the Schatten exponent
+    p, from its ``_entry_folds`` and its m other columns: the sum over its
+    rows of degree z of e^(p (x(a) + x'(b) - s(z))), a and b the entries.
+
+    v is 1 for one entry, and for two the fold's e^(p delta) summed row by
+    row (0 below its rows).  The rest t = z - a - b spreads over the other
+    columns in C(t + m - 1, m - 1) ways, the coefficient of x^t in
+    (1 - x)^-m, so they are m prefix scans: w_0 = v and
+    w_k(z) = r(z) w_k(z - 1) + w_(k-1)(z), r(z) = e^(p (s(z-1) - s(z))).
+    s is nondecreasing, so every factor lies in [0, 1] and a weight lies
+    between 1 and the class's size, whatever p."""
+    if fold is None:
+        w = np.ones(s.size)
+    else:
+        first, offsets, _ = fold[-1]
+        w = np.zeros(first + offsets.size)
+        for first, offsets, delta in fold:
             terms = np.multiply(delta, p)
             np.exp(terms, out=terms)
-            if y is not None:
-                terms *= sums[y]
-            if counts is not None:
-                terms *= counts
-            out[first : first + offsets.size] = np.add.reduceat(terms, offsets)
-        sums = out
-    return sums
+            w[first : first + offsets.size] = np.add.reduceat(terms, offsets)
+    if not m:
+        return w
+    r = np.exp(np.multiply(s[:-1] - s[1:], p)).tolist()
+    w = w.tolist()
+    for _ in range(m):
+        for z in range(1, len(w)):
+            w[z] += r[z - 1] * w[z - 1]
+    return np.array(w)
 
 
 def _power_sums(batches, weights, p: float, N: int) -> np.ndarray:
@@ -343,9 +332,11 @@ def require_fit_window(N: int, window_fraction: float) -> range:
     ValidationError when they are fewer than the ``MIN_FIT_POINTS`` of the
     tail fit, which no exponent can then make."""
     shells = tail_shells(last_shell(N), window_fraction)
-    if len(shells) < MIN_FIT_POINTS:
+    # counted, not len(): a range past sys.maxsize has no len
+    count = shells.stop - shells.start
+    if count < MIN_FIT_POINTS:
         raise ValidationError(
-            f"the fit window {window_fraction} of N = {N} holds {len(shells)} "
+            f"the fit window {window_fraction} of N = {N} holds {count} "
             f"shell(s), {shells.start}..{N}; the tail fit needs {MIN_FIT_POINTS}: "
             "raise N or the window"
         )

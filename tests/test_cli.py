@@ -472,6 +472,19 @@ class TestErrorsAndReplay:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["shells", "--domain", BALL, "--kind", "within:0:0:1", "--p", "3"],
+        ["threshold", "--domain", BALL, "--kind", "within:0:0:1"],
+        ["zeta", "--spec", ZSPEC],
+    ], ids=["shells", "threshold", "zeta"])
+    def test_N_past_sys_maxsize_exit_3(self, capsys, argv):
+        # the fit window of N = 10^20 - 1 is longer than a range's len()
+        # allows: counted, it goes on to the cap
+        assert run([*argv, "--N", "99999999999999999999"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("resource cap: ")
+        assert captured.err.count("\n") == 1, captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [

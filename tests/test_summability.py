@@ -283,36 +283,26 @@ class TestClasses:
             empirical_threshold(ball(10), SELF, 5.0, 15.0, N=400, cap=10**6)
         assert calls == []
 
-    def test_fold_count_from_2_53_refused_before_any_gamma(self, monkeypatch):
-        def unexpected(*args):
-            raise AssertionError("a Gamma term was evaluated")
-
-        monkeypatch.setattr(summability.WalkKernel, "__call__", unexpected)
-        monkeypatch.setattr(summability.WalkKernel, "entry_logs", unexpected)
-        calls = _count_gamma_calls(monkeypatch)
+    def test_weights_need_no_exact_counts(self):
         # the 8-D ball's within kind: one atom of both entries and six other
-        # columns, whose fold on degree z - y = 4041 counts C(4046, 5) >=
-        # 2^53 rows; one shell less stays below
+        # columns, whose rows spread over the others in up to C(4046, 5) >=
+        # 2^53 ways; the scans sum them in floating point, so it runs
         dom, kind = ball(8), CrossWithin(0, 0, 1)
         assert math.comb(4045, 5) < 2**53 <= math.comb(4046, 5)
-        # the refusal names no shell: 4041 is a row of the fold, not a shell
-        # the caller asked for
-        with pytest.raises(ValidationError, match="2\\^53") as refused:
-            shell_report(dom, kind, 9.0, 4042, cap=10**8)
-        assert "4041" not in str(refused.value)
-        with pytest.raises(ValidationError, match="2\\^53"):
-            empirical_threshold(dom, kind, 5.0, 15.0, N=4042, cap=10**8)
-        _magnitude_batches(dom, kind, _walk(dom, kind, range(0, 4042)))
-        assert calls == []
+        # 4 042 classes of shells 0..4041 of j and C(4043, 2) pairs of entry degrees
+        assert evaluation_count(dom, kind, range(0, 4043)) == 8_174_945
+        rep = shell_report(dom, kind, 9.0, 4042, cap=10**8)
+        assert np.all(np.isfinite(rep.shell_sums)) and math.isfinite(rep.total)
+        assert rep.shell_sums[0] == 0.0 and np.all(rep.shell_sums[1:] > 0.0)
 
     def test_cap_counts_evaluations(self, monkeypatch):
         shells = tail_shells(600, 0.5)
         assert evaluation_count(ball(4), SELF, shells) == range_count(2, shells) == 135_751
         # the between kind walks j = i - e_lowered on shells 299..599, in its two
         # atoms [0] and [1, 2], and weighs the atom [1, 2] of its lowered entry
-        # by a fold over the pairs y <= z of its degrees 0..599
-        assert evaluation_count(CRIT4, CrossBetween(0, 0, 1, 0), shells) == 315_750
-        assert range_count(2, range(299, 600)) + range_count(2, range(0, 600)) == 315_750
+        # and one other column by a scan, which holds no pairs
+        assert evaluation_count(CRIT4, CrossBetween(0, 0, 1, 0), shells) == 135_450
+        assert range_count(2, range(299, 600)) == 135_450
         calls = _count_gamma_calls(monkeypatch)
         with pytest.raises(ResourceCapError, match="135751"):
             empirical_threshold(ball(4), SELF, 2.0, 6.5, N=600, cap=135_750)
@@ -320,14 +310,14 @@ class TestClasses:
 
     @pytest.mark.parametrize("dom", WORK_DOMAINS, ids=WORK_IDS)
     def test_the_count_is_the_work(self, monkeypatch, dom):
-        # the classes the batches yield and the pairs the folds hold are the
-        # evaluations the cap counts, on every kind and window
+        # the classes the batches yield and the pairs the entries' folds hold
+        # are the evaluations the cap counts, on every kind and window
         pairs, entry_folds = [], summability._entry_folds
 
-        def recorded(logs, walks):
-            folds = entry_folds(logs, walks)
-            pairs.append(sum(run[2].size for runs in folds for run in runs))
-            return folds
+        def recorded(logs, rows):
+            s, fold = entry_folds(logs, rows)
+            pairs.append(sum(delta.size for _, _, delta in fold or []))
+            return s, fold
 
         monkeypatch.setattr(summability, "_entry_folds", recorded)
         N = {1: 300, 2: 60, 3: 30}[dom.dimension]
@@ -350,37 +340,43 @@ class TestCrossClasses:
     rows of each class per probe."""
 
     def test_extreme_inner_power_stays_in_range(self):
-        # inner p 0.01 on the raised column and on the column that shares its
-        # run: the raised entry's factors e^(E/2) to the p reach e^3322
-        dom, kind, N, p = DomainSpec.single_block([0.01, 1.0, 0.01]), CrossWithin(0, 0, 1), 40, 8.0
-        atoms = atom_partition(dom, kind)
-        assert atoms == [[0, 2], [1]]
-        kernel = summability.WalkKernel(dom, kind, atoms, range(0, N), 1)
-        [logs] = kernel.entry_logs([0])
-        assert p * logs.max() > math.log(sys.float_info.max)
-        rep = shell_report(dom, kind, p, N)
-        assert np.all(np.isfinite(rep.shell_sums))
-        normal = 0
-        for n in range(N + 1):
-            terms = np.power(np.abs(eigenvalue_bulk(dom, kind, brute_shell(3, n))), p)
-            want = math.fsum(terms.tolist())
-            if want >= sys.float_info.min:
-                assert abs(rep.shell_sums[n] - want) <= 1e-14 * want, n
-                normal += 1
-        assert normal == N
+        # inner p 0.01 on the entries: their factors e^(E/2) to the p reach
+        # e^3322
+        kind, N, p = CrossWithin(0, 0, 1), 40, 8.0
+        for p_inner, atoms, entries in [
+            # the raised entry and the column that shares its run: one entry
+            # scanned over one other column
+            ([0.01, 1.0, 0.01], [[0, 2], [1]], [0]),
+            # both entries in one atom: their fold, and no other column
+            ([0.01, 0.01, 1.0], [[0, 1], [2]], [0, 1]),
+        ]:
+            dom = DomainSpec.single_block(p_inner)
+            assert atom_partition(dom, kind) == atoms
+            kernel = summability.WalkKernel(dom, kind, atoms, range(0, N), 1)
+            for logs in kernel.entry_logs(entries):
+                assert p * logs.max() > math.log(sys.float_info.max)
+            rep = shell_report(dom, kind, p, N)
+            assert np.all(np.isfinite(rep.shell_sums))
+            normal = 0
+            for n in range(N + 1):
+                terms = np.power(np.abs(eigenvalue_bulk(dom, kind, brute_shell(3, n))), p)
+                want = math.fsum(terms.tolist())
+                if want >= sys.float_info.min:
+                    assert abs(rep.shell_sums[n] - want) <= 1e-14 * want, (p_inner, n)
+                    normal += 1
+            assert normal == N, p_inner
 
     @pytest.mark.parametrize("dom, kind", [
         (CRIT5, CrossWithin(0, 0, 1)),
         (DomainSpec.single_block([1.0, 1.0, 2.0]), CrossWithin(0, 0, 2)),
         (DomainSpec.single_block([1.0, 1.0, 1.0, 2.0]), CrossWithin(0, 0, 3)),
-        # the fold over the other columns weighed by both the entries' fold
-        # and the counts of its walk
+        # two scans over the other columns from the entries' fold
         (ball(4), CrossWithin(0, 0, 1)),
     ], ids=["two-entries", "entry-and-columns", "two-entries-and-columns",
-            "two-entries-and-counted-columns"])
+            "two-entries-and-two-columns"])
     def test_weights_do_not_depend_on_the_fold_chunks(self, monkeypatch, dom, kind):
-        # a probe sums each fold one run of its walk at a time: rows one by
-        # one or a few together give the same sums bit for bit
+        # a probe sums the entries' fold one run of its walk at a time: rows
+        # one by one or a few together give the same sums bit for bit
         want = shell_report(dom, kind, 3.0, 60, cap=10**6).shell_sums
         for rows in (1, 7, 100):
             monkeypatch.setattr(lattice, "BATCH_ROWS", rows)
@@ -398,20 +394,29 @@ class TestCrossClasses:
         assert empirical_threshold(dom, kind, *bracket, N=N) == want
 
     def test_criterion_5_walks_classes_in_little_memory(self):
-        # 135 450 classes on shells 299..599 of j = i - e_lowered in the atoms
-        # [0, 1] and [2], and 180 300 pairs of degrees in the weight of [0, 1]:
-        # no array of the 31.8 M rows of shells 300..600
         kind = CrossWithin(0, 0, 1)
-        assert range_count(2, range(299, 600)) == 135_450
-        assert evaluation_count(CRIT5, kind, tail_shells(600, 0.5)) == 135_450 + 180_300
-        tracemalloc.start()
-        try:
-            th = empirical_threshold(CRIT5, kind, 2.0, 6.5, N=600)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert th == 3.79296875
-        assert peak < 32 * 2**20, peak
+        for dom, classes, pairs, N, want, mib in [
+            # 135 450 classes on shells 299..599 of j = i - e_lowered in the
+            # atoms [0, 1] and [2], and 180 300 pairs of degrees in the weight
+            # of [0, 1]: no array of the 31.8 M rows of shells 300..600
+            (CRIT5, 135_450, 180_300, 600, 3.79296875, 32),
+            # one atom: a class per shell 749..1499 of j, 1 125 750 pairs of
+            # entry degrees 0..1499, and two scans over the other columns,
+            # which keep no pairs
+            (ball(4), 751, 1_125_750, 1500, 4.00390625, 16),
+        ]:
+            shells = tail_shells(N, 0.5)
+            atoms = len(atom_partition(dom, kind))
+            assert range_count(atoms, range(shells.start - 1, N)) == classes
+            assert evaluation_count(dom, kind, shells) == classes + pairs
+            tracemalloc.start()
+            try:
+                th = empirical_threshold(dom, kind, 2.0, 6.5, N=N, cap=10**7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert th == want, N
+            assert peak < mib * 2**20, (N, peak)
 
 
 class TestTailSlope:
