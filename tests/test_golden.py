@@ -10,7 +10,8 @@ on the path, by
 
     python tests/test_golden.py
 
-and says in its change log which entries changed and why.
+which prints the name of each entry whose hash it rewrites (a new entry
+among them), for the change log to say which entries changed and why.
 """
 
 import contextlib
@@ -63,5 +64,8 @@ if __name__ == "__main__":
     corpus["numpy"] = np.__version__
     corpus["simd"] = simd_line()
     for entry in corpus["reports"]:
-        entry["sha256"] = report_digest(entry["argv"])
+        digest = report_digest(entry["argv"])
+        if digest != entry.get("sha256"):
+            print(entry["name"])
+        entry["sha256"] = digest
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
