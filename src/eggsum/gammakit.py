@@ -99,8 +99,10 @@ def _elementwise(x, low_shift: float, message: str, stirling, step, fold=np.add,
 
 def _stirling_tail(z: np.ndarray) -> np.ndarray:
     """ln Gamma(z) - [(z - 1/2) ln z - z + ln sqrt(2 pi)]: the Stirling series
-    through the z^-9 term, truncation error below 1e-16 for z >= 16."""
-    w = z * z
+    through the z^-9 term, truncation error below 1e-16 for z >= 16.  Past
+    z = 1.3e154 the square overflows to inf and the series to its limit 0."""
+    with np.errstate(over="ignore"):
+        w = z * z
     np.reciprocal(w, out=w)
     poly = w * _STIRLING_C[-1]
     for c in reversed(_STIRLING_C[1:-1]):

@@ -17,7 +17,7 @@ import json
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from eggsum import CrossBetween, CrossWithin, DomainSpec, SelfAdjoint
@@ -179,6 +179,10 @@ def test_eig_any_json(domain, kind, low, width):
 
 @settings(SETTINGS, max_examples=150)
 @given(domain=DOMAIN | EGG, kind=KIND, N=SHELLS, p=NUMBERS)
+# outer powers of 1e-300 give the entry terms Gamma arguments near 2e300,
+# whose Stirling series once overflowed with a warning
+@example(domain={"blocks": [{"p": [1], "a": 1e-300}, {"p": [1], "a": 1e-300}]},
+         kind="between:0:0:1:0", N=16, p=1)
 def test_shells_any_json(domain, kind, N, p):
     _check(["shells", f"--domain={json.dumps(domain)}", f"--kind={kind}", f"--p={p}",
             f"--N={N}"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,31 @@ class TestSmallArgumentOracle:
         )
         got = log_gamma_second_difference(self.XS, u, w)
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
+class TestHugeArguments:
+    """Past x = 1.3e154 the square in the Stirling series overflows to inf,
+    and the series takes its limit 0: no warning, and values that match
+    mpmath to within a unit in the last place."""
+
+    @pytest.mark.parametrize("x", [2e154, 2e300])
+    def test_against_mpmath_without_a_warning(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        steps = [(0.5, 0.0), (1 / 3, 0.0), (1.0, 0.0), (0.4, 1.7)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_gamma(np.array([x]))[0]
+            ratios = [log_gamma_ratio(np.array([x]), a, b)[0] for a, b in steps]
+        # a ratio of size ln x cancels about 300 digits of ln Gamma(x) at 2e300
+        with mpmath.workdps(340):
+            X = mpmath.mpf(x)
+            want = float(mpmath.loggamma(X))
+            wants = [float(mpmath.loggamma(X + a) - mpmath.loggamma(X + b)) for a, b in steps]
+        # one unit in the last place: ln Gamma(2e300) lies just above 2^1007,
+        # where a unit is 2.2e-16 of it
+        assert abs(got - want) <= np.spacing(want)
+        for (a, b), got, want in zip(steps, ratios, wants):
+            assert abs(got - want) <= np.spacing(abs(want)), (a, b)
 
 
 class TestLogMultibeta:
