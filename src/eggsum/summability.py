@@ -82,6 +82,7 @@ __all__ = [
     "tail_shells",
     "require_fit_window",
     "require_margin",
+    "zero_shell_sums",
     "classify_slope",
     "fit_tail_slope",
     "fit_points",
@@ -297,12 +298,25 @@ def _entry_weights(s: np.ndarray, fold, m: int, p: float) -> np.ndarray:
     return np.array(w)
 
 
-def _power_sums(batches, weights, p: float, N: int) -> np.ndarray:
-    """T_0..T_N from magnitude batches, 0 on shells no batch covers: per
-    batch one power, times the multiplicities where it has them and the
-    weighed atoms' weights at p where it has those, and one segmented sum,
-    pairwise within each shell."""
-    sums = np.zeros(N + 1, dtype=np.float64)
+def zero_shell_sums(N: int) -> np.ndarray:
+    """T_0..T_N as zeros, for a walk to fill; a ResourceCapError, not a
+    numpy error, where N + 1 doubles cannot be allocated, which a cap that
+    admits N does not rule out."""
+    try:
+        return np.zeros(N + 1, dtype=np.float64)
+    except (MemoryError, ValueError):
+        raise ResourceCapError(
+            f"the shell sums T_0..T_N of N = {N} take {N + 1} doubles, more than "
+            "can be allocated; lower N"
+        ) from None
+
+
+def _power_sums(batches, weights, p: float, sums: np.ndarray) -> np.ndarray:
+    """``sums``, T_0..T_N from ``zero_shell_sums``, with the shells the
+    magnitude batches cover filled in: per batch one power, times the
+    multiplicities where it has them and the weighed atoms' weights at p
+    where it has those, and one segmented sum, pairwise within each shell.
+    Every probe fills the same shells, so a bisection reuses one array."""
     factors = weights(p)
     for first, offsets, mags, mult, degrees in batches:
         terms = np.power(mags, p)
@@ -421,7 +435,7 @@ def shell_report(
     plan = _walk(dom, kind, range(N + 1))
     _check_budget(plan, resolve_cap(dom, cap))
     require_margin(margin)
-    sums = _power_sums(*_magnitude_batches(dom, kind, plan), p, N)
+    sums = _power_sums(*_magnitude_batches(dom, kind, plan), p, zero_shell_sums(N))
     slope, stderr = fit_tail_slope(sums, window)
     return SummationReport(
         p=p,
@@ -460,11 +474,12 @@ def empirical_threshold(
     shells = require_fit_window(N, window)
     plan = _walk(dom, kind, shells)
     _check_budget(plan, resolve_cap(dom, cap))
+    sums = zero_shell_sums(N)
     batches, weights = _magnitude_batches(dom, kind, plan)
     batches = list(batches)
 
     def slope(p: float) -> float:
-        return fit_tail_slope(_power_sums(batches, weights, p, N), window)[0]
+        return fit_tail_slope(_power_sums(batches, weights, p, sums), window)[0]
 
     s_lo = slope(p_lo)
     s_hi = slope(p_hi)

@@ -61,6 +61,7 @@ from .summability import (
     fit_tail_slope,
     require_fit_window,
     require_margin,
+    zero_shell_sums,
 )
 
 __all__ = [
@@ -538,11 +539,11 @@ def brute_shell_sums(
                 f"enumerating {total_terms} lattice terms exceeds the cap of {term_cap}"
             )
     require_margin(margin)
+    sums = zero_shell_sums(N)
     # a product or sum past double range is inf (or inf * 0 = NaN) here and
     # a ValidationError below, never a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         numer = _numerator_by_shell_conv(spec, N)
-        sums = np.zeros(N + 1, dtype=np.float64)
         # n^-b underflows where n^b would overflow
         sums[1:] = numer[1:] * _power_seq(-spec.b, N)[1:]
     if not np.all(np.isfinite(sums)):

@@ -19,6 +19,8 @@ BALL = '{"blocks":[{"p":[1.0,1.0],"a":1.0}]}'
 # the self kind of block 0 merges the two other coordinates into one class
 CRIT4 = '{"blocks":[{"p":[1.0],"a":2.0},{"p":[1.0],"a":1.0},{"p":[1.0],"a":1.0}]}'
 ZSPEC = '{"m":2,"powers":[0,0],"groups":[],"abs":null,"b":3.0}'
+# a cap above any work a test can do
+HUGE_CAP = str(10**24 - 1)
 
 
 def run_json(capsys, argv):
@@ -483,6 +485,21 @@ class TestErrorsAndReplay:
         assert run([*argv, "--N", "99999999999999999999"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("resource cap: ")
+        assert captured.err.count("\n") == 1, captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--domain", DISK, "--N", "99999999999999999999", "--cap", HUGE_CAP],
+        ["shells", "--domain", DISK, "--p", "3", "--N", "99999999999999999999", "--cap", HUGE_CAP],
+        ["shells", "--domain", DISK, "--p", "3", "--N", str(2**53 + 1), "--cap", HUGE_CAP],
+        ["zeta", "--spec", ZSPEC, "--N", "99999999999999999999", "--cap", "5"],
+    ], ids=["threshold", "shells", "shells-2^53+1", "zeta"])
+    def test_N_a_cap_admits_but_no_array_holds_exit_3(self, capsys, argv):
+        # the cap admits the shells, but their N + 1 sums cannot be allocated:
+        # one message, not a numpy error from the allocation or the walk
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("resource cap: ")
+        assert "lower N" in captured.err
         assert captured.err.count("\n") == 1, captured.err
 
     @pytest.mark.parametrize(
