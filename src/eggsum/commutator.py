@@ -386,8 +386,9 @@ class WalkKernel:
     factors e^(E/2) are largest (E is increasing and concave); the other
     terms read only atom sums.  Where an entry's atom holds other columns,
     the class's rows differ only in the entry terms, which ``entry_logs``
-    gives apart for the caller to weigh the rows; which atoms it weighs is
-    the caller's plan, not the kernel's.
+    gives apart, at every entry and at the representative's, for the caller
+    to weigh the rows; which atoms it weighs is the caller's plan, not the
+    kernel's.
 
     The walk fixes the keys: an entry or a partial degree sum of j lies in
     0..max(shells), the row sum of j in min(shells)-1..max(shells) for the
@@ -447,15 +448,18 @@ class WalkKernel:
         self.terms.append((keys, len(keys.fns) - 1))
         return self.terms[-1]
 
-    def entry_logs(self, cols) -> list[np.ndarray]:
+    def entry_logs(self, cols) -> list[tuple[np.ndarray, np.ndarray]]:
         """For each entry column of ``cols``, a cross kind's raised or
-        lowered column: E(a)/2 for a = 0..max(shells), the log of the factor
-        e^(E(a)/2) that an entry a gives the eigenvalue."""
+        lowered column, (x, s) on a = 0..max(shells): x(a) = E(a)/2, the log
+        of the factor e^(E(a)/2) that an entry a gives the eigenvalue, and
+        s(a) = x at the representative's entry where its atom has degree a,
+        the entry's share of a."""
         a = np.arange(max(self._shells.stop, 1))
         out = []
         for col in cols:
             keys, n = self._entries[col]
-            out.append(0.5 * keys.value(n, keys.place([a])))
+            x = 0.5 * keys.value(n, keys.place([a]))
+            out.append((x, x[_share(a, self._shares[(col,)][1])]))
         return out
 
     def __call__(self, classes: np.ndarray) -> np.ndarray:
@@ -478,10 +482,7 @@ class WalkKernel:
             share = self._shares.get(cols)
             if share is None:
                 return _degree(column, sorted({self._atom[col] for col in cols}))
-            z = _degree(column, [share[0]])
-            if share[1] == 0:
-                return z
-            return z - z // 2 if share[1] == 1 else z // 2
+            return _share(_degree(column, [share[0]]), share[1])
 
         places: dict = {}
         with np.errstate(all="ignore"):
@@ -514,6 +515,15 @@ class WalkKernel:
                 "an eigenvalue is not a finite double on this domain: a term leaves double range"
             )
         return out
+
+
+def _share(z: np.ndarray, share: int) -> np.ndarray:
+    """An entry's share of its atom's degrees z: all of them (``share`` 0),
+    the upper halves (1) or the lower halves (2), the raised entry's and the
+    lowered entry's where both lie in one atom."""
+    if share == 0:
+        return z
+    return z - z // 2 if share == 1 else z // 2
 
 
 def _rows_kernel(dom: DomainSpec, kind: CommutatorKind, rows: np.ndarray) -> np.ndarray:

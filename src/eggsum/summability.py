@@ -239,14 +239,16 @@ def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, plan: _Walk):
     return batches(), weights
 
 
-def _entry_folds(logs: list[np.ndarray], rows) -> tuple:
+def _entry_folds(logs: list[tuple], rows) -> tuple:
     """(s, fold): what makes a weighed atom's weight, p aside, from the
-    logs x = E(a)/2 (a = 0..top, the last degree) of its one or two
-    entries and the rows of its entries' fold in the plan (``_walk``), or
-    None for one entry.
+    ``WalkKernel.entry_logs`` of its one or two entries, x = E(a)/2 at
+    every entry a = 0..top (the last degree) and at the representative's,
+    and the rows of its entries' fold in the plan (``_walk``), or None for
+    one entry.
 
     s(z) is the log of the representative's entry factor at degree z:
-    x(z) for one entry, x(z - z//2) + x'(z//2) for two.  The fold is a list
+    x(z) for one entry, x(up(z)) + x'(low(z)) for two, up and low the
+    entries' shares of z that the kernel gives.  The fold is a list
     of the runs of ``shell_batches([1, 1], rows)``, each (first row, row
     offsets, delta): one float64 per pair y <= z, the work that the cap
     counts, with delta = x(y) + x'(z - y) - s(z) a sum of differences of x
@@ -254,10 +256,8 @@ def _entry_folds(logs: list[np.ndarray], rows) -> tuple:
     above 0.
     """
     if len(logs) == 1:
-        return logs[0], None
-    x, x2 = logs
-    a = np.arange(x.size)
-    up, low = x[a - a // 2], x2[a // 2]
+        return logs[0][1], None
+    (x, up), (x2, low) = logs
     fold = []
     for first, offsets, pairs, _ in shell_batches([1, 1], rows):
         # intp, not the walk's int32: gathering by int32 indices is slower

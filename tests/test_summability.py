@@ -354,8 +354,8 @@ class TestCrossClasses:
             dom = DomainSpec.single_block(p_inner)
             assert atom_partition(dom, kind) == atoms
             kernel = summability.WalkKernel(dom, kind, atoms, range(0, N), 1)
-            for logs in kernel.entry_logs(entries):
-                assert p * logs.max() > math.log(sys.float_info.max)
+            for x, _ in kernel.entry_logs(entries):
+                assert p * x.max() > math.log(sys.float_info.max)
             rep = shell_report(dom, kind, p, N)
             assert np.all(np.isfinite(rep.shell_sums))
             normal = 0
