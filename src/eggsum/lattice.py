@@ -13,19 +13,18 @@ entries.
 and count ``shell_indices``.
 
 ``shell_batches`` is the one walk over a range of shells, for the classes
-of a sum and the pairs of its folds alike: it cuts the range into runs of
-the most consecutive shells that fit in ``BATCH_ROWS`` classes (a larger
+of a sum and the pairs of an entries' fold alike: it cuts the range into runs of
+the most consecutive shells that fit in ``BATCH_ROWS`` rows (a larger
 shell alone), found by bisection over the closed-form ``range_count``, so
-a caller evaluates and sums a whole run with a few numpy calls.  Given the
-sizes of groups of columns, it yields the groups' degrees, one row per
-class of rows that differ only inside groups, with the class's size as an
-exact float multiplicity; given every column alone, it yields every row.
+a caller evaluates and sums a whole run with a few numpy calls.  It
+yields rows only; what a row stands for, such as the rows of a class of
+atom degrees, is the caller's to count.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -94,81 +93,21 @@ def shell_rows(d: int, shells: range) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack(cols), offsets
 
 
-def _max_multiplicity(sizes: list[int], n: int) -> int:
-    """The largest class multiplicity on shell n for merged groups of the
-    given sizes (at least one): degree placed one unit at a time on the
-    group whose count it multiplies most, (t + m)/(t + 1).  The log of each
-    count is concave in its degree, so this greedy placement reaches the
-    maximum."""
-    degrees = [0] * len(sizes)
-    for _ in range(n):
-        g = max(range(len(sizes)), key=lambda g: (degrees[g] + sizes[g]) / (degrees[g] + 1))
-        degrees[g] += 1
-    return prod(comb(t + m - 1, m - 1) for t, m in zip(degrees, sizes))
-
-
-def shell_batches(sizes, shells: range):
-    """The runs of consecutive shells of a walk over groups of columns, as
-    an iterator of (first shell, shell offsets, classes, mult), one row of
-    ``classes`` per class of rows.
-
-    ``sizes`` gives each group's number of columns, m >= 1.  The walk
-    enumerates the shells in one variable per group: a row of ``classes``
-    holds each group's degree t and stands for the C(t+m-1, m-1) ways
-    (stars and bars) to spread t over the group's m columns, and ``mult``
-    is the product of those counts over the groups, float64 and exact.
-    Where every group has one column, ``mult`` is None and the classes are
-    the shells' rows as ``shell_indices`` gives them.  ``offsets`` are the
-    start of each shell inside ``classes``, so ``first + k`` is the shell
-    starting at ``offsets[k]``.  A run holds at most ``BATCH_ROWS`` classes
-    unless it is a single shell.
-
-    Raises ValidationError, on the call and before any run, when a
-    multiplicity in the range reaches 2^53 and would no longer be exact
-    (the largest one lies on the last shell).
-    """
-    dim = len(sizes)
-    merged = [(g, m) for g, m in enumerate(sizes) if m > 1]
-    if merged and shells.stop > shells.start:
-        n_max = shells.stop - 1
-        if _max_multiplicity([m for _, m in merged], n_max) >= 2**53:
-            raise ValidationError(
-                "a class of the walk stands for 2^53 rows or more, beyond exact "
-                "multiplicities; lower N"
-            )
-        # each merged group's index with its counts C(t+m-1, m-1) by degree t
-        merged = [(g, _stars_and_bars(m, n_max)) for g, m in merged]
-    return _runs(dim, shells, merged)
-
-
-def _stars_and_bars(m: int, n: int) -> np.ndarray:
-    """C(t+m-1, m-1) for t = 0..n, the ways to spread degree t over m
-    columns, as float64 (exact below 2^53)."""
-    return np.array([comb(t + m - 1, m - 1) for t in range(n + 1)], dtype=np.float64)
-
-
-def _runs(dim: int, shells: range, merged):
-    """The runs of ``shell_batches``."""
+def shell_batches(dim: int, shells: range):
+    """The runs of consecutive shells of the walk over the rows of ``shells``
+    in ``dim`` >= 1 variables, as an iterator of (first shell, shell
+    offsets, rows): the rows as ``shell_rows`` gives them, ``offsets`` the
+    start of each shell among them, so ``first + k`` is the shell starting
+    at ``offsets[k]``.  A run holds at most ``BATCH_ROWS`` rows unless it is
+    a single shell."""
     first = shells.start
     while first < shells.stop:
-        # the most shells whose classes fit in BATCH_ROWS, and at least one
+        # the most shells whose rows fit in BATCH_ROWS, and at least one
         stop = first + max(1, bisect_right(
             range(first + 1, shells.stop + 1), BATCH_ROWS,
             key=lambda s: range_count(dim, range(first, s)),
         ))
         # name no run: the walk keeps no reference to a yielded run, so the
         # caller can free it as soon as it is done with it
-        yield _run(range(first, stop), dim, merged)
+        yield (first, *reversed(shell_rows(dim, range(first, stop))))
         first = stop
-
-
-def _run(shells: range, dim: int, merged):
-    """The batch of ``shell_batches`` for the run of shells ``shells``."""
-    classes, offsets = shell_rows(dim, shells)
-    if not merged:
-        return shells.start, offsets, classes, None
-    (g, count), *rest = merged
-    mult = count[classes[:, g]]
-    for g, count in rest:
-        mult *= count[classes[:, g]]
-    return shells.start, offsets, classes, mult

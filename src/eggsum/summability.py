@@ -24,15 +24,18 @@ before any walk is made.  The classes come from one walk of
 ``lattice.shell_batches``, runs of consecutive shells of at most 2^14
 classes (a larger shell alone).  One ``commutator.WalkKernel`` per walk
 evaluates each Gamma term once per key of the walk's shells, and each run
-by gathering the terms.  A class carries the exact multiplicity of its
-atoms without an entry and, per probe, a weight for each atom that holds
-a cross kind's entry and other columns, or both entries
+by gathering the terms.  The walk yields rows of atom degrees only, and
+this module counts what a class stands for, with one routine, prefix
+scans over the degrees (``_scans``).  A class carries the count of the
+rows of its atoms of several columns and no entry, m - 1 scans of ones
+for m columns (``_counts``), and, per probe, a weight for each atom that
+holds a cross kind's entry and other columns, or both entries
 (``_entry_weights``): two entries are a fold over the pairs of degrees
 y <= z, a ``shell_batches`` walk over (y, z - y) whose exponents are made
-once, and m other columns are m prefix scans over the degrees.  Every run
-reaches the sums in one shape, and one routine turns any sequence of runs
-into T_0..T_N: per run one ``np.power``, one product with the
-multiplicities and weights and one segmented pairwise sum
+once, and m other columns are m scans weighted by the entries' factors.
+Every run reaches the sums in one shape, and one routine turns any
+sequence of runs into T_0..T_N: per run one ``np.power``, one product
+with the counts and weights and one segmented pairwise sum
 (``reduction.pairwise_sum``) over its shell offsets.  ``shell_report``
 streams the runs into it; the bisection keeps a list of the window's runs
 and hands it over once per probe.
@@ -210,25 +213,24 @@ def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, plan: _Walk):
 
     ``batches`` yields (first shell, shell offsets, magnitudes, mult or
     None, degrees of the weighed atoms) per run: a magnitude is the
-    eigenvalue at the class's representative row, mult the exact
-    multiplicity of its atoms that hold no entry.  ``weights(p)`` gives
-    each weighed atom its weight by degree at the Schatten exponent p.  A
-    class's term is its magnitude to the p, times mult and its weighed
-    atoms' weights.  ``shell_batches`` refuses a walk on the call, and the
-    kernel evaluates nothing before it is used, so a refused walk costs no
-    Gamma work; the entries' folds, never refused, are walked with the
-    first weights."""
+    eigenvalue at the class's representative row, mult the count of the
+    rows its atoms of several columns and no entry stand for
+    (``_class_mult``).  ``weights(p)`` gives each weighed atom its weight
+    by degree at the Schatten exponent p.  A class's term is its magnitude
+    to the p, times mult and its weighed atoms' weights.  The kernel
+    evaluates nothing before it is used, and the entries' folds are walked
+    with the first weights."""
     kernel = WalkKernel(dom, kind, plan.atoms, plan.shells, plan.classes)
     weighed = plan.weighed
-    # a weighed atom's rows are summed in its weight, not counted in mult
-    runs = shell_batches([1 if k in weighed else len(cols) for k, cols in enumerate(plan.atoms)],
-                         plan.shells)
+    # the rows of a weighed atom are summed in its weights, the others counted
+    counts = _counts({k: len(cols) for k, cols in enumerate(plan.atoms) if k not in weighed},
+                     max(plan.shells.stop, 1))
     folds = []
 
     def batches():
-        for first, offsets, classes, mult in runs:
-            yield (first + plan.shift, offsets, np.abs(kernel(classes)), mult,
-                   [classes[:, k] for k in weighed])
+        for first, offsets, classes in shell_batches(len(plan.atoms), plan.shells):
+            yield (first + plan.shift, offsets, np.abs(kernel(classes)),
+                   _class_mult(counts, classes), [classes[:, k] for k in weighed])
 
     def weights(p: float) -> list[np.ndarray]:
         if not folds:
@@ -249,7 +251,7 @@ def _entry_folds(logs: list[tuple], rows) -> tuple:
     s(z) is the log of the representative's entry factor at degree z:
     x(z) for one entry, x(up(z)) + x'(low(z)) for two, up and low the
     entries' shares of z that the kernel gives.  The fold is a list
-    of the runs of ``shell_batches([1, 1], rows)``, each (first row, row
+    of the runs of ``shell_batches(2, rows)``, each (first row, row
     offsets, delta): one float64 per pair y <= z, the work that the cap
     counts, with delta = x(y) + x'(z - y) - s(z) a sum of differences of x
     at nearby degrees where the terms are largest, exact there, and never
@@ -259,7 +261,7 @@ def _entry_folds(logs: list[tuple], rows) -> tuple:
         return logs[0][1], None
     (x, up), (x2, low) = logs
     fold = []
-    for first, offsets, pairs, _ in shell_batches([1, 1], rows):
+    for first, offsets, pairs in shell_batches(2, rows):
         # intp, not the walk's int32: gathering by int32 indices is slower
         y = pairs[:, 0].astype(np.intp)
         z = y + pairs[:, 1]
@@ -278,7 +280,7 @@ def _entry_weights(s: np.ndarray, fold, m: int, p: float) -> np.ndarray:
     (1 - x)^-m, so they are m prefix scans: w_0 = v and
     w_k(z) = r(z) w_k(z - 1) + w_(k-1)(z), r(z) = e^(p (s(z-1) - s(z))).
     s is nondecreasing, so every factor lies in [0, 1] and a weight lies
-    between 1 and the class's size, whatever p."""
+    between 1 and the class's size, whatever p (``_scans``)."""
     if fold is None:
         w = np.ones(s.size)
     else:
@@ -290,12 +292,36 @@ def _entry_weights(s: np.ndarray, fold, m: int, p: float) -> np.ndarray:
             w[first : first + offsets.size] = np.add.reduceat(terms, offsets)
     if not m:
         return w
-    r = np.exp(np.multiply(s[:-1] - s[1:], p)).tolist()
-    w = w.tolist()
+    return _scans(w.tolist(), np.exp(np.multiply(s[:-1] - s[1:], p)).tolist(), m)
+
+
+def _scans(w: list, r: list, m: int) -> np.ndarray:
+    """m prefix scans of the list w in place, w(z) += r(z - 1) w(z - 1)
+    for z = 1.., as an array: a Python loop over the degrees, since each
+    step reads the one before."""
     for _ in range(m):
         for z in range(1, len(w)):
             w[z] += r[z - 1] * w[z - 1]
     return np.array(w)
+
+
+def _counts(sizes: dict[int, int], size: int) -> list[tuple[int, np.ndarray]]:
+    """(k, count) for each atom k of m = sizes[k] > 1 columns: count(t) =
+    C(t + m - 1, m - 1) for t = 0..size - 1, the rows of degree t, the ways
+    to spread t over m columns.  That is m - 1 ``_scans`` of ones with r =
+    1, the coefficients of (1 - x)^-m; every step adds integers, so a count
+    is exact below 2^53 and rounded like the weights above it."""
+    return [(k, _scans([1.0] * size, [1.0] * size, m - 1)) for k, m in sizes.items() if m > 1]
+
+
+def _class_mult(counts: list, classes: np.ndarray) -> np.ndarray | None:
+    """The product of the ``_counts`` at the classes' degrees, in atom
+    order: the rows each class stands for, or None without counts."""
+    mult = None
+    for k, count in counts:
+        rows = count[classes[:, k]]
+        mult = rows if mult is None else np.multiply(mult, rows, out=mult)
+    return mult
 
 
 def zero_shell_sums(N: int) -> np.ndarray:
@@ -314,8 +340,8 @@ def zero_shell_sums(N: int) -> np.ndarray:
 def _power_sums(batches, weights, p: float, sums: np.ndarray) -> np.ndarray:
     """``sums``, T_0..T_N from ``zero_shell_sums``, with the shells the
     magnitude batches cover filled in: per batch one power, times the
-    multiplicities where it has them and the weighed atoms' weights at p
-    where it has those, and one segmented sum, pairwise within each shell.
+    counts where it has them and the weighed atoms' weights at p where it
+    has those, and one segmented sum, pairwise within each shell.
     Every probe fills the same shells, so a bisection reuses one array."""
     factors = weights(p)
     for first, offsets, mags, mult, degrees in batches:

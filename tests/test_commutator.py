@@ -220,7 +220,7 @@ class TestKeyedKernel:
         evaluations = range_count(3, shells)
         kernel = WalkKernel(dom, kind, [[0], [1], [2]], shells, evaluations)
         runs = 0
-        for _, _, rows, _ in shell_batches([1, 1, 1], shells):
+        for _, _, rows in shell_batches(3, shells):
             kernel(rows)
             runs += 1
         assert runs == 87 and evaluations == 1_202_001
@@ -239,7 +239,7 @@ class TestKeyedKernel:
             groups = entries_alone(dom, kind)
             evaluations = range_count(len(groups), shells)
             kernel = WalkKernel(dom, kind, groups, shells, evaluations)
-            for _, _, classes, _ in shell_batches([len(g) for g in groups], shells):
+            for _, _, classes in shell_batches(len(groups), shells):
                 kernel(classes)
             assert len(kernel.outer) == 3
             assert any(keys.groups == kernel.outer for keys, _ in kernel.terms), kind
@@ -343,7 +343,7 @@ class TestWalkKernel:
                 kernel = WalkKernel(dom, kind, alone, shells, range_count(d, shells))
                 # every key set evaluated per row, whatever the walk's size
                 per_row = WalkKernel(dom, kind, alone, shells, 0)
-                for first, offsets, rows, _ in shell_batches([1] * d, shells):
+                for first, offsets, rows in shell_batches(d, shells):
                     got = kernel(rows)
                     assert got.tobytes() == per_row(rows).tobytes(), (kind, first)
                     picks = [0, rows.shape[0] - 1, *rng.choice(rows.shape[0], 4, replace=False)]

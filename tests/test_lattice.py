@@ -1,32 +1,19 @@
 import itertools
-from math import comb, prod
 
 import numpy as np
 import pytest
 
-from eggsum import BlockSpec, CrossBetween, CrossWithin, DomainSpec, SelfAdjoint, ValidationError
+from eggsum import BlockSpec, CrossBetween, CrossWithin, DomainSpec, SelfAdjoint
 from eggsum.commutator import atom_partition
-from eggsum.lattice import (
-    BATCH_ROWS,
-    _max_multiplicity,
-    range_count,
-    shell_batches,
-    shell_count,
-    shell_indices,
-)
+from eggsum.lattice import BATCH_ROWS, range_count, shell_batches, shell_count, shell_indices
+from eggsum.summability import _class_mult, _counts
 
 from helpers import brute_shell, entries_alone
 
 
 def _alone(d):
-    """The partition of d columns with every column alone: ``shell_batches``
-    then yields every row."""
+    """The partition of d columns with every column alone."""
     return [[col] for col in range(d)]
-
-
-def _sizes(groups):
-    """The group sizes that ``shell_batches`` walks."""
-    return [len(g) for g in groups]
 
 
 RANGES = {
@@ -44,8 +31,8 @@ CASES = [(d, shells) for d, ranges in RANGES.items() for shells in ranges]
 def test_batches_concatenate_to_shell_indices(d, shells):
     got = []
     n = shells.start
-    for first, offsets, rows, mult in shell_batches(_sizes(_alone(d)), shells):
-        assert first == n and mult is None
+    for first, offsets, rows in shell_batches(d, shells):
+        assert first == n
         assert offsets[0] == 0 and np.all(np.diff(offsets) > 0)
         assert rows.shape[0] <= BATCH_ROWS or len(offsets) == 1
         bounds = list(offsets) + [rows.shape[0]]
@@ -74,15 +61,14 @@ def test_shell_indices_against_brute_force(d):
 
 def test_entries_past_int32():
     # from degree 2^31 on an entry needs int64; below it the rows stay int32
-    [(_, _, rows, _)] = shell_batches([1], range(2**31 - 1, 2**31 + 2))
+    [(_, _, rows)] = shell_batches(1, range(2**31 - 1, 2**31 + 2))
     assert rows.dtype == np.int64 and rows[:, 0].tolist() == [2**31 - 1, 2**31, 2**31 + 1]
     assert shell_indices(1, 2**31 - 1).dtype == np.int32
 
 
 def test_batches_of_an_empty_range():
     for d in (1, 2, 3):
-        assert list(shell_batches(_sizes(_alone(d)), range(5, 5))) == []
-    assert list(shell_batches([1, 2], range(5, 5))) == []
+        assert list(shell_batches(d, range(5, 5))) == []
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -136,9 +122,13 @@ def _brute_classes(groups, n):
     ([[0, 1, 2]], range(0, 50)),
 ])
 def test_classes_count_the_rows_of_each_shell(groups, shells):
+    # the walk over the groups' degrees, with the rows of each class counted
+    # as the sums count them (``summability._counts``)
     d = sum(len(g) for g in groups)
+    counts = _counts(dict(enumerate(len(g) for g in groups)), shells.stop)
     n = shells.start
-    for first, offsets, rows, mult in shell_batches(_sizes(groups), shells):
+    for first, offsets, rows in shell_batches(len(groups), shells):
+        mult = _class_mult(counts, rows)
         assert first == n and mult.dtype == np.float64
         bounds = list(offsets) + [rows.shape[0]]
         for lo, hi in zip(bounds, bounds[1:]):
@@ -152,22 +142,11 @@ def test_classes_count_the_rows_of_each_shell(groups, shells):
 def test_class_runs_are_batched_by_class_count():
     groups = [[0], [1, 2, 3]]
     n = 0
-    for first, offsets, rows, _ in shell_batches(_sizes(groups), range(0, 600)):
+    for first, offsets, rows in shell_batches(len(groups), range(0, 600)):
         assert rows.shape[0] <= BATCH_ROWS or len(offsets) == 1
         assert rows.shape[0] == range_count(2, range(first, first + offsets.size))
         n = first + offsets.size
     assert n == 600
-
-
-def test_multiplicity_refused_from_2_53():
-    # a 10-D ball self kind: the class (0, t) stands for C(t + 8, 8) rows
-    sizes = [1, 9]
-    top = max(t for t in range(1000) if comb(t + 8, 8) < 2**53)
-    [(_, _, _, mult)] = shell_batches(sizes, range(top, top + 1))
-    assert mult.max() == comb(top + 8, 8)
-    # refused on the call, before any run
-    with pytest.raises(ValidationError, match="2\\^53"):
-        shell_batches(sizes, range(0, top + 2))
 
 
 RUN_CASES = [(_alone(d), shells) for d, shells in CASES] + [
@@ -180,19 +159,9 @@ RUN_CASES = [(_alone(d), shells) for d, shells in CASES] + [
                          ids=[f"{g}-{s.start}-{s.stop}" for g, s in RUN_CASES])
 def test_each_run_holds_the_most_shells_that_fit(groups, shells):
     dim = len(groups)
-    runs = [(first, offsets.size) for first, offsets, _, _ in shell_batches(_sizes(groups), shells)]
+    runs = [(first, offsets.size) for first, offsets, _ in shell_batches(dim, shells)]
     assert len(runs) > 1
     for first, size in runs[:-1]:
         assert size == 1 or range_count(dim, range(first, first + size)) <= BATCH_ROWS
         assert range_count(dim, range(first, first + size + 1)) > BATCH_ROWS, first
     assert sum(size for _, size in runs) == len(shells)
-
-
-@pytest.mark.parametrize("sizes", [[2], [3, 2], [2, 5], [4, 4, 3], [2, 2, 2, 6]])
-def test_max_multiplicity_is_the_largest_class(sizes):
-    for n in [0, 1, 2, 7, 24, 61]:
-        want = max(
-            prod(comb(t + m - 1, m - 1) for t, m in zip(degrees, sizes))
-            for degrees in brute_shell(len(sizes), n).tolist()
-        )
-        assert _max_multiplicity(sizes, n) == want, n

@@ -25,6 +25,8 @@ from eggsum import gammakit, lattice, summability
 from eggsum.commutator import all_kinds, atom_partition, eigenvalue_bulk
 from eggsum.lattice import BATCH_ROWS, range_count, shell_batches, shell_count
 from eggsum.summability import (
+    _class_mult,
+    _counts,
     _magnitude_batches,
     _power_sums,
     _walk,
@@ -228,7 +230,8 @@ class TestClasses:
     def test_every_row_matches_its_class_bitwise(self, dom, kind, n):
         groups = entries_alone(dom, kind)
         firsts = [g[0] for g in groups]
-        [(_, _, classes, mult)] = shell_batches([len(g) for g in groups], range(n, n + 1))
+        [(_, _, classes)] = shell_batches(len(groups), range(n, n + 1))
+        mult = _class_mult(_counts(dict(enumerate(len(g) for g in groups)), n + 1), classes)
         assert mult is not None and mult.sum() == shell_count(dom.dimension, n)
         # each class's representative: its group degrees on the groups' first columns
         reps = np.zeros((classes.shape[0], dom.dimension), dtype=np.int64)
@@ -270,19 +273,19 @@ class TestClasses:
             want = math.fsum(terms.tolist())
             assert abs(rep.shell_sums[n] - want) <= 1e-14 * want, n
 
-    def test_multiplicity_from_2_53_refused_before_any_eigenvalue(self, monkeypatch):
-        def unexpected(*args):
-            raise AssertionError("an eigenvalue was evaluated")
-
-        monkeypatch.setattr(summability.WalkKernel, "__call__", unexpected)
-        calls = _count_gamma_calls(monkeypatch)
-        # the 10-D ball self kind: class (0, 368) of shell 368 stands for
-        # C(376, 8) >= 2^53 rows
-        with pytest.raises(ValidationError, match="2\\^53"):
-            shell_report(ball(10), SELF, 2.0, 400, cap=10**6)
-        with pytest.raises(ValidationError, match="2\\^53"):
-            empirical_threshold(ball(10), SELF, 5.0, 15.0, N=400, cap=10**6)
-        assert calls == []
+    @pytest.mark.parametrize("m, size", [(2, 5000), (3, 5000), (5, 5000), (9, 5000), (20, 2000)])
+    def test_counts_are_the_binomials(self, m, size):
+        # C(t + m - 1, m - 1), the rows of degree t in m columns: the scans
+        # add integers, exact below 2^53; above it each scan adds a rounding,
+        # (m - 1) t units of 2^-53 at worst, and 2.4e-15 at m = 9 in fact
+        [(k, count)] = _counts({0: 1, 1: m, 2: 1}, size)
+        assert k == 1 and count.dtype == np.float64 and count.size == size
+        for t, got in enumerate(count.tolist()):
+            want = math.comb(t + m - 1, m - 1)
+            if want < 2**53:
+                assert got == float(want), t
+            else:
+                assert abs(int(got) - want) <= 1e-14 * want, t
 
     def test_weights_need_no_exact_counts(self):
         # the 8-D ball's within kind: one atom of both entries and six other
@@ -295,6 +298,18 @@ class TestClasses:
         rep = shell_report(dom, kind, 9.0, 4042, cap=10**8)
         assert np.all(np.isfinite(rep.shell_sums)) and math.isfinite(rep.total)
         assert rep.shell_sums[0] == 0.0 and np.all(rep.shell_sums[1:] > 0.0)
+        # the 10-D ball's self kind: the class (0, t) of the atoms [0] and
+        # [1..9] stands for C(t + 8, 8) rows, 2^53 or more from t = 368 on;
+        # counted by the scans too, in floating point, so it runs
+        dom = ball(10)
+        assert math.comb(375, 8) < 2**53 <= math.comb(376, 8)
+        assert evaluation_count(dom, SELF, range(0, 401)) == 80_601
+        for p in (2.0, 10.0):
+            rep = shell_report(dom, SELF, p, 400, cap=10**6)
+            assert np.all(np.isfinite(rep.shell_sums)) and math.isfinite(rep.total)
+            assert np.all(rep.shell_sums > 0.0)
+        th = empirical_threshold(dom, SELF, 5.0, 15.0, N=400, cap=10**6)
+        assert th == 10.1953125 and abs(th - 10.0) <= 1.0
 
     def test_cap_counts_evaluations(self, monkeypatch):
         shells = tail_shells(600, 0.5)
