@@ -38,12 +38,14 @@ from .gammakit import (
 )
 from .summability import (
     SummationReport,
+    ThresholdReport,
     Verdict,
     empirical_threshold,
     module_threshold,
     module_threshold_breakdown,
     predicted_threshold,
     shell_report,
+    threshold_report,
 )
 from .zetalab import (
     AbsFactor,
@@ -83,8 +85,10 @@ __all__ = [
     "expansion_value",
     "verify_expansion",
     "SummationReport",
+    "ThresholdReport",
     "Verdict",
     "shell_report",
+    "threshold_report",
     "empirical_threshold",
     "predicted_threshold",
     "module_threshold",

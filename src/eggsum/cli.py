@@ -136,20 +136,6 @@ def _cmd_eig(params: dict) -> dict:
     return _report("eig", params, results)
 
 
-def _require_finite(sums, slope: float, total: float, window: float) -> None:
-    """A report whose tail fit has no slope, or whose sums left double range,
-    is an error: it never becomes a success report holding nulls."""
-    if math.isfinite(slope) and math.isfinite(total):
-        return
-    points = summability.fit_points(sums, window)
-    if points < summability.MIN_FIT_POINTS:
-        raise ValidationError(
-            f"only {points} shell sums in the fit window are positive, the tail fit "
-            f"needs {summability.MIN_FIT_POINTS}; lower the exponent or raise N"
-        )
-    raise ValidationError("the shell sums exceed double precision range")
-
-
 def _cmd_shells(params: dict) -> dict:
     dom = DomainSpec.from_json(params["domain"])
     kind = _parse_kind(params["kind"])
@@ -162,16 +148,14 @@ def _cmd_shells(params: dict) -> dict:
         margin=params["margin"],
         cap=params["cap"],
     )
-    _require_finite(rep.shell_sums, rep.slope, rep.total, params["window"])
-    N = rep.shell_sums.size - 1
-    params = {**params, "N": N, "cap": summability.resolve_cap(dom, params["cap"])}
+    params = {**params, "N": rep.shell_sums.size - 1, "cap": rep.cap}
     results = {
         "shell_sums": rep.shell_sums,
         "slope": rep.slope,
         "slope_stderr": rep.slope_stderr,
         "verdict": rep.verdict.value,
         "total": rep.total,
-        "evaluations": summability.evaluation_count(dom, kind, range(N + 1)),
+        "evaluations": rep.evaluations,
     }
     return _report("shells", params, results)
 
@@ -179,22 +163,21 @@ def _cmd_shells(params: dict) -> dict:
 def _cmd_threshold(params: dict) -> dict:
     dom = DomainSpec.from_json(params["domain"])
     kind = _parse_kind(params["kind"])
-    N = summability.default_shells(dom) if params["N"] is None else params["N"]
     predicted = summability.predicted_threshold(dom, kind)
     p_lo = params["p_lo"] if params["p_lo"] is not None else predicted / 2.0
     p_hi = params["p_hi"] if params["p_hi"] is not None else 1.5 * predicted + 0.5
-    empirical = summability.empirical_threshold(
+    rep = summability.threshold_report(
         dom,
         kind,
         p_lo,
         p_hi,
         tol=params["tol"],
-        N=N,
+        N=params["N"],
         window=params["window"],
         cap=params["cap"],
     )
-    cap = summability.resolve_cap(dom, params["cap"])
-    params = {**params, "N": N, "p_lo": p_lo, "p_hi": p_hi, "cap": cap}
+    params = {**params, "N": rep.N, "p_lo": p_lo, "p_hi": p_hi, "cap": rep.cap}
+    empirical = rep.threshold
     agreement_tol = max(params["tol"], 0.1 * predicted)
     results = {
         "predicted": predicted,
@@ -202,9 +185,7 @@ def _cmd_threshold(params: dict) -> dict:
         "abs_difference": abs(predicted - empirical),
         "agreement_tol": agreement_tol,
         "agrees": abs(predicted - empirical) <= agreement_tol,
-        "evaluations": summability.evaluation_count(
-            dom, kind, summability.tail_shells(N, params["window"])
-        ),
+        "evaluations": rep.evaluations,
     }
     return _report("threshold", params, results)
 
@@ -223,25 +204,14 @@ def _cmd_module_threshold(params: dict) -> dict:
 
 def _cmd_zeta(params: dict) -> dict:
     spec = zetalab.ZetaSeriesSpec.from_json(params["spec"])
-    kwargs = {}
-    if params["cap"] is not None:
-        # explicit cap lifts both the shell ceiling and the term budget
-        kwargs = {
-            "max_shells": max(params["N"], zetalab.DEFAULT_ZETA_SHELL_CAP),
-            "term_cap": params["cap"],
-        }
-    else:
-        # a run without a cap has N within the shell ceiling, so the default
-        # term cap, given explicitly, allows the same shells and terms
-        params = {**params, "cap": summability.DEFAULT_CAP}
     rep = zetalab.brute_shell_sums(
         spec,
         params["N"],
         window=params["window"],
         margin=params["margin"],
-        **kwargs,
+        cap=params["cap"],
     )
-    _require_finite(rep.shell_sums, rep.slope, rep.total, params["window"])
+    params = {**params, "cap": rep.cap}
     results = {
         "critical_b": rep.critical,
         "b": spec.b,
@@ -590,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, domain=False, counts=f"enumerated terms (default {summability.DEFAULT_CAP:,}; "
            f"an explicit cap also lifts the {zetalab.DEFAULT_ZETA_SHELL_CAP:,}-shell ceiling)")
     p.add_argument("--spec", required=True, help="zeta series spec: inline JSON or file path")
-    p.add_argument("--N", type=int, default=5000, help="shells to sum")
+    p.add_argument("--N", type=int, default=5000,
+                   help="last shell N of the sums T_0..T_N, at least 16 (default 5000)")
     p.add_argument("--window", type=float, default=DEFAULT_WINDOW, help=window_help)
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
 

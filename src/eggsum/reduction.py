@@ -4,9 +4,10 @@
 with one ``np.add.reduceat`` over the segment offsets; numpy sums a
 contiguous run pairwise in both cases, so the result is fixed for a given
 input and its rounding error grows with log2 of the length, not with the
-length.  Every commutator shell sum, and every total of shell sums
-(commutator and zeta), comes through here; a zeta shell sum is a
-convolution entry of ``zetalab._fold``, not a pairwise sum.
+length.  Every commutator shell sum, every run of a weighed atom's fold
+over pairs of entry degrees (``summability._entry_weights``), and every
+total of shell sums (commutator and zeta) comes through here; a zeta shell
+sum is a convolution entry of ``zetalab._fold``, not a pairwise sum.
 
 ``reduce_sum`` is the plain sum behind the older signature with a worker
 count, which it ignores; it stays because the benchmark's isolated and

@@ -11,10 +11,12 @@ margin band yields a three-way verdict.  ``shell_report`` gives T_0..T_N
 with that slope and verdict; ``empirical_threshold`` locates the p where
 the slope crosses -1 by bisection (the slope is nonincreasing in p
 because the tail eigenvalues are < 1), reusing one set of eigenvalue
-magnitudes for every probe.  Both check every parameter before the first
-evaluation: a window of fewer shells than the fit's ``MIN_FIT_POINTS``
-(``require_fit_window``) and a margin that is not positive are refused
-before any Gamma work.
+magnitudes for every probe (``threshold_report``).  Both check every
+parameter before the first evaluation: a window of fewer shells than the
+fit's ``MIN_FIT_POINTS`` (``require_fit_window``) and a margin that is not
+positive are refused before any Gamma work.  Each report carries its N,
+the cap in effect and its walk's evaluations, and ``tail_fit``, here and
+in ``zetalab``, refuses a tail it cannot fit: no report holds a NaN slope.
 
 Each walk is planned once (``_walk``): its atoms
 (``commutator.atom_partition``), its shells (for a cross kind those of
@@ -74,6 +76,7 @@ from .reduction import pairwise_sum
 __all__ = [
     "Verdict",
     "SummationReport",
+    "ThresholdReport",
     "DEFAULT_MARGIN",
     "DEFAULT_WINDOW",
     "DEFAULT_TOL",
@@ -81,16 +84,15 @@ __all__ = [
     "DEFAULT_SHELLS",
     "default_shells",
     "resolve_cap",
-    "evaluation_count",
-    "tail_shells",
     "require_fit_window",
     "require_margin",
     "zero_shell_sums",
     "classify_slope",
     "fit_tail_slope",
-    "fit_points",
+    "tail_fit",
     "MIN_FIT_POINTS",
     "shell_report",
+    "threshold_report",
     "empirical_threshold",
     "predicted_threshold",
     "module_threshold",
@@ -114,9 +116,9 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SummationReport:
-    """Shell sums T_0..T_N for one (domain, kind, p) and the fitted tail
-    verdict: a slope of NaN, and the verdict Inconclusive, when fewer than
-    ``MIN_FIT_POINTS`` sums in the window are positive."""
+    """Shell sums T_0..T_N for one (domain, kind, p), the fitted tail slope
+    and its verdict (``tail_fit``: never a NaN slope or a non-finite
+    total), the cap in effect and the evaluations of the walk."""
 
     p: float
     shell_sums: np.ndarray
@@ -124,6 +126,19 @@ class SummationReport:
     slope_stderr: float
     verdict: Verdict
     total: float
+    cap: int
+    evaluations: int
+
+
+@dataclass(frozen=True)
+class ThresholdReport:
+    """The bisection's cut-off p with the N it took, the cap in effect and
+    the evaluations of its one walk, over the fit window of T_0..T_N."""
+
+    threshold: float
+    N: int
+    cap: int
+    evaluations: int
 
 
 def default_shells(dom: DomainSpec) -> int:
@@ -192,12 +207,6 @@ def _walk(dom: DomainSpec, kind: CommutatorKind, shells: range) -> _Walk:
     classes = range_count(len(atoms), walk)
     pairs = sum(range_count(2, rows) for _, _, rows in weighed.values() if rows is not None)
     return _Walk(atoms, walk, shift, weighed, classes, classes + pairs)
-
-
-def evaluation_count(dom: DomainSpec, kind: CommutatorKind, shells: range) -> int:
-    """Evaluations for the shells ``shells``: the classes the walk goes over
-    and the pairs its entries' folds hold (``_walk``)."""
-    return _walk(dom, kind, shells).evaluations
 
 
 def _check_budget(plan: _Walk, cap: int) -> None:
@@ -289,7 +298,7 @@ def _entry_weights(s: np.ndarray, fold, m: int, p: float) -> np.ndarray:
         for first, offsets, delta in fold:
             terms = np.multiply(delta, p)
             np.exp(terms, out=terms)
-            w[first : first + offsets.size] = np.add.reduceat(terms, offsets)
+            w[first : first + offsets.size] = pairwise_sum(terms, offsets)
     if not m:
         return w
     return _scans(w.tolist(), np.exp(np.multiply(s[:-1] - s[1:], p)).tolist(), m)
@@ -361,17 +370,12 @@ def _window_start(N: int, window_fraction: float) -> int:
     return max(1, math.ceil((1.0 - window_fraction) * N))
 
 
-def tail_shells(N: int, window_fraction: float) -> range:
-    """The shells of the trailing window of T_0..T_N: the ones the
-    bisection evaluates."""
-    return range(_window_start(N, window_fraction), N + 1)
-
-
 def require_fit_window(N: int, window_fraction: float) -> range:
-    """The shells of the trailing window of T_0..T_N (``tail_shells``); a
-    ValidationError when they are fewer than the ``MIN_FIT_POINTS`` of the
-    tail fit, which no exponent can then make."""
-    shells = tail_shells(last_shell(N), window_fraction)
+    """The shells of the trailing window of T_0..T_N, the ones the
+    bisection evaluates; a ValidationError when they are fewer than the
+    ``MIN_FIT_POINTS`` of the tail fit, which no exponent can then make."""
+    N = last_shell(N)
+    shells = range(_window_start(N, window_fraction), N + 1)
     # counted, not len(): a range past sys.maxsize has no len
     count = shells.stop - shells.start
     if count < MIN_FIT_POINTS:
@@ -410,13 +414,6 @@ def fit_tail_slope(sums: np.ndarray, window_fraction: float) -> tuple[float, flo
     return slope, stderr
 
 
-def fit_points(sums: np.ndarray, window_fraction: float) -> int:
-    """Number of positive shell sums in the trailing window: the points of
-    the tail fit."""
-    sums = np.asarray(sums, dtype=np.float64)
-    return int(np.count_nonzero(sums[_window_start(len(sums) - 1, window_fraction) :] > 0.0))
-
-
 def require_margin(margin: float) -> float:
     """``margin`` as a float; a ValidationError unless it is positive and
     finite."""
@@ -437,6 +434,24 @@ def classify_slope(slope: float, margin: float = DEFAULT_MARGIN) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
+def tail_fit(sums: np.ndarray, window_fraction: float, margin: float) -> tuple:
+    """(slope, stderr, verdict, total) of the shell sums T_0..T_N
+    (``fit_tail_slope``, ``classify_slope``, the pairwise total); never a
+    NaN slope or a non-finite total, but a ValidationError that counts the
+    window's positive sums where they are too few for the fit."""
+    slope, stderr = fit_tail_slope(sums, window_fraction)
+    total = pairwise_sum(sums)
+    if not (math.isfinite(slope) and math.isfinite(total)):
+        points = int(np.count_nonzero(sums[_window_start(sums.size - 1, window_fraction) :] > 0))
+        if points < MIN_FIT_POINTS:
+            raise ValidationError(
+                f"only {points} shell sums in the fit window are positive, the tail fit "
+                f"needs {MIN_FIT_POINTS}; lower the exponent or raise N"
+            )
+        raise ValidationError("the shell sums exceed double precision range")
+    return slope, stderr, classify_slope(slope, margin), total
+
+
 def shell_report(
     dom: DomainSpec,
     kind: CommutatorKind,
@@ -448,10 +463,10 @@ def shell_report(
     cap: int | None = None,
 ) -> SummationReport:
     """T_0..T_N, each a pairwise sum over its shell, with the tail slope and
-    verdict.  N defaults by dimension (``default_shells``).  Every
-    parameter is checked before the first evaluation, N and the window
-    (``require_fit_window``) first; the magnitudes are streamed batch by
-    batch and none is kept."""
+    verdict (``tail_fit``), the cap in effect and the evaluations.  N
+    defaults by dimension (``default_shells``).  Every parameter is checked
+    before the first evaluation, N and the window (``require_fit_window``)
+    first; the magnitudes are streamed batch by batch and none is kept."""
     N = default_shells(dom) if N is None else last_shell(N)
     require_fit_window(N, window)
     validate_kind(dom, kind)
@@ -459,21 +474,15 @@ def shell_report(
     if not p > 0.0:
         raise ValidationError("Schatten exponent p must be positive")
     plan = _walk(dom, kind, range(N + 1))
-    _check_budget(plan, resolve_cap(dom, cap))
+    cap = resolve_cap(dom, cap)
+    _check_budget(plan, cap)
     require_margin(margin)
     sums = _power_sums(*_magnitude_batches(dom, kind, plan), p, zero_shell_sums(N))
-    slope, stderr = fit_tail_slope(sums, window)
-    return SummationReport(
-        p=p,
-        shell_sums=sums,
-        slope=slope,
-        slope_stderr=stderr,
-        verdict=classify_slope(slope, margin),
-        total=pairwise_sum(sums),
-    )
+    slope, stderr, verdict, total = tail_fit(sums, window, margin)
+    return SummationReport(p, sums, slope, stderr, verdict, total, cap, plan.evaluations)
 
 
-def empirical_threshold(
+def threshold_report(
     dom: DomainSpec,
     kind: CommutatorKind,
     p_lo: float,
@@ -483,11 +492,13 @@ def empirical_threshold(
     *,
     window: float = DEFAULT_WINDOW,
     cap: int | None = None,
-) -> float:
-    """Bisection estimate of the p where the fitted tail slope crosses -1.
+) -> ThresholdReport:
+    """Bisection estimate of the p where the fitted tail slope crosses -1,
+    with the N (``default_shells`` by default), the cap in effect and the
+    evaluations of the fit window's one walk, which every probe reuses.
 
-    Requires a valid bracket: slope(p_lo) > -1 > slope(p_hi).  Returns the
-    bracket midpoint once its width is at most ``tol``.
+    Requires a valid bracket: slope(p_lo) > -1 > slope(p_hi).  The
+    threshold is the bracket midpoint once its width is at most ``tol``.
     """
     validate_kind(dom, kind)
     p_lo = finite_real(p_lo, "bracket end p_lo")
@@ -497,9 +508,9 @@ def empirical_threshold(
     if not finite_real(tol, "tol") >= 0.01:
         raise ValidationError("tol must be at least 0.01")
     N = default_shells(dom) if N is None else last_shell(N)
-    shells = require_fit_window(N, window)
-    plan = _walk(dom, kind, shells)
-    _check_budget(plan, resolve_cap(dom, cap))
+    plan = _walk(dom, kind, require_fit_window(N, window))
+    cap = resolve_cap(dom, cap)
+    _check_budget(plan, cap)
     sums = zero_shell_sums(N)
     batches, weights = _magnitude_batches(dom, kind, plan)
     batches = list(batches)
@@ -527,7 +538,14 @@ def empirical_threshold(
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return ThresholdReport(0.5 * (lo + hi), N, cap, plan.evaluations)
+
+
+def empirical_threshold(dom: DomainSpec, kind: CommutatorKind, p_lo: float, p_hi: float,
+                        tol: float = DEFAULT_TOL, N: int | None = None, **kwargs) -> float:
+    """The cut-off p of ``threshold_report`` alone; ``window`` and ``cap``
+    go through as keywords."""
+    return threshold_report(dom, kind, p_lo, p_hi, tol, N, **kwargs).threshold
 
 
 def _self_terms(dom: DomainSpec, block: int, coord: int) -> list[float]:

@@ -16,14 +16,15 @@ is necessary only, and the brute-force shell summation supplies the
 empirical verdict.
 
 ``brute_shell_sums`` computes T_n = (shell sum of the numerator) / n^b
-exactly and classifies the tail with the same slope fit and margin band
-as the commutator shell sums.  One routine sums every spec: it fixes the
-fewest variables that leave factor-disjoint blocks (none, one or more),
-and the numerator is a convolution of the blocks, once or for each row
-of values of the fixed variables, which keeps N = 5000 shells cheap
-wherever one variable is enough; no lattice is walked.  ``method`` names
-the spec's structure, not the loop that sums it.  The total is numpy's
-pairwise sum (``reduction.pairwise_sum``).
+exactly and checks and classifies the tail with the commutator sums'
+``tail_fit``: no report holds a NaN slope.  One routine sums every spec:
+it fixes the fewest variables that leave factor-disjoint blocks (none,
+one or more), and the numerator is a convolution of the blocks, once or
+for each row of values of the fixed variables, which keeps N = 5000
+shells cheap wherever one variable is enough; no lattice is walked.
+``method`` names the spec's structure, not the loop that sums it.  The
+total is numpy's pairwise sum (``reduction.pairwise_sum``).  One ``cap``
+bounds the work, and the report holds the cap in effect.
 
 Every power the series takes has an integer base in 0..N, so each comes
 from a table ``_power_seq`` built once per exponent, which the
@@ -48,19 +49,18 @@ from .errors import (
     integer,
     last_shell,
     parsed_json,
+    positive_integer,
     sequence,
 )
 from .lattice import range_count, shell_rows
-from .reduction import pairwise_sum
 from .summability import (
     DEFAULT_CAP,
     DEFAULT_MARGIN,
     DEFAULT_WINDOW,
     Verdict,
-    classify_slope,
-    fit_tail_slope,
     require_fit_window,
     require_margin,
+    tail_fit,
     zero_shell_sums,
 )
 
@@ -302,7 +302,9 @@ def reduce_group(spec: ZetaSeriesSpec) -> ZetaSeriesSpec:
 
 @dataclass(frozen=True, eq=False)
 class ZetaReport:
-    """Brute-force shell sums plus the slope-fit verdict and exact bound."""
+    """Brute-force shell sums plus the slope-fit verdict (``tail_fit``:
+    never a NaN slope or a non-finite total), the exact bound and the cap
+    in effect."""
 
     spec: ZetaSeriesSpec
     shell_sums: np.ndarray
@@ -315,6 +317,7 @@ class ZetaReport:
     side_ok: bool
     sharp: bool
     method: str
+    cap: int
 
 
 def _power_seq(exponent: float, N: int, top: int | None = None) -> np.ndarray:
@@ -514,29 +517,32 @@ def brute_shell_sums(
     spec: ZetaSeriesSpec,
     N: int,
     *,
-    max_shells: int = DEFAULT_ZETA_SHELL_CAP,
     window: float = DEFAULT_WINDOW,
     margin: float = DEFAULT_MARGIN,
-    term_cap: int = DEFAULT_CAP,
+    cap: int | None = None,
 ) -> ZetaReport:
     """Shell sums T_n (n <= N) of the series and the slope-fit verdict.
-    Every parameter is checked before the first table, N and the window
+    Without a cap, N is at most ``DEFAULT_ZETA_SHELL_CAP`` and an
+    "enumeration" spec has at most ``DEFAULT_CAP`` lattice terms; an
+    explicit cap lifts the shell ceiling and bounds the terms.  Every
+    parameter is checked before the first table, N and the window
     (``require_fit_window``) first."""
     N = last_shell(N)
     require_fit_window(N, window)
     if spec.m > 5:
         raise ValidationError("brute-force summation supports at most 5 variables")
-    if N > max_shells:
+    if cap is None and N > DEFAULT_ZETA_SHELL_CAP:
         raise ResourceCapError(
-            f"N={N} exceeds the configured shell cap {max_shells}; raise max_shells "
-            "(eggsum zeta: give --cap, which lifts it) to proceed"
+            f"N={N} exceeds the shell ceiling {DEFAULT_ZETA_SHELL_CAP}; give --cap "
+            "(cap= from Python), which lifts it, to proceed"
         )
+    cap = DEFAULT_CAP if cap is None else positive_integer(cap, "cap")
     method = _method(spec)
     if method == "enumeration":
         total_terms = range_count(spec.m, range(N - spec.m + 1))
-        if total_terms > term_cap:
+        if total_terms > cap:
             raise ResourceCapError(
-                f"enumerating {total_terms} lattice terms exceeds the cap of {term_cap}"
+                f"enumerating {total_terms} lattice terms exceeds the cap of {cap}"
             )
     require_margin(margin)
     sums = zero_shell_sums(N)
@@ -548,18 +554,19 @@ def brute_shell_sums(
         sums[1:] = numer[1:] * _power_seq(-spec.b, N)[1:]
     if not np.all(np.isfinite(sums)):
         raise ValidationError("a shell sum of the series overflows double range")
-    slope, stderr = fit_tail_slope(sums, window)
+    slope, stderr, verdict, total = tail_fit(sums, window, margin)
     match = family_of(spec)
     return ZetaReport(
         spec=spec,
         shell_sums=sums,
         slope=slope,
         slope_stderr=stderr,
-        verdict=classify_slope(slope, margin),
-        total=pairwise_sum(sums),
+        verdict=verdict,
+        total=total,
         critical=critical_b(spec),
         family=match.family,
         side_ok=match.side_ok,
         sharp=match.sharp,
         method=method,
+        cap=cap,
     )

@@ -658,7 +658,12 @@ def _nan_at_the_last_shell():
 
 
 def _inf_scalar():
-    return summability, "empirical_threshold", lambda *args, **kwargs: np.float64(math.inf)
+    real = summability.threshold_report
+
+    def threshold_report(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), threshold=np.float64(math.inf))
+
+    return summability, "threshold_report", threshold_report
 
 
 def _nan_in_a_list():

@@ -31,12 +31,11 @@ from eggsum.summability import (
     _power_sums,
     _walk,
     classify_slope,
-    evaluation_count,
     fit_tail_slope,
     MIN_FIT_POINTS,
     max_predicted_over_kinds,
     require_fit_window,
-    tail_shells,
+    threshold_report,
     zero_shell_sums,
 )
 
@@ -93,6 +92,12 @@ class TestShellSums:
             shell_report(DISK, SELF, math.inf, 64)
         with pytest.raises(ValidationError):
             shell_report(DISK, SELF, 1.0, 8)
+
+    def test_a_slope_that_cannot_be_fitted_is_refused(self):
+        # p = 1000 leaves no positive sum in the window: an error, not a NaN slope
+        with pytest.raises(ValidationError, match="only 0 shell sums in the fit window are "
+                                                  "positive, the tail fit needs 8"):
+            shell_report(BALL2, SELF, 1000.0, 100)
 
     def test_cap_exceeded_is_loud(self):
         with pytest.raises(ResourceCapError):
@@ -294,7 +299,7 @@ class TestClasses:
         dom, kind = ball(8), CrossWithin(0, 0, 1)
         assert math.comb(4045, 5) < 2**53 <= math.comb(4046, 5)
         # 4 042 classes of shells 0..4041 of j and C(4043, 2) pairs of entry degrees
-        assert evaluation_count(dom, kind, range(0, 4043)) == 8_174_945
+        assert _walk(dom, kind, range(0, 4043)).evaluations == 8_174_945
         rep = shell_report(dom, kind, 9.0, 4042, cap=10**8)
         assert np.all(np.isfinite(rep.shell_sums)) and math.isfinite(rep.total)
         assert rep.shell_sums[0] == 0.0 and np.all(rep.shell_sums[1:] > 0.0)
@@ -303,7 +308,7 @@ class TestClasses:
         # counted by the scans too, in floating point, so it runs
         dom = ball(10)
         assert math.comb(375, 8) < 2**53 <= math.comb(376, 8)
-        assert evaluation_count(dom, SELF, range(0, 401)) == 80_601
+        assert _walk(dom, SELF, range(0, 401)).evaluations == 80_601
         for p in (2.0, 10.0):
             rep = shell_report(dom, SELF, p, 400, cap=10**6)
             assert np.all(np.isfinite(rep.shell_sums)) and math.isfinite(rep.total)
@@ -312,12 +317,12 @@ class TestClasses:
         assert th == 10.1953125 and abs(th - 10.0) <= 1.0
 
     def test_cap_counts_evaluations(self, monkeypatch):
-        shells = tail_shells(600, 0.5)
-        assert evaluation_count(ball(4), SELF, shells) == range_count(2, shells) == 135_751
+        shells = require_fit_window(600, 0.5)
+        assert _walk(ball(4), SELF, shells).evaluations == range_count(2, shells) == 135_751
         # the between kind walks j = i - e_lowered on shells 299..599, in its two
         # atoms [0] and [1, 2], and weighs the atom [1, 2] of its lowered entry
         # and one other column by a scan, which holds no pairs
-        assert evaluation_count(CRIT4, CrossBetween(0, 0, 1, 0), shells) == 135_450
+        assert _walk(CRIT4, CrossBetween(0, 0, 1, 0), shells).evaluations == 135_450
         assert range_count(2, range(299, 600)) == 135_450
         calls = _count_gamma_calls(monkeypatch)
         with pytest.raises(ResourceCapError, match="135751"):
@@ -327,23 +332,50 @@ class TestClasses:
     @pytest.mark.parametrize("dom", WORK_DOMAINS, ids=WORK_IDS)
     def test_the_count_is_the_work(self, monkeypatch, dom):
         # the classes the batches yield and the pairs the entries' folds hold
-        # are the evaluations the cap counts, on every kind and window
-        pairs, entry_folds = [], summability._entry_folds
+        # are the evaluations the cap counts, on every kind and window, and
+        # the ones a shell or threshold report gives for its own walk
+        classes, pairs = [], []
+        magnitude_batches, entry_folds = summability._magnitude_batches, summability._entry_folds
 
-        def recorded(logs, rows):
+        def recorded_batches(dom, kind, plan):
+            batches, weights = magnitude_batches(dom, kind, plan)
+
+            def counted():
+                for batch in batches:
+                    classes.append(batch[2].size)
+                    yield batch
+
+            return counted(), weights
+
+        def recorded_folds(logs, rows):
             s, fold = entry_folds(logs, rows)
             pairs.append(sum(delta.size for _, _, delta in fold or []))
             return s, fold
 
-        monkeypatch.setattr(summability, "_entry_folds", recorded)
+        monkeypatch.setattr(summability, "_magnitude_batches", recorded_batches)
+        monkeypatch.setattr(summability, "_entry_folds", recorded_folds)
+
+        def work():
+            done = sum(classes) + sum(pairs)
+            classes.clear()
+            pairs.clear()
+            return done
+
         N = {1: 300, 2: 60, 3: 30}[dom.dimension]
+        # the brackets of the reports, predicted / 2 .. 1.5 predicted + 0.5
+        reported = {(CRIT4, CrossBetween(0, 0, 1, 0)): (1.5, 5.0),
+                    (CRIT5, CrossWithin(0, 0, 1)): (2.0, 6.5)}
         for kind in all_kinds(dom):
-            for shells in (range(N + 1), tail_shells(N, 0.5)):
-                pairs.clear()
-                batches, weights = _magnitude_batches(dom, kind, _walk(dom, kind, shells))
-                classes = sum(mags.size for _, _, mags, _, _ in batches)
+            for shells in (range(N + 1), require_fit_window(N, 0.5)):
+                batches, weights = summability._magnitude_batches(dom, kind, _walk(dom, kind, shells))
+                list(batches)
                 weights(3.0)
-                assert classes + sum(pairs) == evaluation_count(dom, kind, shells), (kind, shells)
+                assert work() == _walk(dom, kind, shells).evaluations, (kind, shells)
+            if (dom, kind) in reported:
+                assert shell_report(dom, kind, 3.0, N).evaluations == work(), kind
+                th = threshold_report(dom, kind, *reported[dom, kind])
+                assert th.evaluations == work(), kind
+                assert (th.N, th.cap) == (summability.DEFAULT_SHELLS[3], summability.DEFAULT_CAP)
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_ball_self_cutoff_is_the_dimension(self, d):
@@ -421,10 +453,10 @@ class TestCrossClasses:
             # which keep no pairs
             (ball(4), 751, 1_125_750, 1500, 4.00390625, 16),
         ]:
-            shells = tail_shells(N, 0.5)
+            shells = require_fit_window(N, 0.5)
             atoms = len(atom_partition(dom, kind))
             assert range_count(atoms, range(shells.start - 1, N)) == classes
-            assert evaluation_count(dom, kind, shells) == classes + pairs
+            assert _walk(dom, kind, shells).evaluations == classes + pairs
             tracemalloc.start()
             try:
                 th = empirical_threshold(dom, kind, 2.0, 6.5, N=N, cap=10**7)

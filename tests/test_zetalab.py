@@ -561,6 +561,14 @@ class TestBruteForce:
         assert rep.method == "enumeration"
         assert rep.verdict is Verdict.CONVERGES
 
+    def test_a_slope_that_cannot_be_fitted_is_refused(self):
+        # n^-400 underflows to 0 on every shell of the window: an error, not a
+        # NaN slope
+        spec = ZetaSeriesSpec(m=2, powers=(0.0, 0.0), b=400.0)
+        with pytest.raises(ValidationError, match="only 0 shell sums in the fit window are "
+                                                  "positive, the tail fit needs 8"):
+            brute_shell_sums(spec, 100)
+
     def test_caps(self):
         spec = ZetaSeriesSpec(m=2, powers=(0.0, 0.0), b=3.0)
         with pytest.raises(ResourceCapError):
@@ -597,9 +605,9 @@ class TestBruteForce:
             b=6.0,
         )
         with pytest.raises(ResourceCapError):
-            brute_shell_sums(spec, 300, term_cap=10**6)
+            brute_shell_sums(spec, 300, cap=10**6)
         with pytest.raises(ValidationError):
-            brute_shell_sums(spec, 300, term_cap=10**7)
+            brute_shell_sums(spec, 300, cap=10**7)
         argv = ["zeta", "--spec", json.dumps(spec.to_json()), "--N", "300", "--cap"]
         assert run([*argv, str(10**6)]) == 3
         assert run([*argv, str(10**7)]) == 2
