@@ -501,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
                    f"(default {summability.DEFAULT_CAP:,}; dimensions >= 4 need an explicit cap; "
                    "a pair keeps 8 bytes until the command ends)")
     defaults = ", ".join(f"{n} for d = {d}" for d, n in summability.DEFAULT_SHELLS.items())
-    shells_help = (f"last shell N of the sums T_0..T_N, at least 16 (default by dimension: "
-                   f"{defaults}; dimensions >= 4 need an explicit N)")
+    last_shell_help = "last shell N of the sums T_0..T_N, at least 16"
+    shells_help = (f"{last_shell_help} (default by dimension: {defaults}; dimensions >= 4 "
+                   "need an explicit N)")
     window_help = (f"trailing fraction of the shells 0..N that the tail fit uses, in (0, 1) "
                    f"(default {DEFAULT_WINDOW})")
 
@@ -560,8 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, domain=False, counts=f"enumerated terms (default {summability.DEFAULT_CAP:,}; "
            f"an explicit cap also lifts the {zetalab.DEFAULT_ZETA_SHELL_CAP:,}-shell ceiling)")
     p.add_argument("--spec", required=True, help="zeta series spec: inline JSON or file path")
-    p.add_argument("--N", type=int, default=5000,
-                   help="last shell N of the sums T_0..T_N, at least 16 (default 5000)")
+    p.add_argument("--N", type=int, default=5000, help=f"{last_shell_help} (default 5000)")
     p.add_argument("--window", type=float, default=DEFAULT_WINDOW, help=window_help)
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
 
