@@ -42,12 +42,21 @@ block and total terms through one).
 
 A walk over a range of shells (``lattice.shell_batches``) enumerates
 classes of atom degrees (``atom_partition``) and drives one kernel.  Each
-key set enumerates the keys that the walk's shells allow once, on the
-first run, and evaluates each of its terms on them; every run finds each
-key set's places once and adds up the gathered terms.  A key set of three
-or more groups, or with no fewer keys than the walk has classes, is
-evaluated per class instead.  Both apply the same elementwise function to
-the same integer keys, so an eigenvalue does not depend on the rows
+key set makes its tables once, on the first run, in the first of three
+ways that applies (``_KeySet``):
+
+* coded, where every group's weight is a power of two or there is one
+  group: a row's code is an integer sum of its degree sums scaled by
+  W/weight, W the largest weight, and each term is evaluated once on every
+  code the walk's shells allow, when they are fewer than the walk's
+  classes; the argument is one exact division of an integer by W;
+* pair table, where there are two groups and fewer pairs of degree sums
+  than classes: each term is evaluated once on every pair;
+* per class, otherwise: each term on every class's argument.
+
+Every run finds each key set's places once and adds up the gathered
+terms.  All three apply the same elementwise function to the same
+argument, bit for bit, so an eigenvalue does not depend on the rows
 evaluated with it.  ``eigenvalue_bulk`` is the kernel of the rows' own
 shells with every column alone, called once.
 
@@ -58,6 +67,7 @@ ratio-convergence checks along rays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -228,23 +238,55 @@ def _degree(column, cols) -> np.ndarray:
     return out
 
 
+def _scales(groups) -> list[int] | None:
+    """W/w for each group's weight w, W the largest, where every weight is a
+    power of two or there is one group (whose scale is 1); else None.  The
+    scales are exact integers from the weights' binary exponents: W/w as a
+    float may overflow (2^600 / 2^-600)."""
+    fractions, exponents = zip(*(math.frexp(weight) for weight, _ in groups))
+    if len(groups) > 1 and any(f != 0.5 for f in fractions):
+        return None
+    top = max(exponents)
+    return [1 << (top - e) for e in exponents]
+
+
 class _KeySet:
     """One key set of a walk, ``groups``, and the terms declared on it,
     ``fns``.  The keys are the shells ``totals`` of the groups' degree
-    vectors.  With one or two groups and fewer keys than the walk's
-    ``evaluations``, each term is evaluated once on every key, in the order
-    ``lattice.shell_rows`` enumerates them, and a row finds its key's place
-    from its degrees: the place of the key's total, plus its first degree
-    where there are two groups.  Otherwise each term is evaluated per row,
-    on the row's ``_weight``.  Either way a term applies the same
-    elementwise function to the same integer key, so a row's value does not
-    depend on the other rows.
+    vectors.  Each term is evaluated in the first of three ways that
+    applies:
+
+    * coded: every group's weight w is a power of two, or there is one
+      group.  With W the largest weight and c = W/w an integer per group
+      (``_scales``), a row's code is sum c D, from lo = min c * first total
+      up to max c * last total, and its argument sum c (D + m) / W.  Where
+      there are fewer codes than the walk's ``evaluations`` and the
+      numerators stay below 2^53, each term is evaluated once on every code,
+      and a row's place is its code minus lo.  Every quotient (D + m)/w and
+      every partial sum of ``_weight`` is then exact, so the one division
+      gives its value bit for bit.
+    * pair table: two groups and fewer keys than ``evaluations``.  Each
+      term is evaluated once on every key, in the order
+      ``lattice.shell_rows`` enumerates them, and a row's place is the place
+      of its key's total plus its first degree.
+    * per row: otherwise, on the row's ``_weight``.
+
+    Each way applies the same elementwise function to the same argument, so
+    a row's value does not depend on the other rows.
     """
 
     def __init__(self, groups: tuple, totals: range, evaluations: int):
         self.groups, self.totals = groups, totals
-        self.tabulated = len(groups) <= 2 and range_count(len(groups), totals) < evaluations
-        if self.tabulated and len(groups) == 2:
+        self._scales = _scales(groups)
+        self.coded = False
+        if self._scales is not None:
+            self._lo = min(self._scales) * totals.start
+            self._size = max(self._scales) * (totals.stop - 1) - self._lo + 1
+            sizes = [len(cols) for _, cols in groups]
+            self._first = self._lo + sum(c * m for c, m in zip(self._scales, sizes))
+            self.coded = self._size < evaluations and self._first + self._size <= 2**53
+        self.tabulated = self.coded or (len(groups) == 2 and range_count(2, totals) < evaluations)
+        if self.tabulated and not self.coded:
             self._starts = np.zeros(totals.stop, dtype=np.intp)
             self._starts[totals.start :] = shell_rows(2, totals)[1]
         self.fns: list = []
@@ -252,27 +294,38 @@ class _KeySet:
         self._weights = None
 
     def place(self, degrees) -> np.ndarray:
-        """Each row's place among the keys for its degree sums, or its
-        argument where the terms are evaluated per row."""
+        """Each row's place among the codes or keys for its degree sums, or
+        its argument where the terms are evaluated per row."""
         if not self.tabulated:
             return _weight(degrees, self.groups)
-        if len(degrees) == 1:
-            first = self.totals.start
-            return degrees[0] - first if first else degrees[0]
-        return self._starts[degrees[0] + degrees[1]] + degrees[0]
+        if not self.coded:
+            return self._starts[degrees[0] + degrees[1]] + degrees[0]
+        code = None
+        for deg, c in zip(degrees, self._scales):
+            part = deg * c if c > 1 else deg
+            code = part if code is None else code + part
+        return code - self._lo if self._lo else code
 
     def value(self, n: int, place: np.ndarray) -> np.ndarray:
         """Each row's value of the n-th term: its table is made the first
-        time it is asked for, from the arguments on every key, which the key
-        set enumerates once."""
+        time it is asked for, from the arguments on every code or key, which
+        the key set makes once."""
         if not self.tabulated:
             return self.fns[n](place)
         if n not in self.tables:
             if self._weights is None:
-                keys = shell_rows(len(self.groups), self.totals)[0]
-                self._weights = _weight(list(keys.T), self.groups)
+                self._weights = self._arguments()
             self.tables[n] = self.fns[n](self._weights)
         return self.tables[n].take(place)
+
+    def _arguments(self) -> np.ndarray:
+        """The argument at every place: (first numerator + place) / W where
+        the set is coded, else ``_weight`` of every key."""
+        if self.coded:
+            top = next(w for (w, _), c in zip(self.groups, self._scales) if c == 1)
+            return np.arange(self._first, self._first + self._size) / top
+        keys = shell_rows(2, self.totals)[0]
+        return _weight(list(keys.T), self.groups)
 
 
 def _add(terms, places: dict, degree, out=None) -> np.ndarray:

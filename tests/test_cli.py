@@ -193,6 +193,18 @@ class TestShells:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    def test_outer_powers_of_two_far_apart_exit_2(self, capsys):
+        # outer powers 2^-600, 2^600 and 1: a Gamma term leaves double range
+        domain = json.dumps({"blocks": [{"p": [1], "a": 2.0**-600}, {"p": [1], "a": 2.0**600},
+                                        {"p": [1], "a": 1}]})
+        assert run(["shells", "--domain", domain, "--kind", "self:0:0", "--p", "3",
+                    "--N", "40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == (
+            "error: an eigenvalue is not a finite double on this domain: "
+            "a term leaves double range\n")
+
     def test_worker_count_is_echoed(self, capsys):
         argv = ["shells", "--domain", BALL, "--kind", "within:0:0:1", "--p", "3.0", "--N", "100"]
         one = run_json(capsys, argv)

@@ -16,8 +16,9 @@ from eggsum import (
     eigenvalue_bulk,
 )
 from eggsum import gammakit
-from eggsum.commutator import WalkKernel, all_kinds, validate_kind
+from eggsum.commutator import WalkKernel, all_kinds, atom_partition, entry_atoms, validate_kind
 from eggsum.lattice import range_count, shell_batches
+from eggsum.summability import shell_report
 
 from helpers import brute_shell, domain_with_all_kinds, entries_alone
 
@@ -200,12 +201,19 @@ class TestKeyedKernel:
         assert 0 < sum(elements) <= rows.shape[0] // 8
 
     @pytest.mark.parametrize(
-        "kind", [CrossWithin(0, 0, 1), CrossBetween(0, 0, 1, 0)],
-        ids=["crit5-within", "crit4-between"],
+        "kind, classes",
+        [(CrossWithin(0, 0, 1), False), (CrossBetween(0, 0, 1, 0), False),
+         (CrossWithin(0, 0, 1), True), (SelfAdjoint(0, 0), True)],
+        ids=["crit5-within", "crit4-between", "crit5-within-classes", "crit4-self-classes"],
     )
-    def test_gamma_work_per_walk(self, monkeypatch, kind):
+    def test_gamma_work_per_walk(self, monkeypatch, kind, classes):
         # every row of shells 100..200, each column alone: 87 runs, 1 202 001
-        # rows, and each Gamma term evaluated once for the whole walk
+        # rows, and each Gamma term evaluated once for the whole walk.  The
+        # walk of classes of atom degrees has as many classes as its total
+        # weight has pairs of degree sums, but that total's weights are
+        # powers of two W/c with c <= 4, so its codes sum c D lie in
+        # 0..4 * 200: every table holds at most 4 * 201 entries, and a walk
+        # evaluates at most that many Gamma elements per term
         dom = CRIT5 if isinstance(kind, CrossWithin) else CRIT4
         shells = range(100, 201)
         elements = []
@@ -217,17 +225,53 @@ class TestKeyedKernel:
                 return routine(x, *args)
 
             monkeypatch.setattr(gammakit, name, counted)
-        evaluations = range_count(3, shells)
-        kernel = WalkKernel(dom, kind, [[0], [1], [2]], shells, evaluations)
+        atoms = atom_partition(dom, kind) if classes else [[0], [1], [2]]
+        evaluations = range_count(len(atoms), shells)
+        kernel = WalkKernel(dom, kind, atoms, shells, evaluations)
         runs = 0
-        for _, _, rows in shell_batches(3, shells):
+        for _, _, rows in shell_batches(len(atoms), shells):
             kernel(rows)
             runs += 1
-        assert runs == 87 and evaluations == 1_202_001
         assert 0 < len(elements) <= len(kernel.terms)
         assert all(n in keys.tables for keys, n in kernel.terms)
         sizes = [keys.tables[n].size for keys, n in kernel.terms]
-        assert sum(elements) <= sum(sizes) < evaluations // 10
+        if classes:
+            bound = 4 * 201
+            assert len(atoms) == 2 and evaluations > 15_000
+            assert max(sizes) <= bound and sum(elements) <= bound * len(kernel.terms)
+        else:
+            assert runs == 87 and evaluations == 1_202_001
+            assert sum(elements) <= sum(sizes) < evaluations // 10
+
+    def test_a_code_range_past_the_walk_is_evaluated_per_class(self):
+        # weights 2^20 and 1 in the total: its codes sum c D run over about
+        # 2^20 * 200 values, more than the walk's classes, and its pairs of
+        # degree sums are as many as the classes, so its terms are evaluated
+        # per class, byte for byte as with every key set per class
+        dom = DomainSpec(blocks=(BlockSpec((1.0,), 2.0**20), BlockSpec((1.0,), 1.0),
+                                 BlockSpec((1.0,), 1.0)))
+        shells = range(100, 201)
+        for kind in (SelfAdjoint(0, 0), CrossBetween(0, 0, 1, 0)):
+            atoms = atom_partition(dom, kind)
+            evaluations = range_count(len(atoms), shells)
+            kernel = WalkKernel(dom, kind, atoms, shells, evaluations)
+            per_class = WalkKernel(dom, kind, atoms, shells, 0)
+            for first, _, classes in shell_batches(len(atoms), shells):
+                got = kernel(classes)
+                assert np.all(np.isfinite(got)) and np.any(got != 0.0), (kind, first)
+                assert got.tobytes() == per_class(classes).tobytes(), (kind, first)
+            total = kernel.key_sets[kernel.outer]
+            assert len(total.groups) == 2 and not total.tabulated and total.tables == {}, kind
+            assert all(keys.coded for keys, _ in kernel.terms if keys is not total), kind
+
+    def test_powers_of_two_far_apart_leave_double_range_as_before(self):
+        # outer powers 2^-600, 2^600 and 1: the total's scales W/w reach
+        # 2^1200, so it is evaluated per class, and a Gamma term leaves
+        # double range, a ValidationError and never an OverflowError
+        dom = DomainSpec(blocks=(BlockSpec((1.0,), 2.0**-600), BlockSpec((1.0,), 2.0**600),
+                                 BlockSpec((1.0,), 1.0)))
+        with pytest.raises(ValidationError, match="not a finite double"):
+            shell_report(dom, SelfAdjoint(0, 0), 3.0, 40)
 
     def test_no_table_for_a_per_row_key_set(self, monkeypatch):
         # three groups of equal p a: the total weight's key set has as many
@@ -321,6 +365,14 @@ PER_ROW_EGG = DomainSpec(blocks=(BlockSpec((1.3, 0.7, 2.2), 2.5), BlockSpec((0.6
 # shells hold more than BATCH_ROWS rows each, a run of their own
 WALK_RANGES = {3: [range(50, 62), range(180, 182)], 4: [range(24, 30), range(44, 46)]}
 
+# a 4-D egg whose weights are all powers of two: runs of p 2 and 1 in its
+# first block, and groups of p a 1 and 1/2
+EGG4_POW2 = DomainSpec(blocks=(BlockSpec((2.0, 1.0), 0.5), BlockSpec((1.0,), 1.0),
+                               BlockSpec((4.0,), 0.25)))
+
+# per dimension, class walks from shell 0 and far from it
+CLASS_RANGES = {3: [range(0, 40), range(150, 201)], 4: [range(0, 20), range(40, 61)]}
+
 
 class TestWalkKernel:
     @pytest.mark.parametrize(
@@ -350,6 +402,29 @@ class TestWalkKernel:
                     want = np.concatenate([eigenvalue_bulk(dom, kind, rows[i] + lift)
                                            for i in picks])
                     assert got[picks].tobytes() == want.tobytes(), (kind, first)
+
+    @pytest.mark.parametrize("dom", [CRIT4, CRIT5, EGG4_POW2], ids=["crit4", "crit5", "egg4-pow2"])
+    def test_class_walk_matches_per_class_calls_bytewise(self, dom):
+        # the classes of atom degrees, as the shell sums walk them; where
+        # there are two atoms, the total's pairs of degree sums are as many
+        # as the classes, and only its code, by its powers of two, makes it
+        # a table
+        for kind in all_kinds(dom):
+            atoms = atom_partition(dom, kind)
+            entries = [col for cols in entry_atoms(dom, kind, atoms).values() for col in cols]
+            for shells in CLASS_RANGES[dom.dimension]:
+                evaluations = range_count(len(atoms), shells)
+                kernel = WalkKernel(dom, kind, atoms, shells, evaluations)
+                # every key set evaluated per class, whatever the walk's size
+                per_class = WalkKernel(dom, kind, atoms, shells, 0)
+                for first, _, classes in shell_batches(len(atoms), shells):
+                    got = kernel(classes)
+                    assert got.tobytes() == per_class(classes).tobytes(), (kind, first)
+                for (x, s), (y, t) in zip(kernel.entry_logs(entries),
+                                          per_class.entry_logs(entries)):
+                    assert x.tobytes() == y.tobytes() and s.tobytes() == t.tobytes(), kind
+                total = kernel.key_sets[kernel.outer]
+                assert len(total.groups) == 2 and total.coded, (kind, shells)
 
 
 class TestHighPrecisionOracle:
