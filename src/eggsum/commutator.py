@@ -243,8 +243,8 @@ def _scales(groups) -> list[int] | None:
     power of two or there is one group (whose scale is 1); else None.  The
     scales are exact integers from the weights' binary exponents: W/w as a
     float may overflow (2^600 / 2^-600)."""
-    fractions, exponents = zip(*(math.frexp(weight) for weight, _ in groups))
-    if len(groups) > 1 and any(f != 0.5 for f in fractions):
+    mantissas, exponents = zip(*(math.frexp(weight) for weight, _ in groups))
+    if len(groups) > 1 and any(f != 0.5 for f in mantissas):
         return None
     top = max(exponents)
     return [1 << (top - e) for e in exponents]
@@ -313,19 +313,14 @@ class _KeySet:
         if not self.tabulated:
             return self.fns[n](place)
         if n not in self.tables:
-            if self._weights is None:
-                self._weights = self._arguments()
+            if self._weights is None and self.coded:
+                largest = next(w for (w, _), c in zip(self.groups, self._scales) if c == 1)
+                self._weights = np.arange(self._first, self._first + self._size) / largest
+            elif self._weights is None:
+                keys = shell_rows(2, self.totals)[0]
+                self._weights = _weight(list(keys.T), self.groups)
             self.tables[n] = self.fns[n](self._weights)
         return self.tables[n].take(place)
-
-    def _arguments(self) -> np.ndarray:
-        """The argument at every place: (first numerator + place) / W where
-        the set is coded, else ``_weight`` of every key."""
-        if self.coded:
-            top = next(w for (w, _), c in zip(self.groups, self._scales) if c == 1)
-            return np.arange(self._first, self._first + self._size) / top
-        keys = shell_rows(2, self.totals)[0]
-        return _weight(list(keys.T), self.groups)
 
 
 def _add(terms, places: dict, degree, out=None) -> np.ndarray:
