@@ -60,6 +60,8 @@ __all__ = [
 _STIRLING_C = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
 _STIRLING_MIN = 16.0
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# the smallest normal double
+_TINY = np.finfo(np.float64).tiny
 
 EXPANSION_TAGS = ("R1", "R2", "R3", "R4", "R5")
 
@@ -174,13 +176,21 @@ def _stirling_second_difference(x: np.ndarray, u: float, w: float) -> np.ndarray
 
         (x - 1/2) log1p(-u w / ((x+u)(x+w))) + u log1p(w / (x+u))
             + w log1p(u / (x+w)) + the second difference of the tails.
+
+    Past x = 1e154 the quotient in the first log1p is subnormal, or 0 where
+    the product overflows; log1p is the identity there, so the first term
+    is formed as -u w ((x - 1/2) / (x+u)) / (x+w), with no product.
     """
     xu = x + u
     xw = xu if w == u else x + w
-    out = xu * xw
+    with np.errstate(over="ignore"):
+        out = xu * xw
     np.divide(-(u * w), out, out=out)
+    tiny = np.abs(out) < _TINY
     np.log1p(out, out=out)
     out *= x - 0.5
+    if tiny.any():
+        out[tiny] = -(u * w) * ((x[tiny] - 0.5) / xu[tiny]) / xw[tiny]
     term = w / xu
     np.log1p(term, out=term)
     term *= u

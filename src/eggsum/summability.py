@@ -15,8 +15,9 @@ magnitudes for every probe (``threshold_report``).  Both check every
 parameter before the first evaluation: a window of fewer shells than the
 fit's ``MIN_FIT_POINTS`` (``require_fit_window``) and a margin that is not
 positive are refused before any Gamma work.  Each report carries its N,
-the cap in effect and its walk's evaluations, and ``tail_fit``, here and
-in ``zetalab``, refuses a tail it cannot fit: no report holds a NaN slope.
+the cap in effect and its walk's evaluations.  ``fit_tail_slope`` refuses
+a tail it cannot fit, for every report here and in ``zetalab`` and every
+bisection probe, so no slope is ever NaN.
 
 Each walk is planned once (``_walk``): its atoms
 (``commutator.atom_partition``), its shells (for a cross kind those of
@@ -388,10 +389,10 @@ def require_fit_window(N: int, window_fraction: float) -> range:
 
 
 def fit_tail_slope(sums: np.ndarray, window_fraction: float) -> tuple[float, float]:
-    """Least-squares slope of ln T_n vs ln n over the trailing window.
-
-    Returns (nan, nan) when fewer than ``MIN_FIT_POINTS`` positive shells
-    fall in the window -- the inconclusive signal.
+    """(slope, stderr) of the least-squares fit of ln T_n vs ln n over the
+    trailing window, the one check of a tail: a ValidationError where fewer
+    than ``MIN_FIT_POINTS`` sums in the window are positive, or where one
+    is not finite, so the slope is never NaN.
     """
     sums = np.asarray(sums, dtype=np.float64)
     N = len(sums) - 1
@@ -399,8 +400,14 @@ def fit_tail_slope(sums: np.ndarray, window_fraction: float) -> tuple[float, flo
     ns = np.arange(lo, N + 1, dtype=np.float64)
     ts = sums[lo:]
     mask = ts > 0.0
-    if int(mask.sum()) < MIN_FIT_POINTS:
-        return math.nan, math.nan
+    points = int(mask.sum())
+    if points < MIN_FIT_POINTS:
+        raise ValidationError(
+            f"only {points} shell sums in the fit window are positive, the tail fit "
+            f"needs {MIN_FIT_POINTS}; lower the exponent or raise N"
+        )
+    if not np.isfinite(ts).all():
+        raise ValidationError("the shell sums exceed double precision range")
     x = np.log(ns[mask])
     y = np.log(ts[mask])
     xm = x - x.mean()
@@ -424,9 +431,9 @@ def require_margin(margin: float) -> float:
 
 
 def classify_slope(slope: float, margin: float = DEFAULT_MARGIN) -> Verdict:
+    """The verdict of a finite tail slope (``fit_tail_slope``): Converges
+    below -1 - margin, Diverges above -1 + margin, Inconclusive between."""
     margin = require_margin(margin)
-    if math.isnan(slope):
-        return Verdict.INCONCLUSIVE
     if slope < -1.0 - margin:
         return Verdict.CONVERGES
     if slope > -1.0 + margin:
@@ -436,18 +443,13 @@ def classify_slope(slope: float, margin: float = DEFAULT_MARGIN) -> Verdict:
 
 def tail_fit(sums: np.ndarray, window_fraction: float, margin: float) -> tuple:
     """(slope, stderr, verdict, total) of the shell sums T_0..T_N
-    (``fit_tail_slope``, ``classify_slope``, the pairwise total); never a
-    NaN slope or a non-finite total, but a ValidationError that counts the
-    window's positive sums where they are too few for the fit."""
+    (``fit_tail_slope``, ``classify_slope``, the pairwise total); a
+    ValidationError where the fit refuses the tail or the total is not
+    finite."""
     slope, stderr = fit_tail_slope(sums, window_fraction)
-    total = pairwise_sum(sums)
-    if not (math.isfinite(slope) and math.isfinite(total)):
-        points = int(np.count_nonzero(sums[_window_start(sums.size - 1, window_fraction) :] > 0))
-        if points < MIN_FIT_POINTS:
-            raise ValidationError(
-                f"only {points} shell sums in the fit window are positive, the tail fit "
-                f"needs {MIN_FIT_POINTS}; lower the exponent or raise N"
-            )
+    with np.errstate(over="ignore"):
+        total = pairwise_sum(sums)
+    if not math.isfinite(total):
         raise ValidationError("the shell sums exceed double precision range")
     return slope, stderr, classify_slope(slope, margin), total
 
@@ -528,13 +530,12 @@ def threshold_report(
         raise BracketError(
             f"slope at p_hi={p_hi} is {s_hi:.4f}, not below -1: bracket invalid"
         )
+    # a probe lies below p_hi, whose tail the fit took, so it takes the probe's:
+    # m^p lies between m^p_hi and 1, a weight between 1 and its class's size
     lo, hi = p_lo, p_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        s = slope(mid)
-        if math.isnan(s):
-            raise BracketError(f"tail fit became inconclusive at p={mid}")
-        if s > -1.0:
+        if slope(mid) > -1.0:
             lo = mid
         else:
             hi = mid

@@ -28,8 +28,8 @@ bounds the work, and the report holds the cap in effect.
 
 Every power the series takes has an integer base in 0..N, so each comes
 from a table ``_power_seq`` built once per exponent, which the
-convolutions slice.  A power or shell sum past double range is a
-``ValidationError``.
+convolutions slice.  A power past double range is a ``ValidationError``,
+and so is a shell sum, which ``tail_fit`` refuses.
 """
 
 from __future__ import annotations
@@ -547,13 +547,11 @@ def brute_shell_sums(
     require_margin(margin)
     sums = zero_shell_sums(N)
     # a product or sum past double range is inf (or inf * 0 = NaN) here and
-    # a ValidationError below, never a numpy warning
+    # a ValidationError of tail_fit below, never a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         numer = _numerator_by_shell_conv(spec, N)
         # n^-b underflows where n^b would overflow
         sums[1:] = numer[1:] * _power_seq(-spec.b, N)[1:]
-    if not np.all(np.isfinite(sums)):
-        raise ValidationError("a shell sum of the series overflows double range")
     slope, stderr, verdict, total = tail_fit(sums, window, margin)
     match = family_of(spec)
     return ZetaReport(

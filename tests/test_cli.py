@@ -265,6 +265,17 @@ class TestThreshold:
         assert "the fit window 0.01 of N = 40 holds 1 shell(s), 40..40" in err, err
         assert "needs 8" in err and "bracket" not in err
 
+    def test_bracket_end_the_fit_refuses_exit_2(self, capsys):
+        # at p = 1000 every sum of the window underflows to 0: the fit's
+        # refusal, not a NaN slope that blames the bracket
+        assert run(["threshold", "--domain", BALL, "--N", "100", "--p-lo", "1",
+                    "--p-hi", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: only 0 shell sums in the fit window are positive, the tail fit needs 8; "
+            "lower the exponent or raise N\n")
+
     @pytest.mark.parametrize("N", ["-3", "5", "15"])
     def test_small_N_exit_2(self, capsys, N):
         code = run(["threshold", "--domain", BALL, "--kind", "self:0:0", "--N", N])
@@ -456,6 +467,11 @@ class TestErrorsAndReplay:
             ["eig", "--domain", DISK, "--cap", "-5"],
             ["shells", "--domain", DISK, "--p", "1", "--N", "40", "--cap", "0"],
             ["threshold", "--domain", DISK, "--N", "40", "--cap", "-5"],
+            ["eig", "--domain", DISK, "--degree-min", "5", "--degree-max", "3"],
+            ["zeta", "--spec", '{"m":2,"powers":[150,150],"b":0}', "--N", "100"],
+            # every shell sum is finite, but their total is not
+            ["zeta", "--spec", '{"m":1,"powers":[71.5],"b":0}', "--N", "20000"],
+            ["threshold", "--domain", BALL, "--N", "100", "--p-lo", "1", "--p-hi", "1000"],
         ],
         ids=["blocks-not-a-list", "p-not-numeric", "p-infinite", "zeta-vars-not-integer",
              "index-not-numeric", "index-not-a-list", "schatten-p-infinite", "tol-infinite",
@@ -463,7 +479,8 @@ class TestErrorsAndReplay:
              "norm-overflow", "eig-huge-p", "eig-tiny-p", "zeta-power-overflow",
              "zeta-group-power-overflow", "zeta-cap-0", "zeta-cap-negative", "norm-cap-0",
              "norm-cap-negative", "eig-cap-0", "eig-cap-negative", "shells-cap-0",
-             "threshold-cap-negative"],
+             "threshold-cap-negative", "eig-degrees-reversed", "zeta-sum-overflow",
+             "zeta-total-overflow", "threshold-fit-underflow"],
     )
     def test_malformed_values_exit_2(self, capsys, argv):
         code = run(argv)

@@ -110,6 +110,10 @@ class TestEigenvalues:
         with pytest.raises(ValidationError):
             eigenvalue_bulk(BALL2, SelfAdjoint(0, 0), np.array([[1.5, 2.0]]))
 
+    def test_rejects_rows_of_the_wrong_width(self):
+        with pytest.raises(ValidationError, match="index rows have 3 columns, expected 2"):
+            eigenvalue_bulk(BALL2, SelfAdjoint(0, 0), np.array([[1, 2, 0]]))
+
     @pytest.mark.parametrize(
         "dom",
         [

@@ -172,27 +172,39 @@ class TestSmallArgumentOracle:
 
 class TestHugeArguments:
     """Past x = 1.3e154 the square in the Stirling series overflows to inf,
-    and the series takes its limit 0: no warning, and values that match
-    mpmath to within a unit in the last place."""
+    and the series takes its limit 0, and the second difference's quotient
+    u w / ((x+u)(x+w)) is subnormal: no warning, and values that match
+    mpmath to within a unit in the last place, the second difference to
+    within 1e-15 relative."""
 
-    @pytest.mark.parametrize("x", [2e154, 2e300])
+    @pytest.mark.parametrize("x", [1e154, 2e154, 2e300])
     def test_against_mpmath_without_a_warning(self, x):
         mpmath = pytest.importorskip("mpmath")
         steps = [(0.5, 0.0), (1 / 3, 0.0), (1.0, 0.0), (0.4, 1.7)]
+        pairs = [(0.5, 0.25), (1.0, 1.0), (3.0, 0.01)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = log_gamma(np.array([x]))[0]
             ratios = [log_gamma_ratio(np.array([x]), a, b)[0] for a, b in steps]
-        # a ratio of size ln x cancels about 300 digits of ln Gamma(x) at 2e300
-        with mpmath.workdps(340):
+            seconds = [log_gamma_second_difference(np.array([x]), u, w)[0] for u, w in pairs]
+        # a ratio of size ln x cancels about 300 digits of ln Gamma(x) at
+        # 2e300, and a second difference of size u w / x about 605
+        with mpmath.workdps(700):
             X = mpmath.mpf(x)
             want = float(mpmath.loggamma(X))
             wants = [float(mpmath.loggamma(X + a) - mpmath.loggamma(X + b)) for a, b in steps]
+            second_wants = [
+                float(mpmath.loggamma(X + u + w) - mpmath.loggamma(X + u)
+                      - mpmath.loggamma(X + w) + mpmath.loggamma(X))
+                for u, w in pairs
+            ]
         # one unit in the last place: ln Gamma(2e300) lies just above 2^1007,
         # where a unit is 2.2e-16 of it
         assert abs(got - want) <= np.spacing(want)
         for (a, b), got, want in zip(steps, ratios, wants):
             assert abs(got - want) <= np.spacing(abs(want)), (a, b)
+        for (u, w), got, want in zip(pairs, seconds, second_wants):
+            assert abs(got - want) <= 1e-15 * abs(want), (u, w)
 
 
 class TestLogMultibeta:

@@ -32,6 +32,7 @@ from eggsum.summability import (
     _walk,
     classify_slope,
     fit_tail_slope,
+    tail_fit,
     MIN_FIT_POINTS,
     max_predicted_over_kinds,
     require_fit_window,
@@ -102,6 +103,10 @@ class TestShellSums:
     def test_cap_exceeded_is_loud(self):
         with pytest.raises(ResourceCapError):
             shell_report(BALL2, SELF, 1.0, 1000, cap=1000)
+
+    def test_cap_below_one_is_refused(self):
+        with pytest.raises(ValidationError, match="cap must be a positive term count"):
+            shell_report(BALL2, SELF, 1.0, 100, cap=0)
 
     def test_d4_needs_explicit_cap(self):
         dom = DomainSpec.single_block([1.0, 1.0, 1.0, 1.0])
@@ -483,11 +488,32 @@ class TestTailSlope:
         assert (rep.slope, rep.slope_stderr) == fit_tail_slope(rep.shell_sums, 0.5)
 
     def test_too_few_nonzero_shells_signal_inconclusive(self):
+        # no positive sum in the window: the fit refuses it, never a NaN slope
         sums = np.zeros(101)
         sums[:4] = 1.0
-        slope, stderr = fit_tail_slope(sums, 0.5)
-        assert math.isnan(slope) and math.isnan(stderr)
-        assert classify_slope(slope) is Verdict.INCONCLUSIVE
+        with pytest.raises(ValidationError, match="only 0 shell sums in the fit window"):
+            fit_tail_slope(sums, 0.5)
+        # a NaN compares false both ways, so a verdict needs no test for it
+        assert classify_slope(math.nan) is Verdict.INCONCLUSIVE
+
+    def test_a_window_the_fit_cannot_take_is_refused(self):
+        few = synthetic_report(-2.0, N=100)
+        few[50:97] = 0.0
+        with pytest.raises(ValidationError, match="only 4 shell sums in the fit window are "
+                                                  "positive, the tail fit needs 8"):
+            fit_tail_slope(few, 0.5)
+        for bad in (math.inf, math.nan):
+            sums = synthetic_report(-2.0, N=100)
+            sums[80] = bad
+            with pytest.raises(ValidationError, match="exceed double precision range"):
+                fit_tail_slope(sums, 0.5)
+
+    def test_a_total_past_double_range_is_refused(self):
+        # every sum is finite and the fit takes them, but their total is inf
+        sums = np.full(101, 1e307)
+        fit_tail_slope(sums, 0.5)
+        with pytest.raises(ValidationError, match="exceed double precision range"):
+            tail_fit(sums, 0.5, 0.15)
 
     def test_window_validation(self):
         with pytest.raises(ValidationError):
