@@ -471,7 +471,6 @@ class TestErrorsAndReplay:
             ["zeta", "--spec", '{"m":2,"powers":[150,150],"b":0}', "--N", "100"],
             # every shell sum is finite, but their total is not
             ["zeta", "--spec", '{"m":1,"powers":[71.5],"b":0}', "--N", "20000"],
-            ["threshold", "--domain", BALL, "--N", "100", "--p-lo", "1", "--p-hi", "1000"],
         ],
         ids=["blocks-not-a-list", "p-not-numeric", "p-infinite", "zeta-vars-not-integer",
              "index-not-numeric", "index-not-a-list", "schatten-p-infinite", "tol-infinite",
@@ -480,7 +479,7 @@ class TestErrorsAndReplay:
              "zeta-group-power-overflow", "zeta-cap-0", "zeta-cap-negative", "norm-cap-0",
              "norm-cap-negative", "eig-cap-0", "eig-cap-negative", "shells-cap-0",
              "threshold-cap-negative", "eig-degrees-reversed", "zeta-sum-overflow",
-             "zeta-total-overflow", "threshold-fit-underflow"],
+             "zeta-total-overflow"],
     )
     def test_malformed_values_exit_2(self, capsys, argv):
         code = run(argv)

@@ -93,6 +93,8 @@ class TestShellSums:
             shell_report(DISK, SELF, math.inf, 64)
         with pytest.raises(ValidationError):
             shell_report(DISK, SELF, 1.0, 8)
+        with pytest.raises(ValidationError, match="cap must be a positive term count"):
+            shell_report(DISK, SELF, 1.0, 64, cap=0)
 
     def test_a_slope_that_cannot_be_fitted_is_refused(self):
         # p = 1000 leaves no positive sum in the window: an error, not a NaN slope
@@ -103,10 +105,6 @@ class TestShellSums:
     def test_cap_exceeded_is_loud(self):
         with pytest.raises(ResourceCapError):
             shell_report(BALL2, SELF, 1.0, 1000, cap=1000)
-
-    def test_cap_below_one_is_refused(self):
-        with pytest.raises(ValidationError, match="cap must be a positive term count"):
-            shell_report(BALL2, SELF, 1.0, 100, cap=0)
 
     def test_d4_needs_explicit_cap(self):
         dom = DomainSpec.single_block([1.0, 1.0, 1.0, 1.0])
