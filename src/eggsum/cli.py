@@ -497,9 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     evaluations = (f"evaluations: one per class of rows the walk evaluates and one per "
-                   "pair of entry degrees that a weight of rows folds "
-                   f"(default {summability.DEFAULT_CAP:,}; dimensions >= 4 need an explicit cap; "
-                   "a pair keeps 8 bytes until the command ends)")
+                   "pair of entry degrees that a weight of rows folds, a multiply-add "
+                   f"(default {summability.DEFAULT_CAP:,}; dimensions >= 4 need an explicit cap)")
     defaults = ", ".join(f"{n} for d = {d}" for d, n in summability.DEFAULT_SHELLS.items())
     last_shell_help = "last shell N of the sums T_0..T_N, at least 16"
     shells_help = (f"{last_shell_help} (default by dimension: {defaults}; dimensions >= 4 "
@@ -558,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("zeta", help="critical exponent, family and brute-force verdict")
-    common(p, domain=False, counts=f"enumerated terms (default {summability.DEFAULT_CAP:,}; "
+    common(p, domain=False, counts=f"lattice terms of an enumeration spec, though no lattice is walked "
+           f"(default {summability.DEFAULT_CAP:,}; "
            f"an explicit cap also lifts the {zetalab.DEFAULT_ZETA_SHELL_CAP:,}-shell ceiling)")
     p.add_argument("--spec", required=True, help="zeta series spec: inline JSON or file path")
     p.add_argument("--N", type=int, default=5000, help=f"{last_shell_help} (default 5000)")

@@ -12,10 +12,10 @@ entries.
 ``shell_rows``, and the benchmark's lattice metrics (``perfbench/``) time
 and count ``shell_indices``.
 
-``shell_batches`` is the one walk over a range of shells, for the classes
-of a sum and the pairs of an entries' fold alike: it cuts the range into
-runs of the most consecutive shells that fit in ``BATCH_ROWS`` rows (a
-larger shell alone), found by bisection over the closed-form
+``shell_batches`` is the one walk over the classes of a range of shells:
+it cuts the range into runs of the most consecutive shells that fit in
+``BATCH_ROWS`` rows (a larger shell alone), found by bisection over the
+closed-form
 ``range_count``, so a caller evaluates and sums a whole run with a few
 numpy calls.  It yields rows only; what a row stands for, such as the
 rows of a class of atom degrees, is the caller's to count.

@@ -22,7 +22,8 @@ bisection probe, so no slope is ever NaN.
 Each walk is planned once (``_walk``): its atoms
 (``commutator.atom_partition``), its shells (for a cross kind those of
 j = i - e_lowered, one below), its weighed atoms, and its evaluations,
-one per class and one per pair of an entries' fold, which the cap checks
+one per class and one per pair of an entries' fold (a multiply-add of
+its convolution), which the cap checks
 before any walk is made.  The classes come from one walk of
 ``lattice.shell_batches``, runs of consecutive shells of at most 2^14
 classes (a larger shell alone).  One ``commutator.WalkKernel`` per walk
@@ -33,9 +34,10 @@ scans over the degrees (``_scans``).  A class carries the count of the
 rows of its atoms of several columns and no entry, m - 1 scans of ones
 for m columns (``_counts``), and, per probe, a weight for each atom that
 holds a cross kind's entry and other columns, or both entries
-(``_entry_weights``): two entries are a fold over the pairs of degrees
-y <= z, a ``shell_batches`` walk over (y, z - y) whose exponents are made
-once, and m other columns are m scans weighted by the entries' factors.
+(``_entry_weights``): two entries are a truncated convolution over the
+pairs of degrees y <= z (``reduction.fold``) on tilted output blocks
+planned once for the largest p asked (``_entry_folds``), and m other
+columns are m scans weighted by the entries' factors.
 Every run reaches the sums in one shape, and one routine turns any
 sequence of runs into T_0..T_N: per run one ``np.power``, one product
 with the counts and weights and one segmented pairwise sum
@@ -72,7 +74,7 @@ from .commutator import (
 from .domain import DomainSpec
 from .errors import BracketError, ResourceCapError, ValidationError, finite_real, last_shell
 from .lattice import range_count, shell_batches
-from .reduction import pairwise_sum
+from .reduction import fold, pairwise_sum
 
 __all__ = [
     "Verdict",
@@ -107,6 +109,11 @@ DEFAULT_TOL = 0.1
 DEFAULT_CAP = 200_000_000
 DEFAULT_SHELLS = {1: 100_000, 2: 3000, 3: 600}
 MIN_FIT_POINTS = 8
+# the widest block of a two-entry fold (``_entry_folds``), as long as a
+# block of ``reduction.fold``'s running sequence, and its largest p |r|:
+# its largest term is at least e^-16, so none that counts underflows
+_WIDTH = 512
+_TILT = 16.0
 
 
 class Verdict(str, Enum):
@@ -228,14 +235,15 @@ def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, plan: _Walk):
     (``_class_mult``).  ``weights(p)`` gives each weighed atom its weight
     by degree at the Schatten exponent p.  A class's term is its magnitude
     to the p, times mult and its weighed atoms' weights.  The kernel
-    evaluates nothing before it is used, and the entries' folds are walked
-    with the first weights."""
+    evaluates nothing before it is used; the entries' logs are made with
+    the first weights, and their folds' blocks (``_entry_folds``) for the
+    largest p asked so far, which serve every smaller one."""
     kernel = WalkKernel(dom, kind, plan.atoms, plan.shells, plan.classes)
     weighed = plan.weighed
     # the rows of a weighed atom are summed in its weights, the others counted
     counts = _counts({k: len(cols) for k, cols in enumerate(plan.atoms) if k not in weighed},
                      max(plan.shells.stop, 1))
-    folds = []
+    logs, folds, planned = None, None, 0.0
 
     def batches():
         for first, offsets, classes in shell_batches(len(plan.atoms), plan.shells):
@@ -243,63 +251,102 @@ def _magnitude_batches(dom: DomainSpec, kind: CommutatorKind, plan: _Walk):
                    _class_mult(counts, classes), [classes[:, k] for k in weighed])
 
     def weights(p: float) -> list[np.ndarray]:
-        if not folds:
-            folds.extend((*_entry_folds(kernel.entry_logs(cols), rows), m)
-                         for cols, m, rows in weighed.values())
+        nonlocal logs, folds, planned
+        if logs is None:
+            logs = [kernel.entry_logs(cols) for cols, _, _ in weighed.values()]
+        if p > planned:
+            folds = [(*_entry_folds(atom_logs, rows, p), m)
+                     for atom_logs, (_, m, rows) in zip(logs, weighed.values())]
+            planned = p
         return [_entry_weights(*atom_folds, p) for atom_folds in folds]
 
     return batches(), weights
 
 
-def _entry_folds(logs: list[tuple], rows) -> tuple:
-    """(s, fold): what makes a weighed atom's weight, p aside, from the
-    ``WalkKernel.entry_logs`` of its one or two entries, x = E(a)/2 at
-    every entry a = 0..top (the last degree) and at the representative's,
-    and the rows of its entries' fold in the plan (``_walk``), or None for
-    one entry.
+def _entry_folds(logs: list[tuple], rows, p: float) -> tuple:
+    """(s, blocks): what makes a weighed atom's weight at every Schatten
+    exponent up to p, from the ``WalkKernel.entry_logs`` of its one or two
+    entries, x = E(a)/2 at every entry a = 0..top (the last degree) and at
+    the representative's, and the rows of its entries' fold in the plan
+    (``_walk``), or None for one entry.
 
     s(z) is the log of the representative's entry factor at degree z:
     x(z) for one entry, x(up(z)) + x'(low(z)) for two, up and low the
-    entries' shares of z that the kernel gives.  The fold is a list
-    of the runs of ``shell_batches(2, rows)``, each (first row, row
-    offsets, delta): one float64 per pair y <= z, the work that the cap
-    counts, with delta = x(y) + x'(z - y) - s(z) a sum of differences of x
-    at nearby degrees where the terms are largest, exact there, and never
-    above 0.
+    entries' shares of z that the kernel gives, the split of z whose pair
+    y, z - y makes x(y) + x'(z - y) largest.  The fold's weight
+    v(z) = sum over y <= z of e^(p (x(y) + x'(z - y) - s(z))) is a
+    convolution, made on the blocks [z0, z1) of its rows, each
+    (z0, z1, ea, eb, r) in exponents free of p.  With mu = s(c + 1) - s(c)
+    at the block's centre c, and a and b the maxima of x(y) - mu y and
+    x'(y) - mu y over y < z1, the tilted exponents
+
+        ea(y) = (x(y) - x(a)) - mu (y - a),  eb(y) the same of x' around b,
+
+    are at most 0, and r(z) = (x(a) - up(z)) + (x'(b) - low(z))
+    - mu (a + b - z) sets the scale:
+    v = ``reduction.fold``([e^(p ea), e^(p eb)], z1 - 1, z0) e^(p r), one
+    multiply-add per pair y <= z, the work that the cap counts.  Every
+    term the fold forms is at most 1, and the largest, at y = up's share,
+    is e^(-p r) in exact arithmetic, so a block halves from ``_WIDTH``
+    terms until p |r| <= ``_TILT`` on it, or one degree is left: no term
+    that counts underflows, and a smaller p keeps the blocks.  Each
+    exponent is formed as differences first and scaled by p last.
     """
     if len(logs) == 1:
         return logs[0][1], None
     (x, up), (x2, low) = logs
-    fold = []
-    for first, offsets, pairs in shell_batches(2, rows):
-        # intp, not the walk's int32: gathering by int32 indices is slower
-        y = pairs[:, 0].astype(np.intp)
-        z = y + pairs[:, 1]
-        fold.append((first, offsets, (x[y] - up[z]) + (x2[z - y] - low[z])))
-    return up + low, fold
+    s = up + low
+    blocks = []
+    z0 = rows.start
+    # where x is near the top of double range, a difference of x can round
+    # to inf - inf; the probe refuses the walk's eigenvalues there
+    with np.errstate(over="ignore", invalid="ignore"):
+        while z0 < rows.stop:
+            width = _WIDTH
+            while True:
+                z1 = min(z0 + width, rows.stop)
+                c = min((z0 + z1 - 1) // 2, s.size - 2)
+                mu = s[c + 1] - s[c] if c >= 0 else 0.0
+                y = np.arange(z1)
+                a = int(np.argmax(x[:z1] - mu * y))
+                b = int(np.argmax(x2[:z1] - mu * y))
+                z = y[z0:]
+                r = (x[a] - up[z0:z1]) + (x2[b] - low[z0:z1]) - mu * (a + b - z)
+                if width == 1 or p * np.max(np.abs(r)) <= _TILT:
+                    break
+                width //= 2
+            blocks.append((z0, z1, (x[:z1] - x[a]) - mu * (y - a),
+                           (x2[:z1] - x2[b]) - mu * (y - b), r))
+            z0 = z1
+    return s, blocks
 
 
-def _entry_weights(s: np.ndarray, fold, m: int, p: float) -> np.ndarray:
+def _entry_weights(s: np.ndarray, blocks, m: int, p: float) -> np.ndarray:
     """A weighed atom's weight by degree z = 0..top at the Schatten exponent
     p, from its ``_entry_folds`` and its m other columns: the sum over its
     rows of degree z of e^(p (x(a) + x'(b) - s(z))), a and b the entries.
 
-    v is 1 for one entry, and for two the fold's e^(p delta) summed row by
-    row (0 below its rows).  The rest t = z - a - b spreads over the other
-    columns in C(t + m - 1, m - 1) ways, the coefficient of x^t in
-    (1 - x)^-m, so they are m prefix scans: w_0 = v and
-    w_k(z) = r(z) w_k(z - 1) + w_(k-1)(z), r(z) = e^(p (s(z-1) - s(z))).
-    s is nondecreasing, so every factor lies in [0, 1] and a weight lies
-    between 1 and the class's size, whatever p (``_scans``)."""
-    if fold is None:
+    v is 1 for one entry, and for two the fold's tilted blocks (0 below
+    its rows).  The rest t = z - a - b spreads over the other columns in
+    C(t + m - 1, m - 1) ways, the coefficient of x^t in (1 - x)^-m, so
+    they are m prefix scans: w_0 = v and w_k(z) = r(z) w_k(z - 1) +
+    w_(k-1)(z), r(z) = e^(p (s(z-1) - s(z))).  s is nondecreasing, so
+    every factor lies in [0, 1] and a weight lies between 1 and the
+    class's size, whatever p (``_scans``)."""
+    if blocks is None:
         w = np.ones(s.size)
     else:
-        first, offsets, _ = fold[-1]
-        w = np.zeros(first + offsets.size)
-        for first, offsets, delta in fold:
-            terms = np.multiply(delta, p)
-            np.exp(terms, out=terms)
-            w[first : first + offsets.size] = pairwise_sum(terms, offsets)
+        w = np.zeros(blocks[-1][1])
+        # the tilted exponents are at most 0 in exact arithmetic, and kept
+        # so where they round above it: x near 1e302 rounds by 1e286
+        with np.errstate(over="ignore", invalid="ignore"):
+            for z0, z1, ea, eb, r in blocks:
+                tilted = []
+                for e in (ea, eb):
+                    e = np.multiply(e, p)
+                    np.minimum(e, 0.0, out=e)
+                    tilted.append(np.exp(e, out=e))
+                w[z0:z1] = fold(tilted, z1 - 1, z0) * np.exp(np.multiply(r, p))
     if not m:
         return w
     return _scans(w.tolist(), np.exp(np.multiply(s[:-1] - s[1:], p)).tolist(), m)

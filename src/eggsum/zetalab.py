@@ -19,9 +19,10 @@ empirical verdict.
 exactly and checks and classifies the tail with the commutator sums'
 ``tail_fit``: no report holds a NaN slope.  One routine sums every spec:
 it fixes the fewest variables that leave factor-disjoint blocks (none,
-one or more), and the numerator is a convolution of the blocks, once or
-for each row of values of the fixed variables, which keeps N = 5000
-shells cheap wherever one variable is enough; no lattice is walked.
+one or more), and the numerator is a convolution of the blocks
+(``reduction.fold``), once or for each row of values of the fixed
+variables, which keeps N = 5000 shells cheap wherever one variable is
+enough; no lattice is walked.
 ``method`` names the spec's structure, not the loop that sums it.  The
 total is numpy's pairwise sum (``reduction.pairwise_sum``).  One ``cap``
 bounds the work, and the report holds the cap in effect.
@@ -53,6 +54,7 @@ from .errors import (
     sequence,
 )
 from .lattice import range_count, shell_rows
+from .reduction import fold
 from .summability import (
     DEFAULT_CAP,
     DEFAULT_MARGIN,
@@ -79,11 +81,6 @@ __all__ = [
 ]
 
 DEFAULT_ZETA_SHELL_CAP = 20_000
-
-# terms of the running sequence per block in ``_fold``: each dot product
-# is at most this long and stays in L1 cache (best of 256/512/1024 at
-# N = 300 .. 20 000)
-_BLOCK = 512
 
 # rows of values of the fixed variables per part in ``_numerator_by_shell_conv``
 # (best of 16/32/64/128 for the abs factor's tiles at N = 5000)
@@ -338,31 +335,6 @@ def _power_seq(exponent: float, N: int, top: int | None = None) -> np.ndarray:
     return out
 
 
-def _fold(seqs: list[np.ndarray], N: int) -> np.ndarray:
-    """The convolution of ``seqs`` (N + 1 terms each) in order, cut to N + 1
-    terms after each step; [1, 0, ..., 0], the empty product, when there
-    are none.
-
-    Each step forms only the N + 1 kept terms: the running sequence is
-    taken ``_BLOCK`` terms at a time, and block i .. i + B adds its
-    convolution's head into terms i .. N, so every term is a sum of dot
-    products of at most B terms each.  Up to N + 1 = B this is one
-    ``np.convolve`` call.  The sequences are non-negative, so the changed
-    summation order keeps each term's relative accuracy.
-    """
-    if not seqs:
-        out = np.zeros(N + 1)
-        out[0] = 1.0
-        return out
-    out = seqs[0]
-    for w in seqs[1:]:
-        head = np.convolve(out[:_BLOCK], w)[: N + 1]
-        for i in range(_BLOCK, N + 1, _BLOCK):
-            head[i:] += np.convolve(out[i : i + _BLOCK], w[: N + 1 - i])[: N + 1 - i]
-        out = head
-    return out
-
-
 def _method(spec: ZetaSeriesSpec) -> str:
     """``"convolution"`` when the groups are disjoint and the abs variable is
     in none of them, else ``"enumeration"``: a name for the spec's
@@ -450,7 +422,7 @@ def _numerator_by_shell_conv(spec: ZetaSeriesSpec, N: int) -> np.ndarray:
             for k in own[j]:
                 w = w * group_t[k][f[k] : f[k] + N + 1 - s]
             seqs.append(w)
-        w = _fold(seqs, N - s)
+        w = fold(seqs, N - s)
         for k in ks:
             w = w * group_t[k][f[k] : f[k] + N + 1 - s]
         return w
@@ -460,7 +432,7 @@ def _numerator_by_shell_conv(spec: ZetaSeriesSpec, N: int) -> np.ndarray:
     for members, ks in blocks:
         moves = shifted & {*ks, *(k for j in members for k in own[j])}
         (moving if moves else still).append((members, ks))
-    u = _fold([block_seq(*b, [0] * len(spec.groups), 0) for b in still], N)
+    u = fold([block_seq(*b, [0] * len(spec.groups), 0) for b in still], N)
     if not V:
         return u
     rows = shell_rows(len(V), range(N - spec.m + 1))[0] + 1
@@ -490,7 +462,7 @@ def _numerator_by_shell_conv(spec: ZetaSeriesSpec, N: int) -> np.ndarray:
         if moving:
             for s, f_row, h, c_row in zip(*(a[first:last].tolist() for a in (totals, f, h_neg, c))):
                 seqs = [u[: N + 1 - s]] if still else []
-                rest = _fold(seqs + [block_seq(*b, f_row, s) for b in moving], N - s)
+                rest = fold(seqs + [block_seq(*b, f_row, s) for b in moving], N - s)
                 if abs_t is not None:
                     # |n - 2 h_neg| for n = s..N
                     rest = rest * mirror[N + s - 2 * h : 2 * N + 1 - 2 * h]

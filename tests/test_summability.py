@@ -334,10 +334,11 @@ class TestClasses:
 
     @pytest.mark.parametrize("dom", WORK_DOMAINS, ids=WORK_IDS)
     def test_the_count_is_the_work(self, monkeypatch, dom):
-        # the classes the batches yield and the pairs the entries' folds hold
-        # are the evaluations the cap counts, on every kind and window, and
-        # the ones a shell or threshold report gives for its own walk
-        classes, pairs = [], []
+        # the classes the batches yield and the pairs y <= z on the outputs of
+        # the entries' fold blocks are the evaluations the cap counts, on
+        # every kind and window, and the ones a shell or threshold report
+        # gives for its own walk
+        classes, pairs = [], {}
         magnitude_batches, entry_folds = summability._magnitude_batches, summability._entry_folds
 
         def recorded_batches(dom, kind, plan):
@@ -350,16 +351,17 @@ class TestClasses:
 
             return counted(), weights
 
-        def recorded_folds(logs, rows):
-            s, fold = entry_folds(logs, rows)
-            pairs.append(sum(delta.size for _, _, delta in fold or []))
-            return s, fold
+        def recorded_folds(logs, rows, p):
+            s, blocks = entry_folds(logs, rows, p)
+            # a larger p plans the same rows again, in other blocks
+            pairs[rows] = sum(range_count(2, range(z0, z1)) for z0, z1, *_ in blocks or [])
+            return s, blocks
 
         monkeypatch.setattr(summability, "_magnitude_batches", recorded_batches)
         monkeypatch.setattr(summability, "_entry_folds", recorded_folds)
 
         def work():
-            done = sum(classes) + sum(pairs)
+            done = sum(classes) + sum(pairs.values())
             classes.clear()
             pairs.clear()
             return done
@@ -426,13 +428,47 @@ class TestCrossClasses:
     ], ids=["two-entries", "entry-and-columns", "two-entries-and-columns",
             "two-entries-and-two-columns"])
     def test_weights_do_not_depend_on_the_fold_chunks(self, monkeypatch, dom, kind):
-        # a probe sums the entries' fold one run of its walk at a time: rows
-        # one by one or a few together give the same sums bit for bit
+        # a probe sums its classes one run of the walk at a time: classes one
+        # by one or a few together give the same sums bit for bit, also
+        # where the runs meet the weights of the entries' fold and scans
         want = shell_report(dom, kind, 3.0, 60, cap=10**6).shell_sums
         for rows in (1, 7, 100):
             monkeypatch.setattr(lattice, "BATCH_ROWS", rows)
             got = shell_report(dom, kind, 3.0, 60, cap=10**6).shell_sums
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), rows
+
+    @pytest.mark.parametrize("dom, N, p", [
+        (CRIT5, 600, 0.7), (CRIT5, 600, 4.0), (CRIT5, 600, 8.0),
+        (DomainSpec.single_block([0.01, 0.01, 1.0]), 200, 8.0),
+        (DomainSpec.single_block([1e-4, 1e-4, 1.0]), 40, 8.0),
+    ], ids=["crit5-0.7", "crit5-4", "crit5-8", "inner-0.01", "inner-1e-4"])
+    def test_tilted_weights_match_fsum_over_pairs(self, dom, N, p):
+        # the weight of the atom that holds both entries, from the fold's
+        # tilted blocks, against math.fsum over its pairs y <= z
+        kind = CrossWithin(0, 0, 1)
+        plan = _walk(dom, kind, range(N + 1))
+        [(cols, m, rows)] = plan.weighed.values()
+        assert m == 0
+        kernel = summability.WalkKernel(dom, kind, plan.atoms, plan.shells, plan.classes)
+        logs = kernel.entry_logs(cols)
+        (x, up), (x2, low) = logs
+        w = summability._entry_weights(*summability._entry_folds(logs, rows, p), 0, p)
+        for z in rows:
+            y = np.arange(z + 1)
+            want = math.fsum(np.exp(p * ((x[y] - up[z]) + (x2[z - y] - low[z]))).tolist())
+            assert abs(w[z] - want) <= 4e-15 * want, z
+
+    def test_two_entry_fold_keeps_no_pairs(self):
+        # the 2-ball's within kind at N = 3 000: its 4.5 M pairs of entry
+        # degrees are multiply-adds of a convolution, not stored terms
+        tracemalloc.start()
+        try:
+            th = empirical_threshold(BALL2, CrossWithin(0, 0, 1), 1.0, 3.5, N=3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert th == 1.9765625
+        assert peak < 2 * 2**20, peak
 
     @pytest.mark.parametrize("dom, kind, bracket, N, want", [
         (CRIT5, CrossWithin(0, 0, 1), (2.0, 6.5), 200, 3.72265625),

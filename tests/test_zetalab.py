@@ -21,9 +21,8 @@ from eggsum import (
 from eggsum import zetalab
 from eggsum.cli import run
 from eggsum.summability import classify_slope, fit_tail_slope
+from eggsum.reduction import _BLOCK, fold
 from eggsum.zetalab import (
-    _BLOCK,
-    _fold,
     _method,
     _blocks_without,
     _numerator_by_shell_conv,
@@ -339,13 +338,19 @@ class TestBruteForce:
     @pytest.mark.parametrize("N", [16, 300, _BLOCK - 1, _BLOCK, 2 * _BLOCK, 2000])
     def test_fold_is_the_cut_convolution(self, N):
         rng = np.random.default_rng(N)
-        x, w = rng.uniform(0.0, 2.0, (2, N + 1))
-        got, want = _fold([x, w], N), np.convolve(x, w)[: N + 1]
-        if N + 1 <= _BLOCK:
-            # one block: the very same np.convolve call
-            assert got.tobytes() == want.tobytes()
-        else:
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        x, w, u = rng.uniform(0.0, 2.0, (3, N + 1))
+        # terms first..N only: blocks of x wholly below first, one that ends
+        # at it, and first past one or more whole blocks
+        for first in sorted({0, 1, N // 3, max(N - _BLOCK, 0), N - 1, N}):
+            got, want = fold([x, w], N, first), np.convolve(x, w)[first : N + 1]
+            if N + 1 <= _BLOCK and not first:
+                # one block: the very same np.convolve call
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+            # with three, first cuts the last step only
+            want = np.convolve(np.convolve(x, w)[: N + 1], u)[first : N + 1]
+            np.testing.assert_allclose(fold([x, w, u], N, first), want, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize(
         "m, groups, neg",
@@ -532,9 +537,9 @@ class TestBruteForce:
             blocks += [((j,), None) for j in range(spec.m) if j not in grouped]
             seqs = []
             for members, a in blocks:
-                w = _fold([_power_seq(spec.powers[j], N) for j in members], N)
+                w = fold([_power_seq(spec.powers[j], N) for j in members], N)
                 seqs.append(w if a is None else w * _power_seq(a, N))
-            assert _numerator_by_shell_conv(spec, N).tobytes() == _fold(seqs, N).tobytes()
+            assert _numerator_by_shell_conv(spec, N).tobytes() == fold(seqs, N).tobytes()
 
     def test_group_on_abs_variable_falls_back_to_enumeration(self):
         spec = ZetaSeriesSpec(
