@@ -186,6 +186,8 @@ def _cmd_threshold(params: dict) -> dict:
         "agreement_tol": agreement_tol,
         "agrees": abs(predicted - empirical) <= agreement_tol,
         "evaluations": rep.evaluations,
+        "probes": rep.probes,
+        "bracket": rep.bracket,
     }
     return _report("threshold", params, results)
 
@@ -546,8 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, kind=True, counts=evaluations)
     p.add_argument("--N", type=int, default=None, help=shells_help)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="the bisection stops once its bracket is at most this wide, at "
-                        f"least 0.01 (default {DEFAULT_TOL})")
+                   help="the width of the final bracket: the solver stops once its "
+                        "bracket is at most this wide, and the cut-off is the secant root "
+                        f"inside it; at least 0.01 (default {DEFAULT_TOL})")
     p.add_argument("--window", type=float, default=DEFAULT_WINDOW, help=window_help)
     p.add_argument("--p-lo", type=float, default=None, help="bracket low end (default predicted/2)")
     p.add_argument("--p-hi", type=float, default=None,

@@ -11,7 +11,7 @@ class ValidationError(ValueError):
 
 
 class BracketError(ValidationError):
-    """A root bracket handed to the threshold bisection does not bracket."""
+    """A root bracket handed to the threshold solver does not bracket."""
 
 
 class ResourceCapError(RuntimeError):

@@ -9,15 +9,19 @@ The tail of ln T_n against ln n is fitted by least squares; the series
 sum(T_n) converges iff that slope is below -1, so the fitted slope plus a
 margin band yields a three-way verdict.  ``shell_report`` gives T_0..T_N
 with that slope and verdict; ``empirical_threshold`` locates the p where
-the slope crosses -1 by bisection (the slope is nonincreasing in p
-because the tail eigenvalues are < 1), reusing one set of eigenvalue
-magnitudes for every probe (``threshold_report``).  Both check every
+the slope crosses -1 as the root of slope(p) + 1 inside a bracket, by
+Illinois steps of regula falsi (``_bracketed_root``; the slope is
+nonincreasing in p because the tail eigenvalues are < 1), reusing one set
+of eigenvalue magnitudes for every probe (``threshold_report``).  The
+solver stops once its bracket is at most ``tol`` wide and returns the
+secant root inside it; its report keeps every probe's (p, slope, stderr)
+and the final bracket.  Both check every
 parameter before the first evaluation: a window of fewer shells than the
 fit's ``MIN_FIT_POINTS`` (``require_fit_window``) and a margin that is not
 positive are refused before any Gamma work.  Each report carries its N,
 the cap in effect and its walk's evaluations.  ``fit_tail_slope`` refuses
 a tail it cannot fit, for every report here and in ``zetalab`` and every
-bisection probe, so no slope is ever NaN.
+probe of the solver, so no slope is ever NaN.
 
 Each walk is planned once (``_walk``): its atoms
 (``commutator.atom_partition``), its shells (for a cross kind those of
@@ -42,7 +46,7 @@ Every run reaches the sums in one shape, and one routine turns any
 sequence of runs into T_0..T_N: per run one ``np.power``, one product
 with the counts and weights and one segmented pairwise sum
 (``reduction.pairwise_sum``) over its shell offsets.  ``shell_report``
-streams the runs into it; the bisection keeps a list of the window's runs
+streams the runs into it; the solver keeps a list of the window's runs
 and hands it over once per probe.
 
 ``predicted_threshold`` and ``module_threshold`` evaluate the closed-form
@@ -140,13 +144,17 @@ class SummationReport:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """The bisection's cut-off p with the N it took, the cap in effect and
-    the evaluations of its one walk, over the fit window of T_0..T_N."""
+    """The solver's cut-off p with the N it took, the cap in effect and the
+    evaluations of its one walk, over the fit window of T_0..T_N; every
+    probe as (p, slope, stderr) in the order made, the bracket ends first,
+    and the final bracket (lo, hi) that holds the cut-off."""
 
     threshold: float
     N: int
     cap: int
     evaluations: int
+    probes: tuple
+    bracket: tuple
 
 
 def default_shells(dom: DomainSpec) -> int:
@@ -288,9 +296,11 @@ def _entry_folds(logs: list[tuple], rows, p: float) -> tuple:
     multiply-add per pair y <= z, the work that the cap counts.  Every
     term the fold forms is at most 1, and the largest, at y = up's share,
     is e^(-p r) in exact arithmetic, so a block halves from ``_WIDTH``
-    terms until p |r| <= ``_TILT`` on it, or one degree is left: no term
-    that counts underflows, and a smaller p keeps the blocks.  Each
-    exponent is formed as differences first and scaled by p last.
+    terms until p |r| <= ``_TILT`` on it: no term that counts underflows,
+    and a smaller p keeps the blocks.  A block of one degree still above
+    ``_TILT``, or NaN, as where the roundings of x near double range leave
+    r near 1e286, is a ValidationError: no block keeps its terms in range.
+    Each exponent is formed as differences first and scaled by p last.
     """
     if len(logs) == 1:
         return logs[0][1], None
@@ -312,8 +322,13 @@ def _entry_folds(logs: list[tuple], rows, p: float) -> tuple:
                 b = int(np.argmax(x2[:z1] - mu * y))
                 z = y[z0:]
                 r = (x[a] - up[z0:z1]) + (x2[b] - low[z0:z1]) - mu * (a + b - z)
-                if width == 1 or p * np.max(np.abs(r)) <= _TILT:
+                if p * np.max(np.abs(r)) <= _TILT:
                     break
+                if width == 1:
+                    raise ValidationError(
+                        f"the entries' weight at degree {z0} leaves double precision range "
+                        f"at p = {p!r} on this domain: its entry factors are too large"
+                    )
                 width //= 2
             blocks.append((z0, z1, (x[:z1] - x[a]) - mu * (y - a),
                            (x2[:z1] - x2[b]) - mu * (y - b), r))
@@ -399,7 +414,8 @@ def _power_sums(batches, weights, p: float, sums: np.ndarray) -> np.ndarray:
     magnitude batches cover filled in: per batch one power, times the
     counts where it has them and the weighed atoms' weights at p where it
     has those, and one segmented sum, pairwise within each shell.
-    Every probe fills the same shells, so a bisection reuses one array."""
+    Every probe fills the same shells, so the threshold solver reuses one
+    array."""
     factors = weights(p)
     for first, offsets, mags, mult, degrees in batches:
         terms = np.power(mags, p)
@@ -420,8 +436,9 @@ def _window_start(N: int, window_fraction: float) -> int:
 
 def require_fit_window(N: int, window_fraction: float) -> range:
     """The shells of the trailing window of T_0..T_N, the ones the
-    bisection evaluates; a ValidationError when they are fewer than the
-    ``MIN_FIT_POINTS`` of the tail fit, which no exponent can then make."""
+    threshold solver evaluates; a ValidationError when they are fewer than
+    the ``MIN_FIT_POINTS`` of the tail fit, which no exponent can then
+    make."""
     N = last_shell(N)
     shells = range(_window_start(N, window_fraction), N + 1)
     # counted, not len(): a range past sys.maxsize has no len
@@ -542,12 +559,14 @@ def threshold_report(
     window: float = DEFAULT_WINDOW,
     cap: int | None = None,
 ) -> ThresholdReport:
-    """Bisection estimate of the p where the fitted tail slope crosses -1,
-    with the N (``default_shells`` by default), the cap in effect and the
-    evaluations of the fit window's one walk, which every probe reuses.
+    """The p where the fitted tail slope crosses -1, with the N
+    (``default_shells`` by default), the cap in effect and the evaluations
+    of the fit window's one walk, which every probe reuses, every probe's
+    (p, slope, stderr) and the final bracket.
 
     Requires a valid bracket: slope(p_lo) > -1 > slope(p_hi).  The
-    threshold is the bracket midpoint once its width is at most ``tol``.
+    threshold is the secant root of slope(p) + 1 in the solver's final
+    bracket (``_bracketed_root``), which is at most ``tol`` wide.
     """
     validate_kind(dom, kind)
     p_lo = finite_real(p_lo, "bracket end p_lo")
@@ -564,8 +583,12 @@ def threshold_report(
     batches, weights = _magnitude_batches(dom, kind, plan)
     batches = list(batches)
 
+    probes = []
+
     def slope(p: float) -> float:
-        return fit_tail_slope(_power_sums(batches, weights, p, sums), window)[0]
+        fit = fit_tail_slope(_power_sums(batches, weights, p, sums), window)
+        probes.append((p, *fit))
+        return fit[0]
 
     s_lo = slope(p_lo)
     s_hi = slope(p_hi)
@@ -579,14 +602,46 @@ def threshold_report(
         )
     # a probe lies below p_hi, whose tail the fit took, so it takes the probe's:
     # m^p lies between m^p_hi and 1, a weight between 1 and its class's size
-    lo, hi = p_lo, p_hi
+    root, lo, hi = _bracketed_root(lambda p: slope(p) + 1.0, p_lo, s_lo + 1.0, p_hi,
+                                   s_hi + 1.0, tol)
+    return ThresholdReport(root, N, cap, plan.evaluations, tuple(probes), (lo, hi))
+
+
+def _bracketed_root(f, lo: float, f_lo: float, hi: float, f_hi: float, tol: float) -> tuple:
+    """(root, lo, hi): the root of a nonincreasing f with f(lo) = f_lo > 0 >=
+    f_hi = f(hi), and the bracket around it once that is at most ``tol``
+    wide, by the Illinois modified regula falsi (Dowell and Jarratt, BIT 11,
+    1971).
+
+    Each probe is the secant root of the bracket, the value at an end that
+    two probes in a row have kept halved; it stays at least tol/2 inside,
+    so once the secant root converges, the next probe closes a bracket of
+    tol/2.  Where two probes in a row have not halved the bracket, the
+    next probe is its midpoint, so every three probes halve it.  A probe
+    where f is positive is the new lo, any other the new hi.  The root is
+    the secant root of the final bracket from the values of f at its
+    ends, not the halved ones."""
+    g_lo, g_hi = f_lo, f_hi
+    widths = [hi - lo]
+    moved = 0  # the end the last probe moved: 1 lo, -1 hi
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > -1.0:
-            lo = mid
+        if len(widths) >= 3 and widths[-1] > 0.5 * widths[-3]:
+            p = 0.5 * (lo + hi)
         else:
-            hi = mid
-    return ThresholdReport(0.5 * (lo + hi), N, cap, plan.evaluations)
+            p = min(max(lo + g_lo * (hi - lo) / (g_lo - g_hi), lo + 0.5 * tol), hi - 0.5 * tol)
+        fp = f(p)
+        if fp > 0.0:
+            lo, f_lo, g_lo = p, fp, fp
+            if moved == 1:
+                g_hi *= 0.5
+            moved = 1
+        else:
+            hi, f_hi, g_hi = p, fp, fp
+            if moved == -1:
+                g_lo *= 0.5
+            moved = -1
+        widths.append(hi - lo)
+    return lo + f_lo * (hi - lo) / (f_lo - f_hi), lo, hi
 
 
 def empirical_threshold(dom: DomainSpec, kind: CommutatorKind, p_lo: float, p_hi: float,

@@ -224,8 +224,25 @@ class TestThreshold:
         assert abs(res["empirical"] - 0.5) <= 0.1
         assert res["agrees"] is True
 
+    def test_probes_and_bracket_are_echoed(self, capsys):
+        argv = ["threshold", "--domain", BALL, "--kind", "self:0:0", "--N", "400"]
+        res = run_json(capsys, argv)["results"]
+        dom = DomainSpec.from_json(json.loads(BALL))
+        rep = summability.threshold_report(dom, SelfAdjoint(0, 0), 1.0, 3.5, N=400)
+        assert res["probes"] == [list(probe) for probe in rep.probes]
+        assert res["bracket"] == list(rep.bracket) and res["empirical"] == rep.threshold
+        assert [p for p, _, _ in res["probes"][:2]] == [1.0, 3.5]
+        lo, hi = res["bracket"]
+        assert lo <= res["empirical"] <= hi and hi - lo <= 0.1
+        # the CSV row stays the four columns it was
+        assert run([*argv, "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "predicted,empirical,abs_difference,agrees"
+        assert rows[1] == f"2.0,{res['empirical']!r},{res['abs_difference']!r},True"
+        assert len(rows) == 2
+
     def test_margin_is_no_option(self, capsys):
-        # the bisection has no verdict, so it takes no margin band
+        # the solver has no verdict, so it takes no margin band
         assert run(["threshold", "--domain", DISK, "--N", "40", "--margin", "0.2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

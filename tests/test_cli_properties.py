@@ -86,7 +86,7 @@ KIND = st.sampled_from(["self:0:0", "self:1:0", "within:0:0:1", "between:0:0:1:0
 
 # a valid egg of one or two blocks of one or two coordinates, one of its own
 # kinds, a shell count the commands accept and no bracket or a drawn one:
-# every such command line reaches the bisection
+# every such command line reaches the threshold solver
 SMALL_EGG = st.fixed_dictionaries(
     {
         "blocks": st.lists(
@@ -149,6 +149,7 @@ def _check(argv):
     else:
         assert out == ""
         assert err.startswith(("error: ", "resource cap: "))
+    return code, out
 
 
 @SETTINGS
@@ -202,6 +203,39 @@ def test_threshold_any_json(case):
     # an absent bracket end takes the default around the predicted cut-off
     ends = [f"--p-{name}={v}" for name, v in (("lo", lo), ("hi", hi)) if v is not None]
     _check(["threshold", f"--domain={json.dumps(domain)}", f"--kind={kind}", f"--N={N}", *ends])
+
+
+@st.composite
+def _solver_case(draw):
+    domain = draw(SMALL_EGG)
+    kind = draw(st.sampled_from(all_kinds(DomainSpec.from_json(domain))))
+    tol = draw(st.sampled_from([0.01, 0.1, 1.0]) | st.floats(min_value=0.01, max_value=2.0))
+    # the default bracket around the predicted cut-off, or a drawn one
+    ends = draw(st.none() | st.tuples(st.floats(0.05, 4.0), st.floats(2.0, 20.0)))
+    return domain, _selector(kind), draw(st.integers(40, 80)), tol, ends
+
+
+@settings(SETTINGS, max_examples=80)
+@given(case=_solver_case())
+def test_threshold_bracket_holds_the_cutoff(case):
+    # the cut-off lies in the reported bracket, which lies in [p_lo, p_hi]
+    # and is no wider than tol; its ends are the last probes on each side
+    domain, kind, N, tol, ends = case
+    bracket = [f"--p-lo={ends[0]}", f"--p-hi={ends[1]}"] if ends else []
+    argv = ["threshold", f"--domain={json.dumps(domain)}", f"--kind={kind}", f"--N={N}",
+            f"--tol={tol}", "--cap=100000000", *bracket]
+    code, out = _check(argv)
+    if code != 0:
+        return
+    report = json.loads(out)
+    params, res = report["params"], report["results"]
+    lo, hi = res["bracket"]
+    assert params["p_lo"] <= lo <= res["empirical"] <= hi <= params["p_hi"]
+    assert hi - lo <= tol
+    slopes = {p: slope for p, slope, _ in res["probes"]}
+    assert [p for p, _, _ in res["probes"][:2]] == [params["p_lo"], params["p_hi"]]
+    assert slopes[lo] > -1.0 >= slopes[hi]
+    assert len(slopes) == len(res["probes"])
 
 
 # (kind, order, a, b, x0, doublings): any values, and valid ones, which

@@ -25,6 +25,7 @@ from eggsum import gammakit, lattice, summability
 from eggsum.commutator import all_kinds, atom_partition, eigenvalue_bulk
 from eggsum.lattice import BATCH_ROWS, range_count, shell_batches, shell_count
 from eggsum.summability import (
+    _bracketed_root,
     _class_mult,
     _counts,
     _magnitude_batches,
@@ -60,6 +61,16 @@ def _count_gamma_calls(monkeypatch) -> list:
 DISK = DomainSpec.single_block([1.0])
 BALL2 = DomainSpec.single_block([1.0, 1.0])
 SELF = SelfAdjoint(0, 0)
+
+
+def bisection_bracket(midpoint: float, p_lo: float, p_hi: float, tol: float = 0.1) -> tuple:
+    """The final bracket of a bisection that halved [p_lo, p_hi] until it was
+    at most ``tol`` wide and returned its ``midpoint``: the cut-off it
+    pinned, within which the secant root of the same fit must lie."""
+    width = p_hi - p_lo
+    while width > tol:
+        width /= 2
+    return midpoint - width / 2, midpoint + width / 2
 
 
 def synthetic_report(power: float, N: int = 10_000):
@@ -317,7 +328,9 @@ class TestClasses:
             assert np.all(np.isfinite(rep.shell_sums)) and math.isfinite(rep.total)
             assert np.all(rep.shell_sums > 0.0)
         th = empirical_threshold(dom, SELF, 5.0, 15.0, N=400, cap=10**6)
-        assert th == 10.1953125 and abs(th - 10.0) <= 1.0
+        assert th == 10.19845173621686 and abs(th - 10.0) <= 1.0
+        lo, hi = bisection_bracket(10.1953125, 5.0, 15.0)
+        assert lo <= th <= hi
 
     def test_cap_counts_evaluations(self, monkeypatch):
         shells = require_fit_window(600, 0.5)
@@ -467,18 +480,47 @@ class TestCrossClasses:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert th == 1.9765625
+        assert th == 2.003288229355313
+        lo, hi = bisection_bracket(1.9765625, 1.0, 3.5)
+        assert lo <= th <= hi
         assert peak < 2 * 2**20, peak
 
-    @pytest.mark.parametrize("dom, kind, bracket, N, want", [
-        (CRIT5, CrossWithin(0, 0, 1), (2.0, 6.5), 200, 3.72265625),
-        (CRIT4, CrossBetween(0, 0, 1, 0), (1.5, 5.0), 200, 3.11328125),
-        (BALL2, CrossWithin(0, 0, 1), (1.0, 3.5), 3000, 1.9765625),
-        (CRIT5, CrossWithin(0, 0, 1), (2.0, 6.5), 600, 3.79296875),
+    def test_one_degree_block_out_of_range_is_refused(self):
+        # outer powers 1e-300 put the entry logs near 3.5e302, where their
+        # roundings (about 1e286) leave a one-degree block with p |r| far
+        # above the tilt: refused, where its weight was NaN
+        dom = DomainSpec.from_json({"blocks": [{"p": [1], "a": 1e-300}, {"p": [1], "a": 1e-300}]})
+        kind = CrossBetween(0, 0, 1, 0)
+        plan = _walk(dom, kind, range(17))
+        [(cols, m, rows)] = plan.weighed.values()
+        kernel = summability.WalkKernel(dom, kind, plan.atoms, plan.shells, plan.classes)
+        logs = kernel.entry_logs(cols)
+        assert all(3e302 < x.max() < 4e302 for x, _ in logs)
+        with pytest.raises(ValidationError, match="weight at degree 1 leaves double precision range"):
+            summability._entry_folds(logs, rows, 1.0)
+        # crafted logs of the same size, x = 3.5e302 + 1e287 y: the fold at
+        # degree 1 differs from the split's share by one rounding of x
+        y = np.arange(17.0)
+        x = 3.5e302 + 1e287 * y
+        crafted = [(x, x[y.astype(int) // 2 + y.astype(int) % 2]), (x, x[y.astype(int) // 2])]
+        with pytest.raises(ValidationError, match="leaves double precision range at p = 1.0"):
+            summability._entry_folds(crafted, range(17), 1.0)
+        with pytest.raises(ValidationError, match="leaves double precision range"):
+            shell_report(dom, kind, 1.0, 16)
+
+    @pytest.mark.parametrize("dom, kind, bracket, N, want, midpoint", [
+        (CRIT5, CrossWithin(0, 0, 1), (2.0, 6.5), 200, 3.737282578790935, 3.72265625),
+        (CRIT4, CrossBetween(0, 0, 1, 0), (1.5, 5.0), 200, 3.1062947952896383, 3.11328125),
+        (BALL2, CrossWithin(0, 0, 1), (1.0, 3.5), 3000, 2.003288229355313, 1.9765625),
+        (CRIT5, CrossWithin(0, 0, 1), (2.0, 6.5), 600, 3.7805531208730745, 3.79296875),
     ], ids=["crit5-within-200", "crit4-between-200", "ball2-within-3000", "crit5-within-600"])
-    def test_thresholds_of_the_row_walk(self, dom, kind, bracket, N, want):
-        # the cut-offs that the walk over every row gave
-        assert empirical_threshold(dom, kind, *bracket, N=N) == want
+    def test_thresholds_of_the_row_walk(self, dom, kind, bracket, N, want, midpoint):
+        # the cut-offs of the class walk, each inside the final bracket of
+        # the bisection whose midpoint the walk over every row gave
+        th = empirical_threshold(dom, kind, *bracket, N=N)
+        assert th == want
+        lo, hi = bisection_bracket(midpoint, *bracket)
+        assert lo <= th <= hi
 
     def test_criterion_5_walks_classes_in_little_memory(self):
         kind = CrossWithin(0, 0, 1)
@@ -486,11 +528,11 @@ class TestCrossClasses:
             # 135 450 classes on shells 299..599 of j = i - e_lowered in the
             # atoms [0, 1] and [2], and 180 300 pairs of degrees in the weight
             # of [0, 1]: no array of the 31.8 M rows of shells 300..600
-            (CRIT5, 135_450, 180_300, 600, 3.79296875, 32),
+            (CRIT5, 135_450, 180_300, 600, (3.7805531208730745, 3.79296875), 32),
             # one atom: a class per shell 749..1499 of j, 1 125 750 pairs of
             # entry degrees 0..1499, and two scans over the other columns,
             # which keep no pairs
-            (ball(4), 751, 1_125_750, 1500, 4.00390625, 16),
+            (ball(4), 751, 1_125_750, 1500, (4.020680849721475, 4.00390625), 16),
         ]:
             shells = require_fit_window(N, 0.5)
             atoms = len(atom_partition(dom, kind))
@@ -502,7 +544,11 @@ class TestCrossClasses:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert th == want, N
+            # the secant root, inside the bisection's bracket of the midpoint
+            root, midpoint = want
+            assert th == root, N
+            lo, hi = bisection_bracket(midpoint, 2.0, 6.5)
+            assert lo <= th <= hi, N
             assert peak < mib * 2**20, (N, peak)
 
 
@@ -606,6 +652,88 @@ class TestMonotonicity:
             for p in (0.5, 1.0, 2.0, 3.0, 4.0):
                 slopes.append(shell_report(dom, kind, p, 400).slope)
             assert all(s2 <= s1 + 1e-9 for s1, s2 in zip(slopes, slopes[1:]))
+
+
+def _solve(slope, lo, hi, tol):
+    """``_bracketed_root`` on slope(p) + 1 over [lo, hi]: (root, bracket,
+    the probes it made)."""
+    probes = []
+
+    def f(p):
+        probes.append(p)
+        return slope(p) + 1.0
+
+    root, a, b = _bracketed_root(f, lo, slope(lo) + 1.0, hi, slope(hi) + 1.0, tol)
+    assert a <= root <= b and lo <= a < b <= hi and b - a <= tol
+    return root, (a, b), probes
+
+
+def _midpoints(lo, hi, tol):
+    """The bisection's count of midpoint probes on [lo, hi] to ``tol``."""
+    b, width = 0, hi - lo
+    while width > tol:
+        width, b = width / 2, b + 1
+    return b
+
+
+BRACKETS = [(1.0, 3.5, 0.1), (0.25, 1.0, 0.1), (2.0, 6.5, 0.01), (5.0, 15.0, 0.1)]
+
+
+class TestBracketedRoot:
+    """The solver on synthetic slopes, nonincreasing in p and -1 at r."""
+
+    @pytest.mark.parametrize("lo, hi, tol", BRACKETS)
+    def test_linear_slope_closes_within_two_probes(self, lo, hi, tol):
+        for r in np.linspace(lo, hi, 23)[1:-1].tolist():
+            for k in (0.3, 1.0, 7.0):
+                root, _, probes = _solve(lambda p: -1.0 - k * (p - r), lo, hi, tol)
+                assert len(probes) <= 2, (r, k, probes)
+                assert abs(root - r) <= 1e-12 * hi, (r, k)
+
+    @pytest.mark.parametrize("lo, hi, tol", BRACKETS)
+    def test_step_like_slope_takes_at_most_two_probes_per_midpoint(self, lo, hi, tol):
+        # 2 + 2b probes with the two ends, b the bisection's midpoints
+        b = _midpoints(lo, hi, tol)
+        for r in np.linspace(lo, hi, 23)[1:-1].tolist():
+            for eps in (1e-1, 1e-3, 1e-6, 1e-9):
+                root, (a, c), probes = _solve(lambda p: -1.0 - math.tanh((p - r) / eps),
+                                              lo, hi, tol)
+                assert len(probes) <= 2 * b, (r, eps, probes)
+                assert a <= r <= c, (r, eps)
+
+    @pytest.mark.parametrize("lo, hi, tol", BRACKETS)
+    def test_any_slope_halves_the_bracket_every_three_probes(self, lo, hi, tol):
+        # flat on one side of the root and steep on the other, where the
+        # secant keeps one end: the midpoints bound the probes by 3b
+        b = _midpoints(lo, hi, tol)
+        for r in np.linspace(lo, hi, 23)[1:-1].tolist():
+            for k in (10.0, 1000.0):
+                for slope in (lambda p: -2.0 + math.exp(min(k * (r - p), 700.0)),
+                              lambda p: -math.exp(min(k * (p - r), 700.0)),
+                              lambda p: -1.0 + (r - p) * (k if p < r else 1.0 / k)):
+                    root, (a, c), probes = _solve(slope, lo, hi, tol)
+                    assert len(probes) <= 3 * b, (r, k, probes)
+                    assert a <= r <= c, (r, k)
+
+    def test_a_probe_at_the_root_is_the_high_end(self):
+        # slope -1 exactly is no longer above -1, as the bisection decided
+        root, (a, b), probes = _solve(lambda p: -p / 2.0, 1.0, 3.5, 0.1)
+        assert probes[0] == 2.0 and b == 2.0 and root == 2.0
+
+    def test_the_report_holds_every_probe(self):
+        rep = threshold_report(BALL2, SELF, 1.0, 3.5, N=3000)
+        assert rep.threshold == 2.001173713286093
+        lo, hi = bisection_bracket(1.9765625, 1.0, 3.5)
+        assert lo <= rep.threshold <= hi
+        # the two ends, then two probes: 7 for the bisection
+        assert [p for p, _, _ in rep.probes[:2]] == [1.0, 3.5] and len(rep.probes) == 4
+        a, b = rep.bracket
+        assert 1.0 <= a <= rep.threshold <= b <= 3.5 and b - a <= 0.1
+        slopes = {p: (slope, stderr) for p, slope, stderr in rep.probes}
+        assert slopes[a][0] > -1.0 > slopes[b][0]
+        for p, slope, stderr in rep.probes:
+            fit = shell_report(BALL2, SELF, p, 3000)
+            assert (slope, stderr) == (fit.slope, fit.slope_stderr), p
 
 
 class TestEmpiricalThreshold:
