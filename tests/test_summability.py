@@ -498,11 +498,12 @@ class TestCrossClasses:
         assert all(3e302 < x.max() < 4e302 for x, _ in logs)
         with pytest.raises(ValidationError, match="weight at degree 1 leaves double precision range"):
             summability._entry_folds(logs, rows, 1.0)
-        # crafted logs of the same size, x = 3.5e302 + 1e287 y: the fold at
-        # degree 1 differs from the split's share by one rounding of x
-        y = np.arange(17.0)
-        x = 3.5e302 + 1e287 * y
-        crafted = [(x, x[y.astype(int) // 2 + y.astype(int) % 2]), (x, x[y.astype(int) // 2])]
+        # crafted logs of the same size, the line x = 3.5e302 + 1e287 z, whose
+        # steps are about one unit in the last place, at the shares z - z//2
+        # and z//2: its roundings alone leave r far from 0
+        z = np.arange(17)
+        x = 3.5e302 + 1e287 * z
+        crafted = [(x, x[z - z // 2]), (x, x[z // 2])]
         with pytest.raises(ValidationError, match="leaves double precision range at p = 1.0"):
             summability._entry_folds(crafted, range(17), 1.0)
         with pytest.raises(ValidationError, match="leaves double precision range"):
@@ -714,6 +715,20 @@ class TestBracketedRoot:
                     root, (a, c), probes = _solve(slope, lo, hi, tol)
                     assert len(probes) <= 3 * b, (r, k, probes)
                     assert a <= r <= c, (r, k)
+
+    @pytest.mark.parametrize("lo, hi, tol, most", [(1.0, 3.5, 0.1, 91), (2.0, 6.5, 0.01, 168)])
+    @pytest.mark.parametrize("a", [0.3, -0.3], ids=["convex", "concave"])
+    def test_curved_slope_halves_the_stale_end(self, lo, hi, tol, most, a):
+        # where two probes in a row move one end, the other end's value is
+        # halved: over 21 roots that saves probes on either curvature (96
+        # and 178 without it; the bisection makes 105 and 189)
+        probes = 0
+        for r in np.linspace(lo, hi, 23)[1:-1].tolist():
+            root, (b, c), made = _solve(lambda p: -1.0 + (r - p) * math.exp(-a * (p - lo)),
+                                        lo, hi, tol)
+            assert b <= r <= c, r
+            probes += len(made)
+        assert probes <= most < 21 * _midpoints(lo, hi, tol)
 
     def test_a_probe_at_the_root_is_the_high_end(self):
         # slope -1 exactly is no longer above -1, as the bisection decided
