@@ -74,7 +74,7 @@ from typing import Union
 import numpy as np
 
 from . import gammakit
-from .domain import DomainSpec, as_multi_index, flatten_index
+from .domain import DomainSpec, as_index_rows, as_multi_index, flatten_index
 from .errors import ValidationError
 from .lattice import range_count, shell_rows
 
@@ -589,21 +589,11 @@ def eigenvalue_bulk(dom: DomainSpec, kind: CommutatorKind, idx_rows: np.ndarray)
     called once, at the rows themselves for the self kind and at j = i -
     e_lowered for a cross kind, which is 0 where that entry is.
 
-    Raises ValidationError when an eigenvalue is not a finite double (an
-    inner exponent or outer power so extreme that a Gamma term overflows).
+    Raises ValidationError on rows that ``as_index_rows`` refuses, and when
+    an eigenvalue is not a finite double (an inner exponent or outer power
+    so extreme that a Gamma term overflows).
     """
-    rows = np.asarray(idx_rows)
-    if rows.ndim == 1:
-        rows = rows[np.newaxis, :]
-    if rows.shape[1] != dom.dimension:
-        raise ValidationError(
-            f"index rows have {rows.shape[1]} columns, expected {dom.dimension}"
-        )
-    if np.any(rows < 0):
-        raise ValidationError("index entries must be nonnegative")
-    if rows.dtype.kind not in "iu" and not np.all(rows == np.rint(rows)):
-        raise ValidationError("index entries must be integers")
-    rows = rows.astype(np.int64, copy=False)
+    rows = as_index_rows(dom, idx_rows)
     _, lowered = _columns(dom, kind)
     if lowered is None:
         return _rows_kernel(dom, kind, rows)

@@ -45,6 +45,7 @@ __all__ = [
     "dimension",
     "as_multi_index",
     "flatten_index",
+    "as_index_rows",
     "log_norm_omega1",
     "log_norm",
     "log_norm_bulk",
@@ -53,6 +54,7 @@ __all__ = [
 
 _MC_CHUNK = 1_000_000
 _MAX_ENTRY = 2**53
+_TOO_LARGE = "index entries must be at most 2^53, where doubles still hold every integer"
 
 
 @dataclass(frozen=True)
@@ -170,9 +172,7 @@ def as_multi_index(dom: DomainSpec, entries) -> tuple[tuple[int, ...], ...]:
         if any(v < 0 for v in part):
             raise ValidationError("index entries must be nonnegative")
         if any(v > _MAX_ENTRY for v in part):
-            raise ValidationError(
-                "index entries must be at most 2^53, where doubles still hold every integer"
-            )
+            raise ValidationError(_TOO_LARGE)
         out.append(part)
     return tuple(out)
 
@@ -181,6 +181,26 @@ def flatten_index(dom: DomainSpec, idx) -> np.ndarray:
     """Index as a flat int row in domain coordinate order."""
     nested = as_multi_index(dom, idx)
     return np.array([v for part in nested for v in part], dtype=np.int64)
+
+
+def as_index_rows(dom: DomainSpec, idx_rows) -> np.ndarray:
+    """Flat index rows (shape (n, d), or one row of d) as int64 rows, each
+    entry checked as ``as_multi_index`` checks it: a nonnegative integer of
+    at most 2^53, refused before the cast (inf or 2^62 would wrap)."""
+    rows = np.asarray(idx_rows)
+    if rows.ndim == 1:
+        rows = rows[np.newaxis, :]
+    if rows.shape[1] != dom.dimension:
+        raise ValidationError(
+            f"index rows have {rows.shape[1]} columns, expected {dom.dimension}"
+        )
+    if np.any(rows < 0):
+        raise ValidationError("index entries must be nonnegative")
+    if np.any(rows > _MAX_ENTRY):
+        raise ValidationError(_TOO_LARGE)
+    if rows.dtype.kind not in "iu" and not np.all(rows == np.rint(rows)):
+        raise ValidationError("index entries must be integers")
+    return rows.astype(np.int64, copy=False)
 
 
 def log_norm_omega1(p, i) -> float:

@@ -105,6 +105,12 @@ class TestEigenvalues:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValidationError):
             eigenvalue_bulk(DISK, SelfAdjoint(0, 0), np.array([[-1]]))
+        # and entries above 2^53, as an index is refused, before the int cast
+        # would wrap them (a RuntimeWarning is an error here)
+        dom = DomainSpec.single_block([1.5, 0.7], 1.3)
+        for rows in ([[2**60, 0]], [[np.inf, 0.0]], [[1e300, 0.0]], [[2**62, 2**62]]):
+            with pytest.raises(ValidationError, match=r"at most 2\^53"):
+                eigenvalue_bulk(dom, SelfAdjoint(0, 0), np.array(rows))
 
     def test_rejects_fractional_entries(self):
         with pytest.raises(ValidationError):
