@@ -42,20 +42,22 @@ block and total terms through one).
 
 A walk over a range of shells (``lattice.shell_batches``) enumerates
 classes of atom degrees (``atom_partition``) and drives one kernel.  Each
-key set makes its tables once, on the first run, in the first of three
-ways that applies (``_KeySet``):
+key set makes its tables once, on the first run, in the first of two ways
+that applies (``_KeySet``):
 
-* coded, where every group's weight is a power of two or there is one
-  group: a row's code is an integer sum of its degree sums scaled by
-  W/weight, W the largest weight, and each term is evaluated once on every
-  code the walk's shells allow, when they are fewer than the walk's
-  classes; the argument is one exact division of an integer by W;
-* pair table, where there are two groups and fewer pairs of degree sums
-  than classes: each term is evaluated once on every pair;
+* coded, where every group's weight is a power of two or there are at
+  most two groups: a row's code is an integer sum of its degree sums, each
+  scaled by an integer, and each term is evaluated once on every code the
+  walk's shells allow, when they are fewer than the walk's classes.  Where
+  every weight is a power of two or there is one group, the scale is
+  W/weight, W the largest weight, and the argument one exact division of
+  an integer by W; two other groups are coded by the mixed radix
+  (stop, 1), stop past every degree sum, and a code's argument is that of
+  the degree sums it decodes to;
 * per class, otherwise: each term on every class's argument.
 
 Every run finds each key set's places once and adds up the gathered
-terms.  All three apply the same elementwise function to the same
+terms.  Both ways apply the same elementwise function to the same
 argument, bit for bit, so an eigenvalue does not depend on the rows
 evaluated with it.  ``eigenvalue_bulk`` is the kernel of the rows' own
 shells with every column alone, called once.
@@ -76,7 +78,6 @@ import numpy as np
 from . import gammakit
 from .domain import DomainSpec, as_index_rows, as_multi_index, flatten_index
 from .errors import ValidationError
-from .lattice import range_count, shell_rows
 
 __all__ = [
     "SelfAdjoint",
@@ -238,37 +239,37 @@ def _degree(column, cols) -> np.ndarray:
     return out
 
 
-def _scales(groups) -> list[int] | None:
-    """W/w for each group's weight w, W the largest, where every weight is a
-    power of two or there is one group (whose scale is 1); else None.  The
-    scales are exact integers from the weights' binary exponents: W/w as a
-    float may overflow (2^600 / 2^-600)."""
+def _scales(groups, stop: int) -> tuple[list[int], float | None] | None:
+    """Each group's integer scale c in a row's code sum c D, and the largest
+    weight W to divide a numerator by: (W/w for each group's weight w, W)
+    where every weight is a power of two or there is one group (whose scale
+    is 1); the mixed radix ([``stop``, 1], None) of two groups otherwise,
+    ``stop`` past every degree sum; else None.  The scales W/w are exact
+    integers from the weights' binary exponents: W/w as a float may
+    overflow (2^600 / 2^-600)."""
     mantissas, exponents = zip(*(math.frexp(weight) for weight, _ in groups))
-    if len(groups) > 1 and any(f != 0.5 for f in mantissas):
-        return None
-    top = max(exponents)
-    return [1 << (top - e) for e in exponents]
+    if len(groups) == 1 or all(f == 0.5 for f in mantissas):
+        top = max(exponents)
+        return [1 << (top - e) for e in exponents], max(weight for weight, _ in groups)
+    return ([stop, 1], None) if len(groups) == 2 else None
 
 
 class _KeySet:
     """One key set of a walk, ``groups``, and the terms declared on it,
     ``fns``.  The keys are the shells ``totals`` of the groups' degree
-    vectors.  Each term is evaluated in the first of three ways that
-    applies:
+    vectors.  Each term is evaluated in the first of two ways that applies:
 
-    * coded: every group's weight w is a power of two, or there is one
-      group.  With W the largest weight and c = W/w an integer per group
-      (``_scales``), a row's code is sum c D, from lo = min c * first total
-      up to max c * last total, and its argument sum c (D + m) / W.  Where
-      there are fewer codes than the walk's ``evaluations`` and the
-      numerators stay below 2^53, each term is evaluated once on every code,
-      and a row's place is its code minus lo.  Every quotient (D + m)/w and
-      every partial sum of ``_weight`` is then exact, so the one division
-      gives its value bit for bit.
-    * pair table: two groups and fewer keys than ``evaluations``.  Each
-      term is evaluated once on every key, in the order
-      ``lattice.shell_rows`` enumerates them, and a row's place is the place
-      of its key's total plus its first degree.
+    * coded: every group's weight w is a power of two, or there are at most
+      two groups.  With an integer scale c per group (``_scales``), a row's
+      code is sum c D, from lo = min c * first total up to max c * last
+      total.  Where there are fewer codes than the walk's ``evaluations``
+      and the numerators sum c (D + m) stay below 2^53, each term is
+      evaluated once on every code, and a row's place is its code minus lo.
+      With scales W/w, W the largest weight, a code's argument is its
+      numerator divided by W, exact as every quotient (D + m)/w and every
+      partial sum of ``_weight`` is exact.  With the radix (totals.stop, 1)
+      of two other groups, it is the ``_weight`` of the degree sums
+      divmod(code, totals.stop).
     * per row: otherwise, on the row's ``_weight``.
 
     Each way applies the same elementwise function to the same argument, so
@@ -277,29 +278,24 @@ class _KeySet:
 
     def __init__(self, groups: tuple, totals: range, evaluations: int):
         self.groups, self.totals = groups, totals
-        self._scales = _scales(groups)
+        code = _scales(groups, totals.stop)
         self.coded = False
-        if self._scales is not None:
+        if code is not None:
+            self._scales, self._largest = code
             self._lo = min(self._scales) * totals.start
             self._size = max(self._scales) * (totals.stop - 1) - self._lo + 1
             sizes = [len(cols) for _, cols in groups]
             self._first = self._lo + sum(c * m for c, m in zip(self._scales, sizes))
             self.coded = self._size < evaluations and self._first + self._size <= 2**53
-        self.tabulated = self.coded or (len(groups) == 2 and range_count(2, totals) < evaluations)
-        if self.tabulated and not self.coded:
-            self._starts = np.zeros(totals.stop, dtype=np.intp)
-            self._starts[totals.start :] = shell_rows(2, totals)[1]
         self.fns: list = []
         self.tables: dict[int, np.ndarray] = {}
         self._weights = None
 
     def place(self, degrees) -> np.ndarray:
-        """Each row's place among the codes or keys for its degree sums, or
-        its argument where the terms are evaluated per row."""
-        if not self.tabulated:
-            return _weight(degrees, self.groups)
+        """Each row's place among the codes for its degree sums, or its
+        argument where the terms are evaluated per row."""
         if not self.coded:
-            return self._starts[degrees[0] + degrees[1]] + degrees[0]
+            return _weight(degrees, self.groups)
         code = None
         for deg, c in zip(degrees, self._scales):
             part = deg * c if c > 1 else deg
@@ -308,17 +304,16 @@ class _KeySet:
 
     def value(self, n: int, place: np.ndarray) -> np.ndarray:
         """Each row's value of the n-th term: its table is made the first
-        time it is asked for, from the arguments on every code or key, which
-        the key set makes once."""
-        if not self.tabulated:
+        time it is asked for, from the arguments on every code, which the
+        key set makes once."""
+        if not self.coded:
             return self.fns[n](place)
         if n not in self.tables:
-            if self._weights is None and self.coded:
-                largest = next(w for (w, _), c in zip(self.groups, self._scales) if c == 1)
-                self._weights = np.arange(self._first, self._first + self._size) / largest
+            if self._weights is None and self._largest is None:
+                codes = np.arange(self._lo, self._lo + self._size)
+                self._weights = _weight(np.divmod(codes, self._scales[0]), self.groups)
             elif self._weights is None:
-                keys = shell_rows(2, self.totals)[0]
-                self._weights = _weight(list(keys.T), self.groups)
+                self._weights = np.arange(self._first, self._first + self._size) / self._largest
             self.tables[n] = self.fns[n](self._weights)
         return self.tables[n].take(place)
 

@@ -8,9 +8,10 @@ makes a whole run of consecutive shells in any dimension d >= 1
 the last entry of every row is split in two, one ``np.repeat`` per column
 and split, in int32 below degree 2^31, with no Python loop over shells or
 entries.
-``shell_indices`` is its one-shell case; the package itself calls
-``shell_rows``, and the benchmark's lattice metrics (``perfbench/``) time
-and count ``shell_indices``.
+``shell_indices`` is its one-shell case.  In the package only ``cli``,
+``zetalab`` and ``shell_batches`` here call ``shell_rows``, and the
+benchmark's lattice metrics (``perfbench/``) time and count
+``shell_indices``.
 
 ``shell_batches`` is the one walk over the classes of a range of shells:
 it cuts the range into runs of the most consecutive shells that fit in

@@ -219,11 +219,11 @@ class TestKeyedKernel:
     def test_gamma_work_per_walk(self, monkeypatch, kind, classes):
         # every row of shells 100..200, each column alone: 87 runs, 1 202 001
         # rows, and each Gamma term evaluated once for the whole walk.  The
-        # walk of classes of atom degrees has as many classes as its total
-        # weight has pairs of degree sums, but that total's weights are
-        # powers of two W/c with c <= 4, so its codes sum c D lie in
-        # 0..4 * 200: every table holds at most 4 * 201 entries, and a walk
-        # evaluates at most that many Gamma elements per term
+        # walk of classes of atom degrees has fewer classes than a radix
+        # code of its total's two degree sums would have, but that total's
+        # weights are powers of two W/c with c <= 4, so its codes sum c D
+        # lie in 0..4 * 200: every table holds at most 4 * 201 entries, and
+        # a walk evaluates at most that many Gamma elements per term
         dom = CRIT5 if isinstance(kind, CrossWithin) else CRIT4
         shells = range(100, 201)
         elements = []
@@ -271,7 +271,7 @@ class TestKeyedKernel:
                 assert np.all(np.isfinite(got)) and np.any(got != 0.0), (kind, first)
                 assert got.tobytes() == per_class(classes).tobytes(), (kind, first)
             total = kernel.key_sets[kernel.outer]
-            assert len(total.groups) == 2 and not total.tabulated and total.tables == {}, kind
+            assert len(total.groups) == 2 and not total.coded and total.tables == {}, kind
             assert all(keys.coded for keys, _ in kernel.terms if keys is not total), kind
 
     def test_powers_of_two_far_apart_leave_double_range_as_before(self):
@@ -371,6 +371,10 @@ FRACTIONAL = DomainSpec(blocks=(BlockSpec((1 / 3, 1 / 3), 2.5), BlockSpec((0.7,)
 # of three runs of equal p, and four groups of equal p a
 PER_ROW_EGG = DomainSpec(blocks=(BlockSpec((1.3, 0.7, 2.2), 2.5), BlockSpec((0.6,), 1.0)))
 
+# a 4-D egg whose blocks are each two runs of p that are not powers of two,
+# so each block's key set is coded by the radix of its two degree sums
+EGG4_RADIX = DomainSpec(blocks=(BlockSpec((1.37, 2.5), 1.9), BlockSpec((0.84, 3.1), 0.66)))
+
 # per dimension, a range cut into runs of several shells and one whose
 # shells hold more than BATCH_ROWS rows each, a run of their own
 WALK_RANGES = {3: [range(50, 62), range(180, 182)], 4: [range(24, 30), range(44, 46)]}
@@ -386,9 +390,9 @@ CLASS_RANGES = {3: [range(0, 40), range(150, 201)], 4: [range(0, 20), range(40, 
 
 class TestWalkKernel:
     @pytest.mark.parametrize(
-        "dom", KEYED_DOMAINS + [FRACTIONAL, PER_ROW_EGG],
+        "dom", KEYED_DOMAINS + [FRACTIONAL, PER_ROW_EGG, EGG4_RADIX],
         ids=[f"random-{seed}" for seed in range(6)]
-        + ["unequal-p-in-block", "three-pa-groups", "fractional", "per-row-egg"],
+        + ["unequal-p-in-block", "three-pa-groups", "fractional", "per-row-egg", "egg4-radix"],
     )
     def test_walk_matches_per_row_calls_bytewise(self, dom):
         rng = np.random.default_rng(3)
@@ -412,13 +416,16 @@ class TestWalkKernel:
                     want = np.concatenate([eigenvalue_bulk(dom, kind, rows[i] + lift)
                                            for i in picks])
                     assert got[picks].tobytes() == want.tobytes(), (kind, first)
+                if dom is EGG4_RADIX:
+                    assert any(len(keys.groups) == 2 and keys.coded
+                               for keys in kernel.key_sets.values()), (kind, shells)
 
     @pytest.mark.parametrize("dom", [CRIT4, CRIT5, EGG4_POW2], ids=["crit4", "crit5", "egg4-pow2"])
     def test_class_walk_matches_per_class_calls_bytewise(self, dom):
         # the classes of atom degrees, as the shell sums walk them; where
-        # there are two atoms, the total's pairs of degree sums are as many
-        # as the classes, and only its code, by its powers of two, makes it
-        # a table
+        # there are two atoms, a radix code of the total's two degree sums
+        # would span more codes than there are classes, and only its code,
+        # by its powers of two, makes it a table
         for kind in all_kinds(dom):
             atoms = atom_partition(dom, kind)
             entries = [col for cols in entry_atoms(dom, kind, atoms).values() for col in cols]
