@@ -196,7 +196,9 @@ def as_index_rows(dom: DomainSpec, idx_rows) -> np.ndarray:
         )
     if np.any(rows < 0):
         raise ValidationError("index entries must be nonnegative")
-    if np.any(rows > _MAX_ENTRY):
+    # a float bound for float rows: cast to float16, 2^53 would overflow
+    bound = np.float64(_MAX_ENTRY) if rows.dtype.kind == "f" else _MAX_ENTRY
+    if np.any(rows > bound):
         raise ValidationError(_TOO_LARGE)
     if rows.dtype.kind not in "iu" and not np.all(rows == np.rint(rows)):
         raise ValidationError("index entries must be integers")

@@ -111,6 +111,8 @@ class TestEigenvalues:
         for rows in ([[2**60, 0]], [[np.inf, 0.0]], [[1e300, 0.0]], [[2**62, 2**62]]):
             with pytest.raises(ValidationError, match=r"at most 2\^53"):
                 eigenvalue_bulk(dom, SelfAdjoint(0, 0), np.array(rows))
+        half = np.array([[3, 1]], dtype=np.float16)
+        assert eigenvalue_bulk(dom, SelfAdjoint(0, 0), half) == eigenvalue(dom, SelfAdjoint(0, 0), [3, 1])
 
     def test_rejects_fractional_entries(self):
         with pytest.raises(ValidationError):
