@@ -240,13 +240,13 @@ def _degree(column, cols) -> np.ndarray:
 
 
 def _scales(groups, stop: int) -> tuple[list[int], float | None] | None:
-    """Each group's integer scale c in a row's code sum c D, and the largest
-    weight W to divide a numerator by: (W/w for each group's weight w, W)
-    where every weight is a power of two or there is one group (whose scale
-    is 1); the mixed radix ([``stop``, 1], None) of two groups otherwise,
-    ``stop`` past every degree sum; else None.  The scales W/w are exact
-    integers from the weights' binary exponents: W/w as a float may
-    overflow (2^600 / 2^-600)."""
+    """Each group's integer scale c in a row's code sum c D, and the weight
+    W that a code's numerator is divided by, or None: (W/w per group weight
+    w, W the largest) where every weight is a power of two or there is one
+    group; ([``stop``, 1], None), the mixed radix of two other groups with
+    ``stop`` past every degree sum; else None.  W/w is an exact integer from
+    the weights' binary exponents: as a float it may overflow (2^600 /
+    2^-600)."""
     mantissas, exponents = zip(*(math.frexp(weight) for weight, _ in groups))
     if len(groups) == 1 or all(f == 0.5 for f in mantissas):
         top = max(exponents)
