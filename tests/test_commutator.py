@@ -112,7 +112,8 @@ class TestEigenvalues:
             with pytest.raises(ValidationError, match=r"at most 2\^53"):
                 eigenvalue_bulk(dom, SelfAdjoint(0, 0), np.array(rows))
         half = np.array([[3, 1]], dtype=np.float16)
-        assert eigenvalue_bulk(dom, SelfAdjoint(0, 0), half) == eigenvalue(dom, SelfAdjoint(0, 0), [3, 1])
+        want = eigenvalue(dom, SelfAdjoint(0, 0), [3, 1])
+        assert eigenvalue_bulk(dom, SelfAdjoint(0, 0), half) == want
 
     def test_rejects_fractional_entries(self):
         with pytest.raises(ValidationError):
